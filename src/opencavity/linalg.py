@@ -172,7 +172,8 @@ def solve_linear(m, rhs) -> np.ndarray:
     Raises
     ------
     SingularMatrix
-        Some pivot |U_ii| fell below 1e-14 * ||m||_inf.
+        Some pivot |U_ii| is at most 1e-14 * ||m||_inf (a zero matrix
+        included).
     InvalidMatrix
         Shape mismatch or non-finite entries.
     """
@@ -190,7 +191,7 @@ def solve_linear(m, rhs) -> np.ndarray:
     except np.linalg.LinAlgError as err:
         raise SingularMatrix(str(err)) from err
     pivots = np.abs(np.diag(lu))
-    if pivots.min() < 1e-14 * norm_inf:
+    if pivots.min() <= 1e-14 * norm_inf:
         raise SingularMatrix(
             f"pivot {pivots.min():.3e} below threshold {1e-14 * norm_inf:.3e}"
         )

@@ -19,6 +19,7 @@ transmission normalization. The effective Hamiltonian itself is assembled in
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,6 +226,11 @@ class LeadChannel:
         return _contact_amplitude(energy, self.w_eff, self.lead_hopping)
 
 
+def _check_alpha(alpha):
+    if not (float(alpha) >= 0.0) or not math.isfinite(float(alpha)):
+        raise InvalidGeometry("alpha must be finite and non-negative")
+
+
 def build_hb(lattice: LatticeSpec):
     """Assemble the closed-cavity Hamiltonian.
 
@@ -272,6 +278,32 @@ def build_hb(lattice: LatticeSpec):
     return h, sites
 
 
+class _ClosedCavity:
+    """H_B of one geometry, with its eigendecomposition computed on demand.
+
+    Models that differ only in the coupling strength share one instance,
+    so the O(N^3) ``eigh`` runs once per geometry. The lock makes the lazy
+    computation safe when models of one geometry run on several threads.
+    """
+
+    def __init__(self, lattice):
+        h, sites = build_hb(lattice)
+        h.flags.writeable = False
+        self.h = h
+        self.sites = sites
+        self._modes = None
+        self._lock = threading.Lock()
+
+    def modes(self):
+        with self._lock:
+            if self._modes is None:
+                energies, vectors = np.linalg.eigh(self.h)
+                energies.flags.writeable = False
+                vectors.flags.writeable = False
+                self._modes = (energies, vectors)
+        return self._modes
+
+
 class CavityModel:
     """Cavity plus two leads at a global coupling strength alpha.
 
@@ -289,17 +321,17 @@ class CavityModel:
         leads = tuple(leads)
         if len(leads) != 2:
             raise InvalidGeometry("exactly two leads are required")
-        if not (float(alpha) >= 0.0) or not math.isfinite(float(alpha)):
-            raise InvalidGeometry("alpha must be finite and non-negative")
+        _check_alpha(alpha)
+        self._bind(lattice, leads, alpha, _ClosedCavity(lattice))
+
+    def _bind(self, lattice, leads, alpha, closed):
         self.lattice = lattice
         self.leads = leads
         self.alpha = float(alpha)
-
-        h, sites = build_hb(lattice)
-        h.flags.writeable = False
-        self._h_b = h
-        self.site_order = sites
-        pos = {s: i for i, s in enumerate(sites)}
+        self._closed = closed
+        self._h_b = closed.h
+        self.site_order = closed.sites
+        pos = {s: i for i, s in enumerate(closed.sites)}
 
         channels = []
         for default_name, lead in zip(("L", "R"), leads):
@@ -332,9 +364,24 @@ class CavityModel:
     def contact_indices(self):
         return tuple(ch.index for ch in self.channels)
 
+    @property
+    def closed_modes(self):
+        """Eigenvalues (ascending) and orthonormal eigenvectors of H_B.
+
+        Computed on first use and shared by every model of the same
+        geometry made through :meth:`with_alpha`; read-only arrays.
+        """
+        return self._closed.modes()
+
     def with_alpha(self, alpha):
-        """Same geometry and leads at a different coupling strength."""
-        return CavityModel(self.lattice, self.leads, alpha)
+        """Same geometry and leads at a different coupling strength.
+
+        The new model shares H_B and its eigendecomposition with this one.
+        """
+        _check_alpha(alpha)
+        model = object.__new__(CavityModel)
+        model._bind(self.lattice, self.leads, alpha, self._closed)
+        return model
 
     def self_energy_weights(self, energy):
         """Per-channel w_eff^2 g(E), the diagonal self-energy amplitudes."""

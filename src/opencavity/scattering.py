@@ -6,8 +6,8 @@ The scattering matrix of the two-lead cavity is
 
 with G(E) = (E - H_eff(E))^(-1) the interior Green's function projected onto
 the contact sites and a_a(E) the channel amplitudes. The transmission
-amplitude t(E) = S_RL can be evaluated either directly from a linear solve
-(the ground truth) or from the biorthogonal resonance expansion
+amplitude t(E) = S_RL can be evaluated either directly from G (the ground
+truth) or from the biorthogonal resonance expansion
 
     t(E) = -2 pi i sum_lam a_R phi_lam[c_R] phi_lam[c_L] a_L / (E - z_lam),
 
@@ -15,6 +15,16 @@ which is exact when the spectrum at E is complete and non-defective. The two
 routes agreeing to rounding is the central consistency check of the
 spectral machinery; they separate only at a defective spectrum, where the
 expansion does not exist and only the direct route remains.
+
+The direct route is the contact-space resolvent of :func:`contact_green`.
+H_eff(E) differs from the real symmetric H_B only in the two contact
+diagonal entries, so one ``eigh`` of H_B per geometry turns G_cc(E) into a
+2x2 problem and each energy costs O(N) instead of a dense O(N^3) LU. The LU
+solve remains as the fallback within ``RESOLVENT_GAP`` of a closed-cavity
+eigenvalue, where the resolvent loses accuracy and where a dark state can
+make E - H_eff singular, and as the oracle of the tests. ``s_matrix`` and
+``wigner_delay`` take one energy, which raises on failure, or an array of
+energies, which gives NaN at a failed energy so a sweep does not abort.
 
 Widths obey the sum rule Gamma_lam * A_lam = 2 pi sum_C a_C^2 |phi_lam[c_C]|^2
 exactly at every energy, so Gamma_lam itself stays below the right-hand side
@@ -28,7 +38,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DefectiveSpectrum, PoleOnAxis, UndefinedValue
+from .exceptions import (
+    DefectiveSpectrum,
+    OutsideBand,
+    PoleOnAxis,
+    SingularMatrix,
+    UndefinedValue,
+)
 from .linalg import solve_linear
 from .model import CavityModel
 from .rigidity import RigidityReport, build_report
@@ -41,6 +57,7 @@ __all__ = [
     "interior_wavefunction",
     "solve_scattering",
     "transmission_spectral",
+    "contact_green",
     "transmission_direct",
     "s_matrix",
     "wigner_delay",
@@ -50,6 +67,12 @@ __all__ = [
 
 # Real-axis pole rejection distance for the spectral route.
 POLE_TOL = 1e-12
+# Relative distance to a closed-cavity eigenvalue, in units of
+# max(1, ||H_B||), below which the contact-space resolvent hands an energy
+# to the dense LU solve. Its rounding error grows like eps / |E - e_k|; at
+# this distance it measures at most 2.4e-11 relative to LU on the five
+# reference models of the tests.
+RESOLVENT_GAP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -189,12 +212,152 @@ def transmission_spectral(spectral, model, energy=None):
     return -2j * math.pi * a[0] * a[1] * acc
 
 
-def transmission_direct(model, energy):
-    """Transmission amplitude L -> R from a direct linear solve.
+def _lu_contact(model, energy):
+    """Contact block of (E - H_eff)^-1 and the state fed from L, by dense LU.
 
-    Solves (E - H_eff(E)) x = e_L and reads off
-    t = -2 pi i a_R x[c_R] a_L. Ground truth for the spectral route; works
-    at defective spectra too.
+    The fallback of :func:`contact_green` next to closed-cavity eigenvalues.
+    Raises SingularMatrix where E - H_eff(E) is singular.
+    """
+    idx = model.contact_indices
+    m = np.eye(model.dimension, dtype=complex) * energy - assemble_heff(
+        model, energy
+    )
+    rhs = np.zeros((model.dimension, 2), dtype=complex)
+    for col, i in enumerate(idx):
+        rhs[i, col] = 1.0
+    x = solve_linear(m, rhs)
+    return x[list(idx), :], x[:, 0]
+
+
+def _resolvent(model, e, strict, interior):
+    """G_cc at energies e, and with ``interior`` the L-fed state x = U^T psi."""
+    e_k, u = model.closed_modes
+    u_c = u[list(model.contact_indices), :]
+    sigma = np.array([model.self_energy_weights(en) for en in e]).reshape(-1, 2)
+
+    inv_gap = 1.0 / (RESOLVENT_GAP * max(1.0, float(np.abs(e_k).max())))
+    # Rows next to an e_k may overflow here; the LU below replaces them.
+    with np.errstate(all="ignore"):
+        d = np.subtract.outer(e, e_k)
+        np.divide(1.0, d, out=d)
+        near = (d.max(axis=1) > inv_gap) | (d.min(axis=1) < -inv_gap)
+        # G0 is real and symmetric: its entries (0,0), (0,1), (1,1).
+        g0 = d @ np.stack([u_c[0] * u_c[0], u_c[0] * u_c[1], u_c[1] * u_c[1]],
+                          axis=1)
+        g0 = g0[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
+        m = np.eye(2) - g0 * sigma[:, None, :]
+        det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+        adj = np.stack([m[:, 1, 1], -m[:, 0, 1], -m[:, 1, 0], m[:, 0, 0]],
+                       axis=1).reshape(-1, 2, 2)
+        g = adj @ g0 / det[:, None, None]
+        if interior:
+            y = sigma * g[:, :, 0]
+            y[:, 0] += 1.0
+            x = d * (y @ u_c)
+
+    for i in np.flatnonzero(near):
+        try:
+            g[i], psi = _lu_contact(model, float(e[i]))
+        except SingularMatrix:
+            if strict:
+                raise
+            g[i] = complex(math.nan, math.nan)
+            psi = np.full(len(e_k), complex(math.nan, math.nan))
+        if interior:
+            x[i] = u.T @ psi
+    return (g, x) if interior else g
+
+
+def _energies(energy):
+    """1-d float energies, and whether the input was a scalar."""
+    return np.atleast_1d(np.asarray(energy, dtype=float)), np.ndim(energy) == 0
+
+
+def contact_green(model, energies):
+    """Contact-space Green's function G_cc(E) and the interior state.
+
+    With the closed-cavity modes H_B = U diag(e_k) U^T and U_c the contact
+    rows of U, the Dyson identity for the rank-2 self-energy gives
+
+        G_cc(E) = (I - G0(E) Sigma(E))^-1 G0(E),
+        G0(E) = U_c diag(1 / (E - e_k)) U_c^T,
+
+    with Sigma(E) = diag(w_C^2 g_C(E)) over the channel order (L, R). The
+    interior state fed from lead L, psi = (E - H_eff)^-1 e_{c_L}, is U x
+    with x = diag(1 / (E - e_k)) U_c^T y and y = e_L + Sigma G_cc e_L. The
+    modes come from :attr:`CavityModel.closed_modes`, so after one ``eigh``
+    per geometry each energy costs O(N). Energies within
+    ``RESOLVENT_GAP * max(1, ||H_B||)`` of some e_k, where the rounding
+    error grows like eps / |E - e_k|, are solved by dense LU instead.
+
+    Parameters
+    ----------
+    model : CavityModel
+    energies : float or array_like of float
+        Real energies, in or outside the band.
+
+    Returns
+    -------
+    (ndarray, ndarray)
+        G_cc[..., a, b] = <c_a| (E - H_eff(E))^-1 |c_b>, shape (2, 2) for a
+        scalar energy and (n, 2, 2) for n energies; and x = U^T psi, shape
+        (N,) or (n, N). For an array of energies, both are NaN at an energy
+        where E - H_eff(E) is singular.
+
+    Raises
+    ------
+    SingularMatrix
+        A scalar energy where E - H_eff(E) is singular.
+    """
+    e, scalar = _energies(energies)
+    g, x = _resolvent(model, e, strict=scalar, interior=True)
+    return (g[0], x[0]) if scalar else (g, x)
+
+
+def _s_matrices(model, e, strict):
+    a = np.full((len(e), 2), math.nan)
+    for i, energy in enumerate(e):
+        try:
+            a[i] = model.channel_amplitudes(energy)
+        except OutsideBand:
+            if strict:
+                raise
+    g = _resolvent(model, e, strict, interior=False)
+    return np.eye(2) - 2j * math.pi * a[:, :, None] * a[:, None, :] * g
+
+
+def s_matrix(model, energy):
+    """Scattering matrix at a real in-band energy, or at each of several.
+
+    S_ab = delta_ab - 2 pi i a_a G_ab a_b over the channel order (L, R),
+    with G_cc from :func:`contact_green`. Unitary up to rounding for any
+    alpha, by construction of the self-energies and amplitudes from the
+    same surface Green's function.
+
+    Returns
+    -------
+    ndarray
+        Shape (2, 2) for a scalar energy, (n, 2, 2) for n energies. For an
+        array, an energy outside the band or at a singular E - H_eff(E)
+        gives a NaN matrix, so one hard point does not abort a sweep.
+
+    Raises
+    ------
+    OutsideBand, SingularMatrix
+        A scalar energy outside the band, or at a singular E - H_eff(E).
+    """
+    e, scalar = _energies(energy)
+    s = _s_matrices(model, e, strict=scalar)
+    return s[0] if scalar else s
+
+
+def transmission_direct(model, energy):
+    """Transmission amplitude L -> R at one energy, t = S_RL.
+
+    Computed from the contact-space resolvent of :func:`contact_green`,
+    which falls back to a dense LU solve next to a closed-cavity
+    eigenvalue. Ground truth for the spectral route; works at defective
+    spectra too.
 
     Raises
     ------
@@ -203,38 +366,7 @@ def transmission_direct(model, energy):
     OutsideBand
         |E| is not inside every lead band.
     """
-    e = float(energy)
-    a = model.channel_amplitudes(e)
-    i_l, i_r = model.contact_indices
-    h = assemble_heff(model, e)
-    m = np.eye(model.dimension, dtype=complex) * e - h
-    rhs = np.zeros(model.dimension, dtype=complex)
-    rhs[i_l] = 1.0
-    x = solve_linear(m, rhs)
-    return complex(-2j * math.pi * a[0] * a[1] * x[i_r])
-
-
-def s_matrix(model, energy):
-    """Full 2x2 scattering matrix at a real in-band energy.
-
-    S_ab = delta_ab - 2 pi i a_a G_ab a_b over the channel order (L, R).
-    Unitary up to rounding for any alpha, by construction of the
-    self-energies and amplitudes from the same surface Green's function.
-    """
-    e = float(energy)
-    a = model.channel_amplitudes(e)
-    idx = model.contact_indices
-    h = assemble_heff(model, e)
-    m = np.eye(model.dimension, dtype=complex) * e - h
-    rhs = np.zeros((model.dimension, 2), dtype=complex)
-    for col, i in enumerate(idx):
-        rhs[i, col] = 1.0
-    x = solve_linear(m, rhs)
-    s = np.eye(2, dtype=complex)
-    for row in range(2):
-        for col in range(2):
-            s[row, col] -= 2j * math.pi * a[row] * a[col] * x[idx[row], col]
-    return s
+    return complex(s_matrix(model, float(energy))[1, 0])
 
 
 def wigner_delay(model, energy, dE=1e-5):
@@ -248,15 +380,24 @@ def wigner_delay(model, energy, dE=1e-5):
     Parameters
     ----------
     model : CavityModel
-    energy : float
-        Both E - dE and E + dE must lie inside the band.
+    energy : float or array_like of float
+        A scalar needs E - dE and E + dE inside the band and returns a
+        float. An array returns one delay per energy, NaN where either
+        step leaves the band or meets a singular E - H_eff.
     dE : float
+
+    Raises
+    ------
+    OutsideBand, SingularMatrix
+        Only for a scalar energy.
     """
-    e = float(energy)
+    e, scalar = _energies(energy)
     step = float(dE)
-    det_p = np.linalg.det(s_matrix(model, e + step))
-    det_m = np.linalg.det(s_matrix(model, e - step))
-    return float(np.angle(det_p / det_m)) / (2.0 * step)
+    s = _s_matrices(model, np.concatenate([e + step, e - step]), scalar)
+    det = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
+    with np.errstate(invalid="ignore"):
+        tau = np.angle(det[: len(e)] / det[len(e):]) / (2.0 * step)
+    return float(tau[0]) if scalar else tau
 
 
 def solve_scattering(model, energy, incoming=0):
@@ -276,14 +417,15 @@ def solve_scattering(model, energy, incoming=0):
     spectral = biorthogonal_spectrum(assemble_heff(model, e), e)
     c = coefficients_c(spectral, model, incoming=incoming)
     psi = interior_wavefunction(spectral, c)
+    s = s_matrix(model, e)
     return ScatteringSolution(
         energy=e,
         incoming=incoming,
         c=c,
         psi_interior=psi,
         t_spectral=complex(transmission_spectral(spectral, model)),
-        t_direct=transmission_direct(model, e),
-        s_matrix=s_matrix(model, e),
+        t_direct=complex(s[1, 0]),
+        s_matrix=s,
         rigidity=build_report(spectral, c, psi),
         spectral=spectral,
     )

@@ -280,7 +280,7 @@ def fixed_point_poles(model: CavityModel, damping=0.5, tol=1e-10, max_iter=200):
     tuple of PoleResult
         One entry per closed-cavity mode, in ascending closed-cavity order.
     """
-    e0, u0 = np.linalg.eigh(model.h_b)
+    e0, u0 = model.closed_modes
     results = []
     for k in range(model.dimension):
         e = float(e0[k])

@@ -34,10 +34,8 @@ from .exceptions import (
     ValidationError,
     WriteError,
 )
-from .linalg import solve_linear
 from .model import CavityModel, LatticeSpec, LeadSpec
-from .rigidity import rho_direct
-from .scattering import solve_scattering, transmission_direct, wigner_delay
+from .scattering import contact_green, s_matrix, solve_scattering, wigner_delay
 from .spectrum import (
     _track_spectra,
     assemble_heff,
@@ -152,10 +150,9 @@ class RunConfig:
     alpha_grid: AlphaGrid | None = None
     out: str | None = None
 
-    def build_model(self, alpha=None):
-        return CavityModel(
-            self.lattice, self.leads, self.alpha if alpha is None else alpha
-        )
+    def build_model(self):
+        """The model at the config's own alpha; sweeps use ``with_alpha``."""
+        return CavityModel(self.lattice, self.leads, self.alpha)
 
 
 @dataclass(frozen=True)
@@ -491,32 +488,15 @@ def count_peaks(values, floor, prominence=PEAK_PROMINENCE):
 
 def run_transmit_study(config: RunConfig, threads=1) -> StudyResult:
     """Transmission amplitude L -> R across the energy grid."""
-    model = config.build_model()
-
-    def one(e):
-        try:
-            t = transmission_direct(model, e)
-        except (PoleOnAxis, SingularMatrix):
-            return (e, math.nan, math.nan, math.nan, math.nan)
-        return (e, t.real, t.imag, abs(t), abs(t) ** 2)
-
-    rows = _pmap(one, config.e_grid.values(), threads)
+    energies = config.e_grid.values()
+    t = s_matrix(config.build_model(), energies)[:, 1, 0]
     return StudyResult(
         study=config.study,
         columns=("e", "re_t", "im_t", "abs_t", "transmission"),
-        rows=np.array(rows, dtype=float),
+        rows=np.column_stack((energies, t.real, t.imag, np.abs(t),
+                              np.abs(t) ** 2)),
         config_echo=serialize_config(config),
     )
-
-
-def _abs_t_grid(model, energies):
-    out = np.empty(len(energies))
-    for i, e in enumerate(energies):
-        try:
-            out[i] = abs(transmission_direct(model, e))
-        except (PoleOnAxis, SingularMatrix):
-            out[i] = math.nan
-    return out
 
 
 def run_trapping_study(config: RunConfig, threads=1) -> StudyResult:
@@ -529,25 +509,22 @@ def run_trapping_study(config: RunConfig, threads=1) -> StudyResult:
     """
     alphas = config.alpha_grid.values()
     e_c = config.e_grid.center
-    spectra = _pmap(
-        lambda a: biorthogonal_spectrum(
-            assemble_heff(config.build_model(a), e_c), e_c
-        ),
-        alphas,
-        threads,
-    )
-    tracked = _track_spectra(spectra)
-    n = len(tracked[0].states)
     energies = config.e_grid.values()
+    base = config.build_model()
 
-    def peaks(a):
-        return count_peaks(
-            _abs_t_grid(config.build_model(a), energies), PEAK_FLOOR_ABS
+    def one(a):
+        model = base.with_alpha(a)
+        abs_t = np.abs(s_matrix(model, energies)[:, 1, 0])
+        return (
+            biorthogonal_spectrum(assemble_heff(model, e_c), e_c),
+            count_peaks(abs_t, PEAK_FLOOR_ABS),
         )
 
-    peak_counts = _pmap(peaks, alphas, threads)
+    per_alpha = _pmap(one, alphas, threads)
+    tracked = _track_spectra([sp for sp, _ in per_alpha])
+    n = len(tracked[0].states)
     rows = np.empty((len(alphas), n + 2))
-    for k, (a, sp, npk) in enumerate(zip(alphas, tracked, peak_counts)):
+    for k, (a, sp, (_, npk)) in enumerate(zip(alphas, tracked, per_alpha)):
         rows[k, 0] = a
         for s in sp.states:
             rows[k, 1 + s.track_id] = s.width
@@ -592,20 +569,17 @@ def run_rigidity_study(config: RunConfig, threads=1) -> StudyResult:
 
 
 def run_delay_study(config: RunConfig, threads=1) -> StudyResult:
-    """Wigner-Smith delay across the energy grid."""
-    model = config.build_model()
+    """Wigner-Smith delay across the energy grid.
 
-    def one(e):
-        try:
-            return (e, wigner_delay(model, e))
-        except (PoleOnAxis, SingularMatrix):
-            return (e, math.nan)
-
-    rows = _pmap(one, config.e_grid.values(), threads)
+    A point whose centred difference leaves the band, or meets a singular
+    E - H_eff, gives a NaN row.
+    """
+    energies = config.e_grid.values()
+    tau = wigner_delay(config.build_model(), energies)
     return StudyResult(
         study=config.study,
         columns=("e", "tau"),
-        rows=np.array(rows, dtype=float),
+        rows=np.column_stack((energies, tau)),
         config_echo=serialize_config(config),
     )
 
@@ -670,30 +644,17 @@ def run_crossover_study(config: RunConfig, threads=1) -> StudyResult:
     """
     energies = config.e_grid.values()
     e_c = config.e_grid.center
+    base = config.build_model()
 
     def one(a):
-        model = config.build_model(a)
-        abs_t = _abs_t_grid(model, energies)
-        rho = np.empty(len(energies))
-        i_l = model.contact_indices[0]
-        for i, e in enumerate(energies):
-            m = np.eye(model.dimension, dtype=complex) * e - assemble_heff(
-                model, e
-            )
-            rhs = np.zeros(model.dimension, dtype=complex)
-            rhs[i_l] = 1.0
-            try:
-                rho[i], _ = rho_direct(solve_linear(m, rhs))
-            except (SingularMatrix, UndefinedValue):
-                rho[i] = math.nan
-        widths = np.array(
-            [
-                s.width
-                for s in biorthogonal_spectrum(
-                    assemble_heff(model, e_c), e_c
-                ).states
-            ]
-        )
+        model = base.with_alpha(a)
+        abs_t = np.abs(s_matrix(model, energies)[:, 1, 0])
+        # x holds the interior state in the real orthogonal eigenbasis of
+        # H_B, which leaves both sums of the rigidity |psi^T psi| / psi^dag
+        # psi unchanged.
+        _, x = contact_green(model, energies)
+        rho = np.abs(np.sum(x * x, axis=1)) / np.sum(np.abs(x) ** 2, axis=1)
+        widths = -2.0 * np.linalg.eigvals(assemble_heff(model, e_c)).imag
         with np.errstate(all="ignore"):
             avg_t = float(np.nanmean(abs_t**2))
             min_rho = float(np.nanmin(rho))

@@ -112,6 +112,25 @@ class TestHappyPaths:
             assert code == 0, study
             assert out.read_text(encoding="utf-8").startswith("# opencavity")
 
+    def test_delay_band_edge_exits_zero(self, tmp_path):
+        doc = base_doc(study="delay")
+        doc["model"] = {
+            "nx": 4,
+            "ny": 4,
+            "alpha": 1.0,
+            "leads": [
+                {"contact": [0, 0], "coupling_w": 1.0},
+                {"contact": [3, 3], "coupling_w": 1.0},
+            ],
+        }
+        doc["e_grid"] = {"min": -1.999999, "max": 1.999999, "points": 41}
+        out = tmp_path / "tau.csv"
+        cfg = write_config(tmp_path, doc)
+        assert main(["delay", "--config", cfg, "--out", str(out)]) == 0
+        rows = out.read_text(encoding="utf-8").split("\n")[4:-1]
+        assert len(rows) == 41
+        assert rows[0].endswith(",nan") and rows[40].endswith(",nan")
+
     def test_threads_flag_deterministic(self, tmp_path):
         cfg = write_config(tmp_path, base_doc())
         one = tmp_path / "one.csv"

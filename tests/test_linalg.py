@@ -136,6 +136,12 @@ class TestSolveLinear:
         with pytest.raises(SingularMatrix):
             solve_linear(m, np.ones(2, dtype=complex))
 
+    def test_zero_matrix_raises(self):
+        # The pivot threshold scales with ||m||, which is 0 here.
+        for n in (1, 3):
+            with pytest.raises(SingularMatrix):
+                solve_linear(np.zeros((n, n)), np.ones(n))
+
 
 class TestMinimizeSimplex:
     def test_rosenbrock_2d(self):

@@ -328,6 +328,25 @@ class TestStudyRunners:
         assert res.columns == ("e", "tau")
         assert res.rows.shape == (31, 2)
 
+    def test_delay_band_edge_rows_nan(self):
+        # +-1.999999 passes validation, but E -+ 1e-5 at the two ends leaves
+        # the band; those rows are NaN and the study carries on.
+        doc = config_doc(study="delay")
+        doc["model"] = {
+            "nx": 4,
+            "ny": 4,
+            "alpha": 1.0,
+            "leads": [
+                {"contact": [0, 0], "coupling_w": 1.0},
+                {"contact": [3, 3], "coupling_w": 1.0},
+            ],
+        }
+        doc["e_grid"] = {"min": -1.999999, "max": 1.999999, "points": 41}
+        rows = run_delay_study(parse_doc(doc)).rows
+        assert rows.shape == (41, 2)
+        assert np.isnan(rows[[0, 40], 1]).all()
+        assert np.isfinite(rows[1:40]).all()
+
     def test_ep_study_returns_pair(self):
         doc = config_doc(study="ep-find")
         doc["model"] = {
