@@ -5,9 +5,7 @@ dense. Eigendecomposition and linear solves are delegated to LAPACK through
 numpy/scipy; what this module adds is the contract layer used everywhere else:
 
 * deterministic eigenvalue ordering (ascending real part, ties by imaginary
-  part),
-* a per-pair reciprocal condition number so near-defective pairs can be
-  recognized,
+  part), with right eigenvectors only,
 * an explicit singularity threshold on the LU pivots,
 * a fixed-coefficient Nelder-Mead simplex minimizer.
 
@@ -43,16 +41,13 @@ class EigenSystem:
         Eigenvalues sorted by real part, ties broken by imaginary part.
     vectors : (n, n) complex ndarray
         Right eigenvectors as columns, unit Euclidean norm, ordered like
-        ``values``.
-    condition : (n,) float ndarray
-        Reciprocal condition number of each eigenpair,
-        |w^H v| / (||w|| ||v||) with w the matching left eigenvector. Values
-        near zero flag a nearly defective pair.
+        ``values``. No left eigenvectors are computed: for the complex
+        symmetric H_eff they are the transposes of the right ones, and
+        |v^T v| of a unit column is its eigenpair condition number.
     """
 
     values: np.ndarray
     vectors: np.ndarray
-    condition: np.ndarray
 
 
 def _check_square(m) -> np.ndarray:
@@ -79,29 +74,18 @@ def _eig2(a: np.ndarray):
     scale = np.abs(a).max()
     values = np.array([z1, z2], dtype=complex)
     vectors = np.empty((2, 2), dtype=complex)
-    conds = np.empty(2)
     for i, z in enumerate(values):
         # Rows of adj(a - z) span the right null space of (a - z).
-        cand_r = (
+        cand = (
             np.array([a[0, 1], z - a[0, 0]]),
             np.array([z - a[1, 1], a[1, 0]]),
         )
-        v = max(cand_r, key=lambda u: np.abs(u).max())
+        v = max(cand, key=lambda u: np.abs(u).max())
         if np.abs(v).max() <= 16 * np.finfo(float).eps * max(scale, abs(z)):
             # Numerically a scalar matrix: any basis diagonalizes it.
             v = np.eye(2, dtype=complex)[:, i]
-        v = v / np.linalg.norm(v)
-        cand_l = (
-            np.array([a[1, 0], z - a[0, 0]]),
-            np.array([z - a[1, 1], a[0, 1]]),
-        )
-        w = max(cand_l, key=lambda u: np.abs(u).max())
-        if np.abs(w).max() <= 16 * np.finfo(float).eps * max(scale, abs(z)):
-            w = np.eye(2, dtype=complex)[:, i]
-        w = w / np.linalg.norm(w)
-        vectors[:, i] = v
-        conds[i] = abs(w @ v)
-    return values, vectors, conds
+        vectors[:, i] = v / np.linalg.norm(v)
+    return values, vectors
 
 
 def eig_general(m) -> EigenSystem:
@@ -115,8 +99,8 @@ def eig_general(m) -> EigenSystem:
     Returns
     -------
     EigenSystem
-        Values sorted ascending by real part (ties by imaginary part), unit
-        right eigenvectors, and per-pair reciprocal condition numbers.
+        Values sorted ascending by real part (ties by imaginary part) and
+        unit right eigenvectors.
 
     Raises
     ------
@@ -133,27 +117,16 @@ def eig_general(m) -> EigenSystem:
         return EigenSystem(
             values=a[0, :1].copy(),
             vectors=np.ones((1, 1), dtype=complex),
-            condition=np.ones(1),
         )
     if n == 2:
-        values, vectors, conds = _eig2(a)
+        values, vectors = _eig2(a)
     else:
         try:
-            values, vl, vr = scipy.linalg.eig(a, left=True, right=True)
+            values, vectors = scipy.linalg.eig(a)
         except np.linalg.LinAlgError as err:
             raise ConvergenceFailure(f"eigensolver did not converge: {err}") from err
-        vectors = vr
-        conds = np.empty(n)
-        for i in range(n):
-            nl = np.linalg.norm(vl[:, i])
-            nr = np.linalg.norm(vr[:, i])
-            conds[i] = abs(np.vdot(vl[:, i], vr[:, i])) / (nl * nr)
     order = np.lexsort((values.imag, values.real))
-    return EigenSystem(
-        values=values[order],
-        vectors=vectors[:, order],
-        condition=conds[order],
-    )
+    return EigenSystem(values=values[order], vectors=vectors[:, order])
 
 
 def solve_linear(m, rhs) -> np.ndarray:

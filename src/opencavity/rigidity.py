@@ -139,8 +139,17 @@ def b_antisymmetry_residual(overlap_b):
 
 
 def build_report(spectral_set, coeffs, psi):
-    """Bundle the rigidity measures of one solved scattering state."""
+    """Bundle the rigidity measures of one solved scattering state.
+
+    Forms the Hermitian cross overlaps B_ij = phi_i^dag phi_j (zeroed
+    diagonal) of the spectral set's states for the antisymmetry residual;
+    flipping the sign of a state flips both B_ij and B_ji, so the residual
+    is the same for tracked and untracked spectra.
+    """
     mod, theta = rho_direct(psi)
+    phis = np.column_stack([s.phi for s in spectral_set.states])
+    overlap_b = np.conj(phis.T) @ phis
+    np.fill_diagonal(overlap_b, 0.0)
     per_state = tuple(
         (s.track_id if s.track_id is not None else i, s.rigidity_r)
         for i, s in enumerate(spectral_set.states)
@@ -152,6 +161,6 @@ def build_report(spectral_set, coeffs, psi):
         rho_spectral=rho_spectral(
             coeffs, np.array([s.a_norm for s in spectral_set.states])
         ),
-        b_antisymmetry_residual=b_antisymmetry_residual(spectral_set.overlap_b),
+        b_antisymmetry_residual=b_antisymmetry_residual(overlap_b),
         per_state_r=per_state,
     )

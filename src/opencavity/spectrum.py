@@ -94,15 +94,13 @@ class ResonanceState:
 class SpectralSet:
     """All eigenstates of H_eff at one evaluation energy.
 
-    ``overlap_b`` holds the Hermitian cross overlaps
-    B_ij = phi_i^dag phi_j for i != j with a zeroed diagonal; for a complex
-    symmetric H_eff the off-diagonal part is antisymmetric up to rounding,
-    which makes it a useful consistency diagnostic.
+    ``states`` holds one :class:`ResonanceState` per eigenvalue, in the
+    eigenvalue order of :func:`~opencavity.linalg.eig_general` (ascending
+    real part, ties by imaginary part).
     """
 
     energy: float
     states: tuple
-    overlap_b: np.ndarray
 
     @property
     def values(self):
@@ -259,10 +257,7 @@ def biorthogonal_spectrum(heff, energy) -> SpectralSet:
             )
         )
 
-    mat = np.column_stack(phis)
-    b = np.conj(mat.T) @ mat
-    np.fill_diagonal(b, 0.0)
-    return SpectralSet(energy=float(energy), states=tuple(states), overlap_b=b)
+    return SpectralSet(energy=float(energy), states=tuple(states))
 
 
 def fixed_point_poles(model: CavityModel, damping=0.5, tol=1e-10, max_iter=200):
@@ -314,13 +309,14 @@ def fixed_point_poles(model: CavityModel, damping=0.5, tol=1e-10, max_iter=200):
 def _track_spectra(spectra, gap_tol=1e-6):
     """Label an ordered sequence of SpectralSets by best-overlap matching.
 
-    Greedy matching between consecutive spectra: the largest
-    |phi_prev^dag phi_next| (norm-scaled) pairs first, and so on, with
-    near-ties broken by eigenvalue proximity. A match whose winning overlap
-    exceeds the runner-up in its row by less than ``gap_tol`` is flagged
-    ambiguous. The sign of each matched state is re-chosen so
-    Re(phi_prev^T phi_next) >= 0, keeping tracked vectors continuous even
-    when the canonical per-spectrum sign jumps.
+    Greedy matching between consecutive spectra on the overlap matrix
+    |P_prev^dag P_next|, P holding the states as unit columns: the largest
+    entry pairs first, and so on, with near-ties broken by eigenvalue
+    proximity. A match whose winning overlap exceeds the runner-up in its
+    row by less than ``gap_tol`` is flagged ambiguous. The sign of each
+    matched state is re-chosen so Re(phi_prev^T phi_next) >= 0, keeping
+    tracked vectors continuous even when the canonical per-spectrum sign
+    jumps.
     """
     spectra = list(spectra)
     if not spectra:
@@ -336,12 +332,11 @@ def _track_spectra(spectra, gap_tol=1e-6):
         n = len(prev_states)
         if len(current.states) != n:
             raise InvalidMatrix("spectra in a sweep must share their dimension")
-        ov = np.empty((n, n))
-        for i, sp in enumerate(prev_states):
-            pi = sp.phi / np.linalg.norm(sp.phi)
-            for j, sn in enumerate(current.states):
-                pj = sn.phi / np.linalg.norm(sn.phi)
-                ov[i, j] = abs(np.vdot(pi, pj))
+        p_prev = np.column_stack([s.phi for s in prev_states])
+        p_next = np.column_stack([s.phi for s in current.states])
+        p_prev = p_prev / np.linalg.norm(p_prev, axis=0)
+        p_next = p_next / np.linalg.norm(p_next, axis=0)
+        ov = np.abs(p_prev.conj().T @ p_next)
         work = ov.copy()
         new_states = list(current.states)
         for _ in range(n):
@@ -371,12 +366,7 @@ def _track_spectra(spectra, gap_tol=1e-6):
             )
             work[i, :] = -np.inf
             work[:, j] = -np.inf
-        mat = np.column_stack([s.phi for s in new_states])
-        b = np.conj(mat.T) @ mat
-        np.fill_diagonal(b, 0.0)
-        labeled.append(
-            replace(current, states=tuple(new_states), overlap_b=b)
-        )
+        labeled.append(replace(current, states=tuple(new_states)))
     return tuple(labeled)
 
 
@@ -413,16 +403,19 @@ def track_sweep(model_family, alphas, energy, gap_tol=1e-6):
 
 
 def _closest_pair(values):
-    n = len(values)
-    best = (0, 1)
-    best_sep = abs(values[0] - values[1])
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = abs(values[i] - values[j])
-            if s < best_sep:
-                best_sep = s
-                best = (i, j)
-    return best, float(best_sep)
+    """Index pair (i < j) of the two closest values and their distance.
+
+    Pairs are scanned in row-major order and ``argmin`` keeps the first
+    minimum, so an exact tie goes to the pair with the smallest i, then j.
+    """
+    values = np.asarray(values, dtype=complex)
+    i, j = np.triu_indices(len(values), 1)
+    d = values[i] - values[j]
+    # hypot rounds like the scalar abs(complex); the SIMD loop of np.abs on
+    # a complex array can differ in the last bit.
+    seps = np.hypot(d.real, d.imag)
+    k = int(np.argmin(seps))
+    return (int(i[k]), int(j[k])), float(seps[k])
 
 
 def _pair_a_norm(vectors, i, j):

@@ -664,7 +664,9 @@ def run_crossover_study(config: RunConfig, threads=1) -> StudyResult:
             float(np.median(widths)), n_peaks,
         )
 
-    rows = _pmap(one, config.alpha_grid.values(), threads)
+    # Serial on purpose: a thread pool over alpha measured no faster here
+    # (N = 290, 10 alpha, 2 cores), so --threads does not reach this loop.
+    rows = [one(a) for a in config.alpha_grid.values()]
     return StudyResult(
         study=config.study,
         columns=("alpha", "avg_T", "min_rho", "gamma_max", "gamma_median",

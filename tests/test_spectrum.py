@@ -16,6 +16,7 @@ from opencavity import (
     fixed_point_poles,
     track_sweep,
 )
+from opencavity.spectrum import _closest_pair
 
 from conftest import single_site_model
 
@@ -229,6 +230,32 @@ class TestTrackSweep:
                 )
                 assert ov > 0.9
 
+    def test_symmetric_lattice_tracks(self):
+        # Mirror-symmetric contacts on the full 4x4 square give degenerate
+        # clusters and near-tied overlaps; only tracks 5 and 10 at step 6
+        # are too close to call.
+        lat = LatticeSpec(4, 4)
+
+        def family(a):
+            return CavityModel(
+                lat, (LeadSpec((0, 1), 1.0), LeadSpec((3, 1), 1.0)), a
+            )
+
+        tracked = track_sweep(family, np.linspace(0.2, 2.0, 10), 0.0)
+        for sp in tracked:
+            assert sorted(s.track_id for s in sp.states) == list(range(16))
+        for prev, cur in zip(tracked, tracked[1:]):
+            phis = {s.track_id: s.phi for s in prev.states}
+            for s in cur.states:
+                assert (phis[s.track_id] @ s.phi).real >= 0.0
+        flagged = [
+            (k, s.track_id)
+            for k, sp in enumerate(tracked)
+            for s in sp.states
+            if s.ambiguous
+        ]
+        assert sorted(flagged) == [(6, 5), (6, 10)]
+
     def test_empty_sweep(self):
         assert track_sweep(lambda a: None, [], 0.0) == ()
 
@@ -297,6 +324,25 @@ class TestFindExceptionalPoint:
     def test_rejects_scalar_family(self):
         with pytest.raises(InvalidMatrix):
             find_exceptional_point(lambda p: np.array([[p[0]]]), (0.5, 0.0))
+
+
+class TestClosestPair:
+    def test_exact_tie_keeps_first_pair(self):
+        assert _closest_pair([0, 1, 0, 1j, 1]) == ((0, 2), 0.0)
+
+    def test_matches_double_loop(self):
+        rng = np.random.RandomState(19)
+        for n in list(range(2, 12)) * 2:
+            # Small Gaussian integers let exact ties between pairs occur.
+            v = rng.randint(-2, 3, n) + 1j * rng.randint(-2, 3, n)
+            if n % 2:
+                v = v + 0.1 * (rng.randn(n) + 1j * rng.randn(n))
+            best, best_sep = (0, 1), abs(v[0] - v[1])
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if abs(v[i] - v[j]) < best_sep:
+                        best, best_sep = (i, j), abs(v[i] - v[j])
+            assert _closest_pair(v) == (best, float(best_sep))
 
 
 class TestDefectiveThroughModel:
