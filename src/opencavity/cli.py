@@ -23,7 +23,7 @@ from .exceptions import (
     ValidationError,
     WriteError,
 )
-from .sweeps import STUDIES, format_csv, parse_config, run_study
+from .sweeps import STUDIES, export_csv, format_csv, parse_config, run_study
 
 __all__ = ["main"]
 
@@ -120,28 +120,21 @@ def main(argv=None):
 
     threads = args.threads if args.threads is not None else os.cpu_count()
     report = None
+    out_path = args.out or config.out
     try:
         result = run_study(config, threads=threads)
         if config.study == "ep-find":
             result, report = result
-        text_out = format_csv(result)
+        if out_path:
+            export_csv(result, out_path)
+        else:
+            sys.stdout.write(format_csv(result))
     except WriteError as err:
         print(f"opencavity: {err}", file=sys.stderr)
         return 4
     except OpenCavityError as err:
         print(f"opencavity: {type(err).__name__}: {err}", file=sys.stderr)
         return 3
-
-    out_path = args.out or config.out
-    if out_path:
-        try:
-            with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text_out)
-        except OSError as err:
-            print(f"opencavity: cannot write {out_path}: {err}", file=sys.stderr)
-            return 4
-    else:
-        sys.stdout.write(text_out)
 
     if report is not None:
         p1, p2 = report.params

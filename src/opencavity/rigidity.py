@@ -147,7 +147,7 @@ def build_report(spectral_set, coeffs, psi):
     is the same for tracked and untracked spectra.
     """
     mod, theta = rho_direct(psi)
-    phis = np.column_stack([s.phi for s in spectral_set.states])
+    phis = spectral_set.vectors
     overlap_b = np.conj(phis.T) @ phis
     np.fill_diagonal(overlap_b, 0.0)
     per_state = tuple(

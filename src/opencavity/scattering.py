@@ -115,21 +115,25 @@ class ScatteringSolution:
     spectral: SpectralSet
 
 
-def _pole_guard(spectral, energy):
-    for s in spectral.states:
-        if abs(energy - s.z) < POLE_TOL:
-            raise PoleOnAxis(
-                f"evaluation energy {energy!r} sits on the pole z = {s.z!r}"
-            )
+def _pole_distances(spectral, energy):
+    """E - z_lam of each state, once the expansion is known to exist.
 
-
-def _require_nondefective(spectral):
-    for s in spectral.states:
-        if not math.isfinite(s.a_norm):
-            raise DefectiveSpectrum(
-                "spectrum contains a defective state; the resonance "
-                "expansion does not exist there"
-            )
+    Raises DefectiveSpectrum when some state is defective, else PoleOnAxis
+    when E lies within POLE_TOL of an eigenvalue.
+    """
+    if not np.isfinite([s.a_norm for s in spectral.states]).all():
+        raise DefectiveSpectrum(
+            "spectrum contains a defective state; the resonance "
+            "expansion does not exist there"
+        )
+    d = energy - spectral.values
+    on_pole = np.flatnonzero(np.hypot(d.real, d.imag) < POLE_TOL)
+    if on_pole.size:
+        z = spectral.states[on_pole[0]].z
+        raise PoleOnAxis(
+            f"evaluation energy {energy!r} sits on the pole z = {z!r}"
+        )
+    return d
 
 
 def coefficients_c(spectral, model, energy=None, incoming=0):
@@ -161,13 +165,9 @@ def coefficients_c(spectral, model, energy=None, incoming=0):
         All coefficients vanish (the incoming contact is dark at E).
     """
     e = spectral.energy if energy is None else float(energy)
-    _require_nondefective(spectral)
-    _pole_guard(spectral, e)
+    d = _pole_distances(spectral, e)
     a_in = model.channels[incoming].contact_amplitude(e)
-    idx = model.contact_indices[incoming]
-    c = np.array(
-        [a_in * s.phi[idx] / (e - s.z) for s in spectral.states], dtype=complex
-    )
+    c = a_in * spectral.vectors[model.contact_indices[incoming]] / d
     nrm = math.sqrt(float(np.sum(np.abs(c) ** 2)))
     if nrm == 0.0:
         raise UndefinedValue("interior state vanishes at this energy")
@@ -176,9 +176,7 @@ def coefficients_c(spectral, model, energy=None, incoming=0):
 
 def interior_wavefunction(spectral, coeffs):
     """Interior state sum_lam c_lam phi_lam from expansion coefficients."""
-    c = np.asarray(coeffs, dtype=complex).ravel()
-    mat = np.column_stack([s.phi for s in spectral.states])
-    return mat @ c
+    return spectral.vectors @ np.asarray(coeffs, dtype=complex).ravel()
 
 
 def transmission_spectral(spectral, model, energy=None):
@@ -202,14 +200,10 @@ def transmission_spectral(spectral, model, energy=None):
         Same conditions as :func:`coefficients_c`.
     """
     e = spectral.energy if energy is None else float(energy)
-    _require_nondefective(spectral)
-    _pole_guard(spectral, e)
+    d = _pole_distances(spectral, e)
     a = model.channel_amplitudes(e)
-    i_l, i_r = model.contact_indices
-    acc = 0.0 + 0.0j
-    for s in spectral.states:
-        acc += s.phi[i_r] * s.phi[i_l] / (e - s.z)
-    return -2j * math.pi * a[0] * a[1] * acc
+    phi_l, phi_r = spectral.vectors[list(model.contact_indices)]
+    return -2j * math.pi * a[0] * a[1] * np.sum(phi_r * phi_l / d)
 
 
 def _lu_contact(model, energy):
@@ -448,17 +442,11 @@ def width_vs_coupling(spectral, model, energy=None):
     """
     e = spectral.energy if energy is None else float(energy)
     a = model.channel_amplitudes(e)
-    idx = model.contact_indices
-    out = []
-    for s in spectral.states:
-        if not math.isfinite(s.a_norm):
-            out.append((s.width, math.nan))
-            continue
-        p = 2.0 * math.pi * sum(
-            a[k] ** 2 * abs(s.phi[i]) ** 2 for k, i in enumerate(idx)
-        )
-        out.append((s.width, float(p)))
-    return tuple(out)
+    contact = spectral.vectors[list(model.contact_indices)]
+    product = 2.0 * math.pi * (a**2 @ np.abs(contact) ** 2)
+    defective = ~np.isfinite([s.a_norm for s in spectral.states])
+    product[defective] = math.nan
+    return tuple(zip((-2.0 * spectral.values.imag).tolist(), product.tolist()))
 
 
 def two_level_profile(e0, gamma, energies):

@@ -69,8 +69,10 @@ class ResonanceState:
         reciprocal pair; in (0, 1], exactly 0 when defective.
     ep_proximity : float
         |v^T v| of the unit eigenvector, the eigenpair condition number.
-        Close to rigidity_r except for defective states, where it keeps the
-        raw sub-threshold value.
+        Equal to rigidity_r up to rounding, except for defective states,
+        where it keeps the raw sub-threshold value, and inside a degenerate
+        cluster, where phi is orthogonalized but this stays the value of
+        the eigenvector the solver returned.
     track_id : int or None
         Continuity label assigned by :func:`track_sweep`; None until tracked.
     ambiguous : bool
@@ -96,7 +98,9 @@ class SpectralSet:
 
     ``states`` holds one :class:`ResonanceState` per eigenvalue, in the
     eigenvalue order of :func:`~opencavity.linalg.eig_general` (ascending
-    real part, ties by imaginary part).
+    real part, ties by imaginary part). ``values`` and ``vectors`` give the
+    same states as arrays, the eigenvalues and the phi matrix with one
+    state per column, which is what the spectral route computes with.
     """
 
     energy: float
@@ -105,6 +109,10 @@ class SpectralSet:
     @property
     def values(self):
         return np.array([s.z for s in self.states])
+
+    @property
+    def vectors(self):
+        return np.column_stack([s.phi for s in self.states])
 
     def __len__(self):
         return len(self.states)
@@ -146,38 +154,43 @@ def assemble_heff(model: CavityModel, energy) -> np.ndarray:
     return h
 
 
-def _canonical_sign(phi):
-    k = int(np.argmax(np.abs(phi)))
-    c = phi[k]
-    if c.real < 0.0 or (c.real == 0.0 and c.imag < 0.0):
-        return -phi
-    return phi
+def _canonical_sign(phis):
+    """Negate in place each column whose largest-magnitude entry has Re < 0.
+
+    An entry on the imaginary axis counts as negative when Im < 0, so the
+    entry's argument ends up in (-pi/2, pi/2]. Returns ``phis``.
+    """
+    lead = phis[np.argmax(np.abs(phis), axis=0), np.arange(phis.shape[1])]
+    flip = (lead.real < 0.0) | ((lead.real == 0.0) & (lead.imag < 0.0))
+    phis[:, flip] = -phis[:, flip]
+    return phis
 
 
 def _cluster_degenerate(values, scale):
-    """Group indices whose eigenvalues agree to within 1e-12 * scale."""
+    """Index arrays of the runs of sorted eigenvalues that agree to rounding.
+
+    A run splits wherever two consecutive values differ by more than
+    1e-12 * max(scale, 1).
+    """
     tol = 1e-12 * max(scale, 1.0)
-    clusters = []
-    current = [0]
-    for i in range(1, len(values)):
-        if abs(values[i] - values[current[-1]]) <= tol:
-            current.append(i)
-        else:
-            clusters.append(current)
-            current = [i]
-    clusters.append(current)
-    return clusters
+    d = np.diff(values)
+    # hypot rounds like the scalar abs(complex); see _closest_pair.
+    splits = np.flatnonzero(np.hypot(d.real, d.imag) > tol) + 1
+    return np.split(np.arange(len(values)), splits)
 
 
 def biorthogonal_spectrum(heff, energy) -> SpectralSet:
     """Diagonalize a complex symmetric H_eff and normalize biorthogonally.
 
     Eigenvectors of distinct eigenvalues of a complex symmetric matrix are
-    bilinearly orthogonal on their own. Exactly degenerate clusters (possible
-    under lattice symmetries) are orthogonalized bilinearly within the
-    cluster, but only when every member is comfortably non-defective; a
-    coalescing pair at an exceptional point is left untouched and flagged
-    through its norms instead.
+    bilinearly orthogonal on their own, so every state quantity is a column
+    operation on the eigenvector matrix: the bilinear norms v^T v, the
+    normalization phi = v / sqrt(v^T v), the canonical sign, A = phi^dag phi
+    and r = 1/A. Exactly degenerate clusters (possible under lattice
+    symmetries) are orthogonalized bilinearly within the cluster, the only
+    per-state loop, but only when every member is comfortably
+    non-defective; a coalescing pair at an exceptional point is left
+    untouched and flagged through its norms instead.
 
     Parameters
     ----------
@@ -206,57 +219,43 @@ def biorthogonal_spectrum(heff, energy) -> SpectralSet:
             f"heff must be complex symmetric (max |H - H^T| = {asym:.3e})"
         )
     es = eig_general(h)
-    n = len(es.values)
-    scale = float(np.abs(es.values).max()) if n else 1.0
+    scale = float(np.abs(es.values).max())
 
-    raw = [es.vectors[:, i] for i in range(n)]
-    bilinear = [complex(v @ v) for v in raw]
-
-    phis = [None] * n
-    for cluster in _cluster_degenerate(es.values, scale):
-        members = list(cluster)
-        if len(members) > 1 and all(abs(bilinear[i]) > 1e-3 for i in members):
+    raw = es.vectors
+    bilinear = np.einsum("ij,ij->j", raw, raw)
+    # hypot rounds like the scalar abs(complex); see _closest_pair.
+    prox = np.hypot(bilinear.real, bilinear.imag)
+    defective = prox < DEFECTIVE_TOL
+    # Defective states keep their unit Hermitian norm.
+    phis = raw / np.sqrt(np.where(defective, 1.0, bilinear))
+    for members in _cluster_degenerate(es.values, scale):
+        if len(members) > 1 and (prox[members] > 1e-3).all():
+            # Bilinear Gram-Schmidt; a member that collapses leaves the
+            # whole cluster normalized as the solver returned it.
             done = []
-            for i in members:
-                u = raw[i].copy()
+            for u in np.ascontiguousarray(raw[:, members].T):
                 for p in done:
                     u = u - (p @ u) * p
                 uu = complex(u @ u)
                 if abs(uu) <= DEFECTIVE_TOL:
-                    done = None
                     break
                 done.append(u / np.sqrt(uu))
-            if done is not None:
-                for i, p in zip(members, done):
-                    phis[i] = _canonical_sign(p)
-                continue
-        for i in members:
-            if abs(bilinear[i]) < DEFECTIVE_TOL:
-                phis[i] = _canonical_sign(raw[i])
             else:
-                phis[i] = _canonical_sign(raw[i] / np.sqrt(bilinear[i]))
+                phis[:, members] = np.column_stack(done)
 
-    states = []
-    for i in range(n):
-        vv = abs(bilinear[i])
-        if vv < DEFECTIVE_TOL:
-            a_norm = math.inf
-            prox = vv
-        else:
-            # phi^dag phi = 1/|v^T v| analytically; the clamp keeps the
-            # stored pair inside a_norm >= 1, r in (0, 1] against rounding.
-            a_norm = max(float(np.vdot(phis[i], phis[i]).real), 1.0)
-            prox = vv
-        states.append(
-            ResonanceState(
-                z=complex(es.values[i]),
-                phi=phis[i],
-                a_norm=a_norm,
-                rigidity_r=1.0 / a_norm,
-                ep_proximity=prox,
-            )
-        )
-
+    _canonical_sign(phis)
+    # phi^dag phi = 1/|v^T v| analytically; the clamp keeps the stored
+    # pair inside a_norm >= 1, r in (0, 1] against rounding.
+    a_norm = np.maximum(np.einsum("ij,ij->j", phis.conj(), phis).real, 1.0)
+    a_norm[defective] = math.inf
+    states = map(
+        ResonanceState,
+        es.values.tolist(),
+        np.asfortranarray(phis).T,
+        a_norm.tolist(),
+        (1.0 / a_norm).tolist(),
+        prox.tolist(),
+    )
     return SpectralSet(energy=float(energy), states=tuple(states))
 
 
@@ -306,17 +305,51 @@ def fixed_point_poles(model: CavityModel, damping=0.5, tol=1e-10, max_iter=200):
     return tuple(results)
 
 
+def _greedy_match(ov, z_prev, z_next):
+    """Row matched to each column by greedy assignment on ``ov``.
+
+    The largest free entry pairs first; free entries within 1e-12 of it are
+    near-ties, resolved by the smallest |z_prev - z_next| and then in
+    row-major order. One sort serves every match, read from its largest
+    entry down: the entries ahead of the first free one are all taken.
+    """
+    n = len(z_prev)
+    flat = ov.ravel()
+    order = np.argsort(flat)[::-1]
+    row_free = [True] * n
+    col_free = [True] * n
+    row_of = [0] * n
+    head = 0
+    for _ in range(n):
+        while not (row_free[order[head] // n] and col_free[order[head] % n]):
+            head += 1
+        floor = flat[order[head]] - 1e-12
+        tied = []
+        for f in order[head:]:
+            if flat[f] < floor:
+                break
+            if row_free[f // n] and col_free[f % n]:
+                tied.append(f)
+        i, j = divmod(
+            min(sorted(tied), key=lambda f: abs(z_prev[f // n] - z_next[f % n])),
+            n,
+        )
+        row_free[i] = col_free[j] = False
+        row_of[j] = i
+    return np.array(row_of)
+
+
 def _track_spectra(spectra, gap_tol=1e-6):
     """Label an ordered sequence of SpectralSets by best-overlap matching.
 
     Greedy matching between consecutive spectra on the overlap matrix
     |P_prev^dag P_next|, P holding the states as unit columns: the largest
     entry pairs first, and so on, with near-ties broken by eigenvalue
-    proximity. A match whose winning overlap exceeds the runner-up in its
-    row by less than ``gap_tol`` is flagged ambiguous. The sign of each
-    matched state is re-chosen so Re(phi_prev^T phi_next) >= 0, keeping
-    tracked vectors continuous even when the canonical per-spectrum sign
-    jumps.
+    proximity (see :func:`_greedy_match`). A match whose winning overlap
+    exceeds the runner-up in its row of the full matrix by less than
+    ``gap_tol`` is flagged ambiguous. The sign of each matched state is
+    re-chosen so Re(phi_prev^T phi_next) >= 0, keeping tracked vectors
+    continuous even when the canonical per-spectrum sign jumps.
     """
     spectra = list(spectra)
     if not spectra:
@@ -328,45 +361,32 @@ def _track_spectra(spectra, gap_tol=1e-6):
         ))
     ]
     for current in spectra[1:]:
-        prev_states = labeled[-1].states
-        n = len(prev_states)
-        if len(current.states) != n:
+        prev = labeled[-1]
+        n = len(prev)
+        if len(current) != n:
             raise InvalidMatrix("spectra in a sweep must share their dimension")
-        p_prev = np.column_stack([s.phi for s in prev_states])
-        p_next = np.column_stack([s.phi for s in current.states])
-        p_prev = p_prev / np.linalg.norm(p_prev, axis=0)
-        p_next = p_next / np.linalg.norm(p_next, axis=0)
+        p_prev = prev.vectors
+        p_prev /= np.linalg.norm(p_prev, axis=0)
+        p_next = current.vectors
+        p_next /= np.linalg.norm(p_next, axis=0)
         ov = np.abs(p_prev.conj().T @ p_next)
-        work = ov.copy()
-        new_states = list(current.states)
-        for _ in range(n):
-            m = work.max()
-            tied = np.argwhere(work >= m - 1e-12)
-            if len(tied) > 1:
-                i, j = min(
-                    (tuple(t) for t in tied),
-                    key=lambda ij: abs(
-                        prev_states[ij[0]].z - current.states[ij[1]].z
-                    ),
-                )
-            else:
-                i, j = tied[0]
-            row = ov[i].copy()
-            row[j] = -np.inf
-            gap = ov[i, j] - row.max() if n > 1 else np.inf
-            s = new_states[j]
-            phi = s.phi
-            if (prev_states[i].phi @ phi).real < 0.0:
-                phi = -phi
-            new_states[j] = replace(
+        row_of = _greedy_match(ov, prev.values.tolist(), current.values.tolist())
+        cols = np.arange(n)
+        others = ov[row_of]
+        others[cols, cols] = -np.inf
+        ambiguous = ov[row_of, cols] - others.max(axis=1) < gap_tol
+        labeled.append(replace(current, states=tuple(
+            replace(
                 s,
-                phi=phi,
-                track_id=prev_states[i].track_id,
-                ambiguous=bool(gap < gap_tol),
+                phi=-s.phi if (p.phi @ s.phi).real < 0.0 else s.phi,
+                track_id=p.track_id,
+                ambiguous=a,
             )
-            work[i, :] = -np.inf
-            work[:, j] = -np.inf
-        labeled.append(replace(current, states=tuple(new_states)))
+            for s, p, a in zip(
+                current.states, [prev.states[i] for i in row_of],
+                ambiguous.tolist(),
+            )
+        )))
     return tuple(labeled)
 
 
@@ -441,17 +461,10 @@ def _chirality_angle(family, p_star, p_start):
         p = p_star + backoff * (p_start - p_star)
         es = eig_general(np.asarray(family(p), dtype=complex))
         (i, j), _ = _closest_pair(es.values)
-        pair = []
-        usable = True
-        for k in (i, j):
-            v = es.vectors[:, k]
-            vv = complex(v @ v)
-            if abs(vv) < 1e-9:
-                usable = False
-                break
-            pair.append(_canonical_sign(v / np.sqrt(vv)))
-        if usable:
-            p1, p2 = pair
+        pair = es.vectors[:, [i, j]]
+        vv = np.array([complex(v @ v) for v in pair.T])
+        if (np.abs(vv) >= 1e-9).all():
+            p1, p2 = _canonical_sign(pair / np.sqrt(vv)).T
             n1 = np.linalg.norm(p1)
             return min(
                 np.linalg.norm(p1 - 1j * p2), np.linalg.norm(p1 + 1j * p2)

@@ -475,15 +475,10 @@ def count_peaks(values, floor, prominence=PEAK_PROMINENCE):
     bound a peak.
     """
     v = np.asarray(values, dtype=float)
-    n = 0
-    for i in range(1, len(v) - 1):
-        if (
-            v[i] > v[i - 1] + prominence
-            and v[i] > v[i + 1] + prominence
-            and v[i] > floor
-        ):
-            n += 1
-    return n
+    mid = v[1:-1]
+    return int(np.count_nonzero(
+        (mid > v[:-2] + prominence) & (mid > v[2:] + prominence) & (mid > floor)
+    ))
 
 
 def run_transmit_study(config: RunConfig, threads=1) -> StudyResult:
@@ -522,13 +517,13 @@ def run_trapping_study(config: RunConfig, threads=1) -> StudyResult:
 
     per_alpha = _pmap(one, alphas, threads)
     tracked = _track_spectra([sp for sp, _ in per_alpha])
-    n = len(tracked[0].states)
+    n = len(tracked[0])
     rows = np.empty((len(alphas), n + 2))
-    for k, (a, sp, (_, npk)) in enumerate(zip(alphas, tracked, per_alpha)):
-        rows[k, 0] = a
-        for s in sp.states:
-            rows[k, 1 + s.track_id] = s.width
-        rows[k, n + 1] = npk
+    rows[:, 0] = alphas
+    track_ids = np.array([[s.track_id for s in sp.states] for sp in tracked])
+    widths = np.array([-2.0 * sp.values.imag for sp in tracked])
+    np.put_along_axis(rows, 1 + track_ids, widths, axis=1)
+    rows[:, n + 1] = [npk for _, npk in per_alpha]
     return StudyResult(
         study=config.study,
         columns=("alpha", *(f"gamma_{k}" for k in range(n)), "n_peaks"),

@@ -1,24 +1,35 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opencavity import (
     CavityModel,
+    DefectiveSpectrum,
     ExceptionalPointNotFound,
     InvalidMatrix,
     LatticeSpec,
     LeadSpec,
+    PoleOnAxis,
+    ResonanceState,
+    SingularMatrix,
+    SpectralSet,
     assemble_heff,
     biorthogonal_spectrum,
     find_exceptional_point,
     fixed_point_poles,
     track_sweep,
+    transmission_direct,
+    transmission_spectral,
 )
-from opencavity.spectrum import _closest_pair
+from opencavity.linalg import eig_general
+from opencavity.spectrum import _closest_pair, _cluster_degenerate, _track_spectra
 
-from conftest import single_site_model
+from conftest import energies, open_cavities, single_site_model
 
 
 def ep_family_1param(p):
@@ -160,6 +171,106 @@ class TestBiorthogonalSpectrum:
         npt.assert_allclose(mat.T @ mat, np.eye(16), rtol=0, atol=1e-8)
 
 
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(model=open_cavities(full=st.booleans()), e=energies)
+def test_biorthogonal_set_invariants(model, e):
+    # Worst cases over these draws: |phi^T phi - 1| 9.1e-16, off-diagonal
+    # |phi_i^T phi_j| 6.5e-14, |A |v^T v| - 1| 8.9e-16, |t_spec - t_direct|
+    # 4.1e-14.
+    sp = biorthogonal_spectrum(assemble_heff(model, e), e)
+    phi = sp.vectors
+    a_norm = np.array([s.a_norm for s in sp.states])
+    r = np.array([s.rigidity_r for s in sp.states])
+    prox = np.array([s.ep_proximity for s in sp.states])
+    ok = np.isfinite(a_norm)
+    gram = (phi.T @ phi)[np.ix_(ok, ok)]
+    assert np.abs(np.diag(gram) - 1.0).max(initial=0.0) <= 1e-12
+    # Degenerate clusters included: they are orthogonalized bilinearly.
+    assert np.abs(gram - np.diag(np.diag(gram))).max(initial=0.0) <= 1e-10
+    lead = phi[np.argmax(np.abs(phi), axis=0), np.arange(len(sp))]
+    assert ((lead.real > 0.0) | ((lead.real == 0.0) & (lead.imag >= 0.0))).all()
+    assert (a_norm >= 1.0).all() and (r == 1.0 / a_norm).all()
+    # A = 1/|v^T v| holds for the eigenvector itself; a cluster member is a
+    # combination of the cluster's eigenvectors instead.
+    scale = float(np.abs(sp.values).max())
+    single = np.zeros(len(sp), dtype=bool)
+    for members in _cluster_degenerate(sp.values, scale):
+        single[members] = len(members) == 1
+    npt.assert_allclose(
+        a_norm[ok & single] * prox[ok & single], 1.0, rtol=0, atol=1e-12
+    )
+    try:
+        t_direct = transmission_direct(model, e)
+        t_spec = transmission_spectral(sp, model)
+    except (SingularMatrix, DefectiveSpectrum, PoleOnAxis):
+        return
+    if np.abs(e - sp.values).min() > 1e-6:
+        assert abs(t_spec - t_direct) <= 1e-11
+
+
+def reference_biorthogonal(heff):
+    """(phi, a_norm, ep_proximity) per state, one state at a time.
+
+    The per-state loops :func:`biorthogonal_spectrum` replaces with column
+    operations: the same rules, with every dot product taken per vector.
+    """
+    es = eig_general(heff)
+    n = len(es.values)
+    raw = [es.vectors[:, i] for i in range(n)]
+    bilinear = [complex(v @ v) for v in raw]
+
+    def canonical(phi):
+        c = phi[int(np.argmax(np.abs(phi)))]
+        return -phi if c.real < 0.0 or (c.real == 0.0 and c.imag < 0.0) else phi
+
+    tol = 1e-12 * max(float(np.abs(es.values).max()), 1.0)
+    clusters = [[0]]
+    for i in range(1, n):
+        if abs(es.values[i] - es.values[i - 1]) <= tol:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    phis = [
+        raw[i] if abs(bilinear[i]) < 1e-12 else raw[i] / np.sqrt(bilinear[i])
+        for i in range(n)
+    ]
+    for members in clusters:
+        if len(members) > 1 and all(abs(bilinear[i]) > 1e-3 for i in members):
+            done = []
+            for i in members:
+                u = raw[i].copy()
+                for p in done:
+                    u = u - (p @ u) * p
+                uu = complex(u @ u)
+                if abs(uu) <= 1e-12:
+                    break
+                done.append(u / np.sqrt(uu))
+            else:
+                for i, p in zip(members, done):
+                    phis[i] = p
+    out = []
+    for phi, vv in zip(map(canonical, phis), bilinear):
+        a_norm = (
+            math.inf if abs(vv) < 1e-12
+            else max(float(np.vdot(phi, phi).real), 1.0)
+        )
+        out.append((phi, a_norm, abs(vv)))
+    return out
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(model=open_cavities(full=st.booleans()), e=energies)
+def test_biorthogonal_matches_per_state_reference(model, e):
+    # Column dots sum in another order than per-vector ones; measured worst
+    # over these draws: 2.5e-16 on phi, 1.2e-15 relative on a_norm.
+    h = assemble_heff(model, e)
+    sp = biorthogonal_spectrum(h, e)
+    for s, (phi, a_norm, prox) in zip(sp.states, reference_biorthogonal(h)):
+        npt.assert_allclose(s.phi, phi, rtol=0, atol=1e-14)
+        npt.assert_allclose(s.a_norm, a_norm, rtol=1e-14)
+        npt.assert_allclose(s.ep_proximity, prox, rtol=1e-14)
+
+
 class TestFixedPointPoles:
     def test_single_site_width(self):
         # One site with two identical channels: Gamma = 2 * 2 (alpha w)^2
@@ -274,6 +385,119 @@ class TestTrackSweep:
             for sa, sb in zip(a.states, b.states):
                 assert sa.track_id == sb.track_id
                 npt.assert_array_equal(sa.phi, sb.phi)
+
+
+def reference_track(spectra, gap_tol=1e-6):
+    """Greedy tracking that rescans the whole free overlap matrix per match.
+
+    The plain form of the rule :func:`_track_spectra` implements from one
+    sort: take the largest free entry; free entries within 1e-12 of it are
+    near-ties, won by the smallest |z_prev - z_next|, exact ties in
+    row-major order; the gap is taken against the full row. Returns the
+    labeled spectra and the number of matches decided among several
+    near-tied candidates.
+    """
+    first = spectra[0]
+    labeled = [replace(first, states=tuple(
+        replace(s, track_id=i) for i, s in enumerate(first.states)
+    ))]
+    contested = 0
+    for current in spectra[1:]:
+        prev_states = labeled[-1].states
+        n = len(prev_states)
+        p_prev = np.column_stack([s.phi for s in prev_states])
+        p_next = np.column_stack([s.phi for s in current.states])
+        p_prev = p_prev / np.linalg.norm(p_prev, axis=0)
+        p_next = p_next / np.linalg.norm(p_next, axis=0)
+        ov = np.abs(p_prev.conj().T @ p_next)
+        work = ov.copy()
+        new_states = list(current.states)
+        for _ in range(n):
+            m = work.max()
+            tied = np.argwhere(work >= m - 1e-12)
+            contested += len(tied) > 1
+            i, j = min(
+                (tuple(t) for t in tied),
+                key=lambda ij: abs(prev_states[ij[0]].z - current.states[ij[1]].z),
+            )
+            row = ov[i].copy()
+            row[j] = -np.inf
+            gap = ov[i, j] - row.max() if n > 1 else np.inf
+            s = new_states[j]
+            phi = -s.phi if (prev_states[i].phi @ s.phi).real < 0.0 else s.phi
+            new_states[j] = replace(
+                s, phi=phi, track_id=prev_states[i].track_id,
+                ambiguous=bool(gap < gap_tol),
+            )
+            work[i, :] = -np.inf
+            work[:, j] = -np.inf
+        labeled.append(replace(current, states=tuple(new_states)))
+    return tuple(labeled), contested
+
+
+def symmetric_square_sweeps():
+    """Seeded coupling sweeps of full squares with mirror-image contacts."""
+    rng = np.random.default_rng(7)
+    for n in (3, 4, 5, 6):
+        for _ in range(3):
+            y = int(rng.integers(0, n))
+            lat = LatticeSpec(n, n)
+            leads = (LeadSpec((0, y), 1.0), LeadSpec((n - 1, y), 1.0))
+            alphas = np.sort(rng.uniform(0.1, 2.5, 6))
+            for e in (0.0, float(rng.uniform(-1.5, 1.5))):
+                yield [
+                    biorthogonal_spectrum(
+                        assemble_heff(CavityModel(lat, leads, a), e), e
+                    )
+                    for a in alphas
+                ]
+
+
+def synthetic_sweeps():
+    """Spectra of small-integer vectors: duplicated overlaps, tied |dz|."""
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 5, 6, 8):
+        for _ in range(8):
+            sweep = []
+            for _ in range(4):
+                phis = rng.choice([0, 0, 1, -1, 1j, -1j], size=(n, n))
+                phis[rng.permutation(n), np.arange(n)] = 1.0
+                z = rng.integers(-1, 2, n) + 1j * rng.integers(-1, 2, n)
+                sweep.append(SpectralSet(energy=0.0, states=tuple(
+                    ResonanceState(
+                        z=complex(z[j]), phi=phis[:, j].astype(complex),
+                        a_norm=1.0, rigidity_r=1.0, ep_proximity=1.0,
+                    )
+                    for j in range(n)
+                )))
+            yield sweep
+
+
+class TestTrackingAgainstReference:
+    @staticmethod
+    def assert_same_tracks(sweeps):
+        contested = 0
+        for spectra in sweeps:
+            got = _track_spectra(spectra)
+            want, ties = reference_track(spectra)
+            contested += ties
+            for g, w in zip(got, want):
+                assert [s.track_id for s in g.states] == [
+                    s.track_id for s in w.states
+                ]
+                assert [s.ambiguous for s in g.states] == [
+                    s.ambiguous for s in w.states
+                ]
+                for sg, sw in zip(g.states, w.states):
+                    npt.assert_array_equal(sg.phi, sw.phi)
+        return contested
+
+    def test_symmetric_squares(self):
+        # The data must exercise the near-tie rule to test it.
+        assert self.assert_same_tracks(symmetric_square_sweeps()) > 0
+
+    def test_duplicated_overlaps(self):
+        assert self.assert_same_tracks(synthetic_sweeps()) > 0
 
 
 class TestFindExceptionalPoint:
