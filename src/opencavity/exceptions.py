@@ -26,7 +26,8 @@ class ConvergenceFailure(OpenCavityError):
 
 
 class SingularMatrix(OpenCavityError):
-    """Linear solve rejected: a pivot fell below the singularity threshold."""
+    """Linear solve rejected: the smallest singular value is at or below the
+    singularity threshold."""
 
 
 class InvalidGeometry(OpenCavityError):

@@ -2,12 +2,15 @@
 
 Matrices handled here are small (cavity dimension, at most a few hundred) and
 dense. Eigendecomposition and linear solves are delegated to LAPACK through
-numpy/scipy; what this module adds is the contract layer used everywhere else:
+numpy, the package's only run-time dependency; what this module adds is the
+contract layer used everywhere else:
 
 * deterministic eigenvalue ordering (ascending real part, ties by imaginary
   part), with right eigenvectors only,
-* an explicit singularity threshold on the LU pivots,
-* a fixed-coefficient Nelder-Mead simplex minimizer.
+* an explicit singularity threshold: a matrix whose smallest singular value
+  is at most 1e-14 times its infinity norm is refused,
+* a fixed-coefficient Nelder-Mead simplex minimizer, iterate for iterate the
+  method of ``scipy.optimize.minimize(method="Nelder-Mead")``.
 
 2x2 matrices are diagonalized in closed form (stable quadratic formula plus
 adjugate-row eigenvectors). The generic QR iteration perturbs a defective
@@ -18,13 +21,10 @@ exactly when the entries permit.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .exceptions import ConvergenceFailure, InvalidMatrix, SingularMatrix
 
@@ -122,7 +122,7 @@ def eig_general(m) -> EigenSystem:
         values, vectors = _eig2(a)
     else:
         try:
-            values, vectors = scipy.linalg.eig(a)
+            values, vectors = np.linalg.eig(a)
         except np.linalg.LinAlgError as err:
             raise ConvergenceFailure(f"eigensolver did not converge: {err}") from err
     order = np.lexsort((values.imag, values.real))
@@ -145,8 +145,10 @@ def solve_linear(m, rhs) -> np.ndarray:
     Raises
     ------
     SingularMatrix
-        Some pivot |U_ii| is at most 1e-14 * ||m||_inf (a zero matrix
-        included).
+        The smallest singular value of m is at most 1e-14 * ||m||_inf (a
+        zero matrix included). Unlike a test on the LU pivots, this also
+        refuses matrices whose pivots are all large but whose inverse is
+        huge, such as a long bidiagonal with growing off-diagonal entries.
     InvalidMatrix
         Shape mismatch or non-finite entries.
     """
@@ -156,19 +158,22 @@ def solve_linear(m, rhs) -> np.ndarray:
         raise InvalidMatrix(
             f"rhs length {b.shape[0]} does not match matrix dimension {a.shape[0]}"
         )
-    norm_inf = np.abs(a).sum(axis=1).max() if a.size else 0.0
+    threshold = 1e-14 * (np.abs(a).sum(axis=1).max() if a.size else 0.0)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+        sigma_min = np.linalg.svd(a, compute_uv=False).min()
+        if sigma_min <= threshold:
+            raise SingularMatrix(
+                f"smallest singular value {sigma_min:.3e} at most {threshold:.3e}"
+            )
+        return np.linalg.solve(a, b)
     except np.linalg.LinAlgError as err:
         raise SingularMatrix(str(err)) from err
-    pivots = np.abs(np.diag(lu))
-    if pivots.min() <= 1e-14 * norm_inf:
-        raise SingularMatrix(
-            f"pivot {pivots.min():.3e} below threshold {1e-14 * norm_inf:.3e}"
-        )
-    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+
+
+def _by_value(sim, fsim):
+    """Simplex vertices and values, best (lowest, NaN last) first."""
+    ind = np.argsort(fsim)
+    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
 
 
 def minimize_simplex(
@@ -181,12 +186,16 @@ def minimize_simplex(
     Fixed reflection/expansion/contraction/shrink coefficients (1, 2, 0.5,
     0.5) and an iteration cap of 2000; the run is deterministic given the
     start point. Termination is purely geometric: the simplex diameter in the
-    infinity norm must fall below ``tol``.
+    infinity norm must fall below ``tol``, and a NaN function value on the
+    simplex blocks it. The steps, the initial simplex and the vertex order
+    are those of scipy's fixed-coefficient Nelder-Mead, so both give the same
+    iterates and the same calls of ``f``.
 
     Parameters
     ----------
     f : callable
-        Maps a parameter vector to a finite float.
+        Maps a parameter vector to a finite float. It receives a copy, which
+        it may keep.
     start : sequence of float
         Initial point; sets the search dimension.
     tol : float
@@ -207,23 +216,54 @@ def minimize_simplex(
     x0 = np.asarray(start, dtype=float)
     if x0.ndim != 1 or x0.size == 0:
         raise ValueError("start must be a non-empty 1-d sequence")
-    result = scipy.optimize.minimize(
-        f,
-        x0,
-        method="Nelder-Mead",
-        options={
-            "maxiter": 2000,
-            "maxfev": 10**9,
-            # max_i ||x_i - x_best||_inf <= tol/2 bounds the diameter by tol.
-            "xatol": 0.5 * tol,
-            "fatol": np.inf,
-            "adaptive": False,
-        },
-    )
-    if not result.success:
+    n = x0.size
+    # Vertex k + 1 moves coordinate k of the start by 5 %, or to 0.00025.
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([f(np.copy(x)) for x in sim], dtype=float)
+    # Sorted twice, as scipy does, so that tied values end in the same order.
+    sim, fsim = _by_value(*_by_value(sim, fsim))
+    iterations = 1
+    while iterations < 2000:
+        # max_i ||x_i - x_best||_inf <= tol/2 bounds the diameter by tol. A
+        # NaN value difference (a NaN, or a tied infinite best) blocks it.
+        if (np.max(np.abs(sim[1:] - sim[0])) <= 0.5 * tol
+                and not np.isnan(fsim[0] - fsim[1:]).any()):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2.0 * xbar - sim[-1]
+        fxr = f(np.copy(xr))
+        if fxr < fsim[0]:
+            xe = 3.0 * xbar - 2.0 * sim[-1]
+            fxe = f(np.copy(xe))
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            # Contract outside if the reflection improved on the worst
+            # vertex, inside otherwise; shrink toward the best if that fails.
+            if fxr < fsim[-1]:
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = f(np.copy(xc))
+                shrink = not fxc <= fxr
+            else:
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = f(np.copy(xc))
+                shrink = not fxc < fsim[-1]
+            if not shrink:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(np.copy(sim[j]))
+        iterations += 1
+        sim, fsim = _by_value(sim, fsim)
+    x, fun = sim[0], float(np.min(fsim))
+    if iterations >= 2000:
         raise ConvergenceFailure(
             f"simplex did not contract below {tol:g} within 2000 iterations",
-            best_point=np.asarray(result.x, dtype=float),
-            best_value=float(result.fun),
+            best_point=x,
+            best_value=fun,
         )
-    return np.asarray(result.x, dtype=float), float(result.fun)
+    return x, fun

@@ -62,7 +62,8 @@ def rho_direct(psi):
     Parameters
     ----------
     psi : array_like
-        Complex interior amplitudes; any nonzero overall scale.
+        Complex interior amplitudes; any nonzero overall scale, down to the
+        smallest and up to the largest finite magnitudes.
 
     Returns
     -------
@@ -77,7 +78,15 @@ def rho_direct(psi):
         All components are zero.
     """
     v = np.asarray(psi, dtype=complex).ravel()
-    denom = float(np.sum(np.abs(v) ** 2))
+    with np.errstate(over="ignore"):
+        denom = float(np.sum(np.abs(v) ** 2))
+    if denom == 0.0 or not math.isfinite(denom):
+        # The squares over- or underflowed; rho is scale-free, so divide by
+        # the largest modulus when that is a positive finite number.
+        scale = np.abs(v).max() if v.size else 0.0
+        if 0.0 < scale < math.inf:
+            v = v / scale
+            denom = float(np.sum(np.abs(v) ** 2))
     if denom == 0.0:
         raise UndefinedValue("phase rigidity of the zero vector")
     s = complex(np.sum(v * v))

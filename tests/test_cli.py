@@ -1,8 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from opencavity.cli import main
+
+from conftest import NOTCH_MASK
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 
 def base_doc(study="transmit", **overrides):
@@ -259,3 +267,57 @@ class TestEpFind:
         assert main(["ep-find", "--config", cfg, "--out", str(out)]) == 3
         assert "ep-find: success=False" in capsys.readouterr().err
         assert out.exists()
+
+
+def run_python(code, *args):
+    """Run ``python -c code args`` in a fresh interpreter on the sources."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", code, *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+CLI_RUN = """
+import sys
+if sys.argv[1] == "block":
+    sys.modules["scipy"] = None
+from opencavity.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+class TestScipyFree:
+    def test_import_loads_no_scipy(self):
+        proc = run_python(
+            "import sys, opencavity; "
+            "print(sorted(k for k in sys.modules if k.startswith('scipy')))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("study", ["ep-find", "transmit"])
+    def test_runs_with_scipy_blocked(self, tmp_path, study):
+        if study == "ep-find":
+            doc = ep_doc()
+        else:
+            doc = base_doc(e_grid={"min": -1.9, "max": 1.9, "points": 401})
+            doc["model"] = {
+                "nx": 10, "ny": 5, "alpha": 0.6,
+                "mask": [list(row) for row in NOTCH_MASK],
+                "leads": [
+                    {"contact": [0, 2], "coupling_w": 1.0},
+                    {"contact": [9, 2], "coupling_w": 1.0},
+                ],
+            }
+        cfg = write_config(tmp_path, doc)
+        outputs = []
+        for mode in ("block", "allow"):
+            out = tmp_path / f"{mode}.csv"
+            proc = run_python(
+                CLI_RUN, mode, study, "--config", cfg, "--out", str(out)
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((out.read_bytes(), proc.stderr))
+        assert outputs[0] == outputs[1]

@@ -3,13 +3,20 @@ import numpy.testing as npt
 import pytest
 
 from opencavity import (
+    CavityModel,
     ConvergenceFailure,
     InvalidMatrix,
+    LatticeSpec,
+    LeadSpec,
     SingularMatrix,
+    assemble_heff,
     eig_general,
     minimize_simplex,
     solve_linear,
 )
+from opencavity.spectrum import _closest_pair
+
+from conftest import NOTCH_MASK
 
 
 def rosenbrock(x):
@@ -138,10 +145,20 @@ class TestSolveLinear:
             solve_linear(m, np.ones(2, dtype=complex))
 
     def test_zero_matrix_raises(self):
-        # The pivot threshold scales with ||m||, which is 0 here.
+        # The singularity threshold scales with ||m||, which is 0 here.
         for n in (1, 3):
             with pytest.raises(SingularMatrix):
                 solve_linear(np.zeros((n, n)), np.ones(n))
+
+    def test_singular_with_unit_pivots_raises(self):
+        # Upper bidiagonal, 1 on the diagonal and -2 above it: every LU
+        # pivot is 1, far above 1e-14 * ||m||_inf = 3e-14, yet the inverse
+        # holds 2^59 and the smallest singular value is about 1.3e-18.
+        n = 60
+        m = np.eye(n) - 2.0 * np.eye(n, k=1)
+        assert np.linalg.svd(m, compute_uv=False).min() < 1e-17
+        with pytest.raises(SingularMatrix):
+            solve_linear(m, np.ones(n))
 
 
 class TestMinimizeSimplex:
@@ -164,3 +181,90 @@ class TestMinimizeSimplex:
         assert err.best_point is not None
         assert np.isfinite(err.best_value)
         assert err.best_value <= rosenbrock(start)
+
+
+def _counted(f):
+    calls = []
+
+    def wrapped(x):
+        calls.append(np.array(x))
+        return f(x)
+
+    return wrapped, calls
+
+
+def _ep_objective(lattice, contacts, alpha, energy):
+    """The ep-find objective: closest eigenvalue pair over the couplings."""
+
+    def objective(p):
+        leads = tuple(
+            LeadSpec(c, abs(float(w))) for c, w in zip(contacts, p)
+        )
+        h = assemble_heff(CavityModel(lattice, leads, alpha), energy)
+        return _closest_pair(eig_general(h).values)[1]
+
+    return objective
+
+
+def _nan_at_second_vertex(x):
+    # The first non-start vertex of the initial simplex of (-1.2, 1).
+    if x[0] == 1.05 * -1.2 and x[1] == 1.0:
+        return float("nan")
+    return rosenbrock(x)
+
+
+def _nan_past_one(x):
+    # Minimum on the edge of a NaN region: every shrink leaves the other
+    # vertex NaN, so the simplex is tiny long before its values are finite.
+    return float("nan") if x[0] > 1.0 else float((x[0] - 1.0) ** 2)
+
+
+PARITY_CASES = {
+    "rosenbrock": (rosenbrock, [-1.2, 1.0], 1e-9),
+    "cap_10d": (rosenbrock, np.where(np.arange(10) % 2 == 0, -1.2, 1.0), 1e-14),
+    "nan_vertex": (_nan_at_second_vertex, [-1.2, 1.0], 1e-9),
+    "nan_edge": (_nan_past_one, [1.0], 1e-9),
+    "ep_corner_4x4": (
+        _ep_objective(LatticeSpec(4, 4), ((0, 0), (3, 3)), 1.0, 0.0),
+        [1.2, 1.6],
+        1e-10,
+    ),
+    "ep_notch_10x5": (
+        _ep_objective(
+            LatticeSpec(10, 5, mask=NOTCH_MASK), ((0, 2), (9, 2)), 0.6, 0.0
+        ),
+        [1.0, 1.0],
+        1e-10,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARITY_CASES))
+def test_simplex_matches_scipy_nelder_mead(case):
+    """The numpy port gives scipy's iterates, result and call count."""
+    optimize = pytest.importorskip("scipy.optimize")
+    f, start, tol = PARITY_CASES[case]
+    ours, our_calls = _counted(f)
+    try:
+        x, fun = minimize_simplex(ours, start, tol=tol)
+        success = True
+    except ConvergenceFailure as err:
+        x, fun, success = err.best_point, err.best_value, False
+    ref, ref_calls = _counted(f)
+    result = optimize.minimize(
+        ref,
+        np.asarray(start, dtype=float),
+        method="Nelder-Mead",
+        options={
+            "maxiter": 2000,
+            "maxfev": 10**9,
+            "xatol": 0.5 * tol,
+            "fatol": np.inf,
+            "adaptive": False,
+        },
+    )
+    assert success == result.success
+    npt.assert_array_equal(x, result.x)
+    npt.assert_array_equal(fun, result.fun)
+    assert len(our_calls) == len(ref_calls) == result.nfev
+    npt.assert_array_equal(np.array(our_calls), np.array(ref_calls))

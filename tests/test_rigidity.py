@@ -57,6 +57,16 @@ class TestRhoDirect:
         with pytest.raises(UndefinedValue):
             rho_direct(np.zeros(3))
 
+    def test_huge_entries_do_not_overflow(self):
+        # |psi_k|^2 overflows to inf; the result is that of psi / 2e160.
+        assert rho_direct([1e160, 2e160j]) == rho_direct([0.5, 1.0j])
+        assert rho_direct([1e160, 2e160j]) == (0.6, math.pi / 2.0)
+
+    def test_tiny_entries_do_not_underflow(self):
+        # |psi_k|^2 underflows to 0, yet the vector is not the zero vector.
+        assert rho_direct([1e-170, 1e-170j]) == (0.0, 0.0)
+        assert rho_direct([1e-170, 2e-170j]) == rho_direct([0.5, 1.0j])
+
 
 class TestRhoSpectral:
     def test_single_state(self):
