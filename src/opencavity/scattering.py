@@ -308,7 +308,12 @@ def contact_green(model, energies):
     return (g[0], x[0]) if scalar else (g, x)
 
 
-def _s_matrices(model, e, strict):
+def _s_matrices(model, e, strict, g=None):
+    """S at energies e, from their contact Green's functions g if given.
+
+    The amplitudes come first, so a strict energy outside the band raises
+    OutsideBand before any resolvent work.
+    """
     a = np.full((len(e), 2), math.nan)
     for i, energy in enumerate(e):
         try:
@@ -316,7 +321,8 @@ def _s_matrices(model, e, strict):
         except OutsideBand:
             if strict:
                 raise
-    g = _resolvent(model, e, strict, interior=False)
+    if g is None:
+        g = _resolvent(model, e, strict, interior=False)
     return np.eye(2) - 2j * math.pi * a[:, :, None] * a[:, None, :] * g
 
 

@@ -35,12 +35,19 @@ from .exceptions import (
     WriteError,
 )
 from .model import CavityModel, LatticeSpec, LeadSpec
-from .scattering import contact_green, s_matrix, solve_scattering, wigner_delay
+from .scattering import (
+    _s_matrices,
+    contact_green,
+    s_matrix,
+    solve_scattering,
+    wigner_delay,
+)
 from .spectrum import (
     _track_spectra,
     assemble_heff,
     biorthogonal_spectrum,
     find_exceptional_point,
+    heff_eigenvalues,
 )
 
 __all__ = [
@@ -178,6 +185,17 @@ def _expect_keys(section, allowed, where):
             )
 
 
+def _finite(value, field):
+    """``value`` as a finite float; json.loads gives inf for 1e999."""
+    try:
+        v = float(value)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise ValidationError("must be a finite number", field=field)
+    return v
+
+
 def _number(section, key, where, required=True, default=None, minimum=None,
             strict_min=False):
     if key not in section:
@@ -187,7 +205,7 @@ def _number(section, key, where, required=True, default=None, minimum=None,
     v = section[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValidationError("expected a number", field=f"{where}.{key}")
-    v = float(v)
+    v = _finite(v, f"{where}.{key}")
     if minimum is not None:
         if strict_min and not (v > minimum):
             raise ValidationError(
@@ -254,10 +272,12 @@ def _parse_onsite(value, nx, ny):
     if isinstance(value, bool):
         raise ValidationError("expected a number or grid", field="model.onsite")
     if isinstance(value, (int, float)):
-        return float(value)
+        return _finite(value, "model.onsite")
     if isinstance(value, list):
         try:
-            rows = tuple(tuple(float(x) for x in row) for row in value)
+            rows = tuple(
+                tuple(_finite(x, "model.onsite") for x in row) for row in value
+            )
         except (TypeError, ValueError) as err:
             raise ValidationError(
                 "onsite grid must nest numbers", field="model.onsite"
@@ -635,7 +655,9 @@ def run_crossover_study(config: RunConfig, threads=1) -> StudyResult:
     the energy grid, the largest and median resonance width at the grid
     center, and the count of |t| peaks above the floor. The rigidity is
     evaluated on the direct interior solution, which exists even where the
-    resonance expansion is defective.
+    resonance expansion is defective. One contact-space resolvent per
+    coupling gives both |t| and the interior state; the widths come from
+    :func:`~opencavity.spectrum.heff_eigenvalues`.
     """
     energies = config.e_grid.values()
     e_c = config.e_grid.center
@@ -643,13 +665,13 @@ def run_crossover_study(config: RunConfig, threads=1) -> StudyResult:
 
     def one(a):
         model = base.with_alpha(a)
-        abs_t = np.abs(s_matrix(model, energies)[:, 1, 0])
+        g, x = contact_green(model, energies)
+        abs_t = np.abs(_s_matrices(model, energies, False, g)[:, 1, 0])
         # x holds the interior state in the real orthogonal eigenbasis of
         # H_B, which leaves both sums of the rigidity |psi^T psi| / psi^dag
         # psi unchanged.
-        _, x = contact_green(model, energies)
         rho = np.abs(np.sum(x * x, axis=1)) / np.sum(np.abs(x) ** 2, axis=1)
-        widths = -2.0 * np.linalg.eigvals(assemble_heff(model, e_c)).imag
+        widths = -2.0 * heff_eigenvalues(model, e_c).imag
         with np.errstate(all="ignore"):
             avg_t = float(np.nanmean(abs_t**2))
             min_rho = float(np.nanmin(rho))

@@ -246,6 +246,46 @@ class TestFailureExitCodes:
         assert "cannot write" in capsys.readouterr().err
 
 
+NON_FINITE_CASES = [
+    # (study, dotted field, path into the document, JSON literal)
+    ("transmit", "model.hopping", ("model", "hopping"), "Infinity"),
+    ("transmit", "model.onsite", ("model", "onsite"), "NaN"),
+    ("transmit", "model.onsite", ("model", "onsite", 1, 0), "NaN"),
+    ("transmit", "model.onsite", ("model", "onsite", 2, 0), "-1e999"),
+    ("transmit", "model.alpha", ("model", "alpha"), "1e999"),
+    ("transmit", "model.hopping", ("model", "hopping"), "1" + "0" * 400),
+    ("transmit", "model.onsite", ("model", "onsite", 0, 0), "-1" + "0" * 400),
+    ("transmit", "model.leads[0].coupling_w",
+     ("model", "leads", 0, "coupling_w"), "Infinity"),
+    ("transmit", "model.leads[1].lead_hopping",
+     ("model", "leads", 1, "lead_hopping"), "Infinity"),
+    ("transmit", "e_grid.min", ("e_grid", "min"), "-Infinity"),
+    ("crossover", "alpha_grid.max", ("alpha_grid", "max"), "Infinity"),
+    ("crossover", "alpha_grid.min", ("alpha_grid", "min"), "NaN"),
+]
+
+
+@pytest.mark.parametrize("study,field,path,literal", NON_FINITE_CASES,
+                         ids=[".".join(map(str, c[2])) + "=" + c[3][:12]
+                              for c in NON_FINITE_CASES])
+def test_non_finite_number_is_a_config_error(tmp_path, capsys, study, field,
+                                             path, literal):
+    """json.loads accepts NaN, Infinity and 1e999; validation must not."""
+    doc = base_doc(study=study)
+    doc["model"]["onsite"] = [[0.0], [0.0], [0.0]]
+    doc["alpha_grid"] = {"min": 0.1, "max": 2.0, "points": 10}
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "__X__"
+    text = json.dumps(doc).replace('"__X__"', literal)
+    path_cfg = tmp_path / "study.json"
+    path_cfg.write_text(text, encoding="utf-8")
+    assert main([study, "--config", str(path_cfg),
+                 "--out", str(tmp_path / "o.csv")]) == 2
+    assert f"invalid config at {field}:" in capsys.readouterr().err
+
+
 class TestEpFind:
     def test_success_reports_and_exits_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path, ep_doc())
