@@ -42,7 +42,7 @@ def _build_parser():
             "--threads",
             type=int,
             default=None,
-            help="worker threads (default: available parallelism)",
+            help="has no effect; every study runs serially",
         )
         p.add_argument(
             "--grid-override",
@@ -118,11 +118,10 @@ def main(argv=None):
         print(f"opencavity: invalid config{at}: {err}", file=sys.stderr)
         return 2
 
-    threads = args.threads if args.threads is not None else os.cpu_count()
     report = None
     out_path = args.out or config.out
     try:
-        result = run_study(config, threads=threads)
+        result = run_study(config)
         if config.study == "ep-find":
             result, report = result
         if out_path:

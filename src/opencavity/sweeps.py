@@ -4,8 +4,10 @@ A study is described by a JSON document (see ``parse_config``), runs over an
 energy grid and optionally a coupling grid, and produces a ``StudyResult``:
 a fixed column set plus float rows. ``export_csv`` writes the result with a
 comment header (package version, canonical config echo, sentinel note) so a
-result file is reproducible from its own header; identical config and
-version give byte-identical files regardless of worker count.
+result file is reproducible from its own header: the same config, package
+version and numpy/BLAS build, at the same BLAS thread count, give
+byte-identical files. Every study runs serially over its grid; each step is
+array code or one LAPACK call.
 
 Grid points that land on a real-axis pole or excite no resonance produce NaN
 rows rather than aborting the sweep; aggregate columns use NaN-aware
@@ -18,7 +20,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,11 +44,10 @@ from .scattering import (
     wigner_delay,
 )
 from .spectrum import (
-    _track_spectra,
     assemble_heff,
-    biorthogonal_spectrum,
     find_exceptional_point,
     heff_eigenvalues,
+    track_sweep,
 )
 
 __all__ = [
@@ -186,7 +186,12 @@ def _expect_keys(section, allowed, where):
 
 
 def _finite(value, field):
-    """``value`` as a finite float; json.loads gives inf for 1e999."""
+    """A JSON number that is not a bool, as a finite float.
+
+    json.loads gives inf for 1e999.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError("expected a number", field=field)
     try:
         v = float(value)
     except OverflowError:
@@ -202,10 +207,7 @@ def _number(section, key, where, required=True, default=None, minimum=None,
         if required:
             raise ValidationError("missing required key", field=f"{where}.{key}")
         return default
-    v = section[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValidationError("expected a number", field=f"{where}.{key}")
-    v = _finite(v, f"{where}.{key}")
+    v = _finite(section[key], f"{where}.{key}")
     if minimum is not None:
         if strict_min and not (v > minimum):
             raise ValidationError(
@@ -250,46 +252,30 @@ def _parse_mask(value, nx, ny, base_dir):
             )
         return tuple(tuple(tok == "1" for tok in row) for row in raw)
     if isinstance(value, list):
-        try:
-            rows = tuple(tuple(int(x) for x in row) for row in value)
-        except (TypeError, ValueError) as err:
-            raise ValidationError(
-                "mask must nest rows of 0/1", field="model.mask"
-            ) from err
-        if len(rows) != nx or any(len(r) != ny for r in rows):
-            raise ValidationError(
-                f"mask must have shape ({nx}, {ny})", field="model.mask"
-            )
-        if any(x not in (0, 1) for row in rows for x in row):
+        rows = _grid(value, nx, ny, "model.mask")
+        if any(x not in (0.0, 1.0) for row in rows for x in row):
             raise ValidationError("mask entries must be 0 or 1", field="model.mask")
-        return tuple(tuple(bool(x) for x in row) for row in rows)
+        return tuple(tuple(x == 1.0 for x in row) for row in rows)
     raise ValidationError(
         "mask must be a file path or a nested 0/1 list", field="model.mask"
     )
 
 
+def _grid(value, nx, ny, field):
+    """A nested nx-by-ny list of JSON numbers, as a tuple grid of floats."""
+    if len(value) != nx or any(
+        not isinstance(row, list) or len(row) != ny for row in value
+    ):
+        raise ValidationError(
+            f"grid must nest {nx} rows of {ny} numbers", field=field
+        )
+    return tuple(tuple(_finite(x, field) for x in row) for row in value)
+
+
 def _parse_onsite(value, nx, ny):
-    if isinstance(value, bool):
-        raise ValidationError("expected a number or grid", field="model.onsite")
-    if isinstance(value, (int, float)):
-        return _finite(value, "model.onsite")
     if isinstance(value, list):
-        try:
-            rows = tuple(
-                tuple(_finite(x, "model.onsite") for x in row) for row in value
-            )
-        except (TypeError, ValueError) as err:
-            raise ValidationError(
-                "onsite grid must nest numbers", field="model.onsite"
-            ) from err
-        if len(rows) != nx or any(len(r) != ny for r in rows):
-            raise ValidationError(
-                f"onsite grid must have shape ({nx}, {ny})", field="model.onsite"
-            )
-        return rows
-    raise ValidationError(
-        "onsite must be a number or a nested grid", field="model.onsite"
-    )
+        return _grid(value, nx, ny, "model.onsite")
+    return _finite(value, "model.onsite")
 
 
 def parse_config(text, base_dir="."):
@@ -480,13 +466,6 @@ def serialize_config(config: RunConfig) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _pmap(fn, items, threads):
-    if threads is None or threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
-
-
 def count_peaks(values, floor, prominence=PEAK_PROMINENCE):
     """Count interior local maxima exceeding the floor.
 
@@ -501,7 +480,15 @@ def count_peaks(values, floor, prominence=PEAK_PROMINENCE):
     ))
 
 
-def run_transmit_study(config: RunConfig, threads=1) -> StudyResult:
+def _nan_reduce(reduce, values):
+    """``reduce`` (a NaN-aware numpy reduction) as a float; NaN, without
+    numpy's empty-slice warning, when every entry is NaN."""
+    if np.isnan(values).all():
+        return math.nan
+    return float(reduce(values))
+
+
+def run_transmit_study(config: RunConfig) -> StudyResult:
     """Transmission amplitude L -> R across the energy grid."""
     energies = config.e_grid.values()
     t = s_matrix(config.build_model(), energies)[:, 1, 0]
@@ -514,7 +501,7 @@ def run_transmit_study(config: RunConfig, threads=1) -> StudyResult:
     )
 
 
-def run_trapping_study(config: RunConfig, threads=1) -> StudyResult:
+def run_trapping_study(config: RunConfig) -> StudyResult:
     """Resonance widths and peak count across the coupling grid.
 
     H_eff is assembled at the center of the energy grid; widths follow each
@@ -523,27 +510,20 @@ def run_trapping_study(config: RunConfig, threads=1) -> StudyResult:
     on the energy grid.
     """
     alphas = config.alpha_grid.values()
-    e_c = config.e_grid.center
     energies = config.e_grid.values()
     base = config.build_model()
-
-    def one(a):
-        model = base.with_alpha(a)
-        abs_t = np.abs(s_matrix(model, energies)[:, 1, 0])
-        return (
-            biorthogonal_spectrum(assemble_heff(model, e_c), e_c),
-            count_peaks(abs_t, PEAK_FLOOR_ABS),
-        )
-
-    per_alpha = _pmap(one, alphas, threads)
-    tracked = _track_spectra([sp for sp, _ in per_alpha])
+    tracked = track_sweep(base.with_alpha, alphas, config.e_grid.center)
     n = len(tracked[0])
     rows = np.empty((len(alphas), n + 2))
     rows[:, 0] = alphas
     track_ids = np.array([[s.track_id for s in sp.states] for sp in tracked])
     widths = np.array([-2.0 * sp.values.imag for sp in tracked])
     np.put_along_axis(rows, 1 + track_ids, widths, axis=1)
-    rows[:, n + 1] = [npk for _, npk in per_alpha]
+    rows[:, n + 1] = [
+        count_peaks(np.abs(s_matrix(base.with_alpha(a), energies)[:, 1, 0]),
+                    PEAK_FLOOR_ABS)
+        for a in alphas
+    ]
     return StudyResult(
         study=config.study,
         columns=("alpha", *(f"gamma_{k}" for k in range(n)), "n_peaks"),
@@ -552,7 +532,7 @@ def run_trapping_study(config: RunConfig, threads=1) -> StudyResult:
     )
 
 
-def run_rigidity_study(config: RunConfig, threads=1) -> StudyResult:
+def run_rigidity_study(config: RunConfig) -> StudyResult:
     """Phase rigidity of the interior state fed from lead L."""
     model = config.build_model()
 
@@ -571,7 +551,7 @@ def run_rigidity_study(config: RunConfig, threads=1) -> StudyResult:
             min(r for _, r in rig.per_state_r),
         )
 
-    rows = _pmap(one, config.e_grid.values(), threads)
+    rows = [one(e) for e in config.e_grid.values()]
     return StudyResult(
         study=config.study,
         columns=(
@@ -583,7 +563,7 @@ def run_rigidity_study(config: RunConfig, threads=1) -> StudyResult:
     )
 
 
-def run_delay_study(config: RunConfig, threads=1) -> StudyResult:
+def run_delay_study(config: RunConfig) -> StudyResult:
     """Wigner-Smith delay across the energy grid.
 
     A point whose centred difference leaves the band, or meets a singular
@@ -599,7 +579,7 @@ def run_delay_study(config: RunConfig, threads=1) -> StudyResult:
     )
 
 
-def run_ep_study(config: RunConfig, threads=1):
+def run_ep_study(config: RunConfig):
     """Search for an exceptional point in the two lead couplings.
 
     The two coupling_w values vary (by magnitude) at fixed alpha; H_eff is
@@ -648,7 +628,7 @@ def run_ep_study(config: RunConfig, threads=1):
     return result, report
 
 
-def run_crossover_study(config: RunConfig, threads=1) -> StudyResult:
+def run_crossover_study(config: RunConfig) -> StudyResult:
     """Transport and rigidity aggregates across the coupling grid.
 
     Per coupling strength: mean transmission and minimum phase rigidity over
@@ -657,7 +637,8 @@ def run_crossover_study(config: RunConfig, threads=1) -> StudyResult:
     evaluated on the direct interior solution, which exists even where the
     resonance expansion is defective. One contact-space resolvent per
     coupling gives both |t| and the interior state; the widths come from
-    :func:`~opencavity.spectrum.heff_eigenvalues`.
+    :func:`~opencavity.spectrum.heff_eigenvalues`. An aggregate over an
+    energy grid on which every point failed is NaN.
     """
     energies = config.e_grid.values()
     e_c = config.e_grid.center
@@ -672,17 +653,12 @@ def run_crossover_study(config: RunConfig, threads=1) -> StudyResult:
         # psi unchanged.
         rho = np.abs(np.sum(x * x, axis=1)) / np.sum(np.abs(x) ** 2, axis=1)
         widths = -2.0 * heff_eigenvalues(model, e_c).imag
-        with np.errstate(all="ignore"):
-            avg_t = float(np.nanmean(abs_t**2))
-            min_rho = float(np.nanmin(rho))
-        n_peaks = count_peaks(abs_t, PEAK_FLOOR_ABS)
         return (
-            a, avg_t, min_rho, float(widths.max()),
-            float(np.median(widths)), n_peaks,
+            a, _nan_reduce(np.nanmean, abs_t**2), _nan_reduce(np.nanmin, rho),
+            float(widths.max()), float(np.median(widths)),
+            count_peaks(abs_t, PEAK_FLOOR_ABS),
         )
 
-    # Serial on purpose: a thread pool over alpha measured no faster here
-    # (N = 290, 10 alpha, 2 cores), so --threads does not reach this loop.
     rows = [one(a) for a in config.alpha_grid.values()]
     return StudyResult(
         study=config.study,
@@ -702,7 +678,7 @@ _RUNNERS = {
 }
 
 
-def run_study(config: RunConfig, threads=1):
+def run_study(config: RunConfig):
     """Dispatch a config to its study runner.
 
     Returns a StudyResult with the wall time filled in; for the ep-find
@@ -710,9 +686,9 @@ def run_study(config: RunConfig, threads=1):
     """
     t0 = time.perf_counter()
     if config.study == "ep-find":
-        result, report = run_ep_study(config, threads)
+        result, report = run_ep_study(config)
         return replace(result, wall_time=time.perf_counter() - t0), report
-    result = _RUNNERS[config.study](config, threads)
+    result = _RUNNERS[config.study](config)
     return replace(result, wall_time=time.perf_counter() - t0)
 
 
@@ -721,8 +697,9 @@ def format_csv(result: StudyResult) -> str:
 
     Three leading comment lines (package version, canonical config echo,
     sentinel note), a header row, then '%.17g'-formatted values; newline
-    line endings. Equal results format to identical bytes; wall time and
-    worker count leave no trace.
+    line endings. Equal results format to identical bytes, and the wall
+    time leaves no trace; the results themselves repeat for the same config,
+    package version, numpy/BLAS build and BLAS thread count.
     """
     lines = [
         f"# opencavity {__version__}",

@@ -26,7 +26,6 @@ from opencavity import (
     biorthogonal_spectrum,
     count_peaks,
     find_exceptional_point,
-    format_csv,
     parse_config,
     run_study,
     s_matrix,
@@ -36,6 +35,7 @@ from opencavity import (
     two_level_profile,
     wigner_delay,
 )
+from opencavity.cli import main
 
 from conftest import reference_models, single_site_model
 
@@ -354,12 +354,13 @@ def test_c10_csv_byte_identical_across_worker_counts(tmp_path):
     crossover["e_grid"]["points"] = 15
     docs.append(crossover)
 
-    for doc in docs:
-        cfg = parse_config(json.dumps(doc))
+    for k, doc in enumerate(docs):
+        cfg = tmp_path / f"{k}.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
         outputs = []
-        for threads in (1, 4):
-            res = run_study(cfg, threads=threads)
-            if cfg.study == "ep-find":
-                res = res[0]
-            outputs.append(format_csv(res).encode("utf-8"))
-        assert outputs[0] == outputs[1], cfg.study
+        for threads in ("1", "4"):
+            out = tmp_path / f"{k}-{threads}.csv"
+            assert main([doc["study"], "--config", str(cfg), "--out", str(out),
+                         "--threads", threads]) == 0, doc["study"]
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1], doc["study"]

@@ -286,6 +286,46 @@ def test_non_finite_number_is_a_config_error(tmp_path, capsys, study, field,
     assert f"invalid config at {field}:" in capsys.readouterr().err
 
 
+GRID_ENTRY_CASES = [
+    # (dotted field, grid); each grid has the base document's shape (3, 1).
+    ("model.mask", [[1], [1.7], [1]]),
+    ("model.mask", [[1], [0.4], [1]]),
+    ("model.mask", [[1], ["1"], [1]]),
+    ("model.mask", [[1], [True], [1]]),
+    ("model.mask", ["1", [1], [1]]),
+    ("model.onsite", [[0.0], ["1.5"], [0.0]]),
+    ("model.onsite", [[0.0], [True], [0.0]]),
+    ("model.onsite", ["0", [0.0], [0.0]]),
+]
+
+
+@pytest.mark.parametrize("field,grid", GRID_ENTRY_CASES,
+                         ids=[f"{f}={json.dumps(g[:2])}"
+                              for f, g in GRID_ENTRY_CASES])
+def test_grid_entry_must_be_a_number(tmp_path, capsys, field, grid):
+    """Mask entries are the numbers 0 or 1, onsite entries numbers."""
+    doc = base_doc()
+    doc["model"][field.split(".")[1]] = grid
+    cfg = write_config(tmp_path, doc)
+    assert main(["transmit", "--config", cfg,
+                 "--out", str(tmp_path / "o.csv")]) == 2
+    assert f"invalid config at {field}:" in capsys.readouterr().err
+
+
+def test_float_mask_entries_accepted(tmp_path):
+    plain = base_doc()
+    plain["model"]["mask"] = [[1], [1], [1]]
+    floats = base_doc()
+    floats["model"]["mask"] = [[1.0], [1.0], [1]]
+    outputs = []
+    for k, doc in enumerate((plain, floats)):
+        out = tmp_path / f"{k}.csv"
+        cfg = write_config(tmp_path, doc, name=f"{k}.json")
+        assert main(["transmit", "--config", cfg, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 class TestEpFind:
     def test_success_reports_and_exits_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path, ep_doc())
@@ -361,3 +401,37 @@ class TestScipyFree:
             assert proc.returncode == 0, proc.stderr
             outputs.append((out.read_bytes(), proc.stderr))
         assert outputs[0] == outputs[1]
+
+
+def test_import_starts_no_thread_pool():
+    proc = run_python(
+        "import sys, opencavity.cli; "
+        "print(sorted(k for k in sys.modules if k.startswith('concurrent')))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_crossover_all_failed_energies_warn_nothing(tmp_path):
+    # The 4x4 square with corner contacts has a dark state at E = 0, so
+    # every coupling's only energy is singular. avg_T and min_rho are then
+    # NaN, and numpy's empty-slice warnings must not reach stderr: under
+    # -W error::RuntimeWarning they abort the run with a traceback.
+    doc = base_doc(study="crossover",
+                   e_grid={"min": 0.0, "max": 0.5, "points": 1},
+                   alpha_grid={"min": 0.1, "max": 2.0, "points": 10})
+    doc["model"] = {
+        "nx": 4, "ny": 4, "alpha": 1.0,
+        "leads": [
+            {"contact": [0, 0], "coupling_w": 1.0},
+            {"contact": [3, 3], "coupling_w": 1.0},
+        ],
+    }
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "x.csv"
+    proc = run_python(CLI_RUN, "allow", "crossover", "--config", cfg,
+                      "--out", str(out))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = out.read_text(encoding="utf-8").split("\n")[4:-1]
+    assert len(rows) == 10
+    assert all(r.split(",")[1:3] == ["nan", "nan"] for r in rows)

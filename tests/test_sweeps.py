@@ -384,18 +384,31 @@ class TestStudyRunners:
         assert (res.rows[:, 2] >= -1e-12).all()
         assert (res.rows[:, 2] <= 1.0 + 1e-12).all()
 
+    def test_crossover_all_failed_energy_column(self):
+        # A dark state at E = 0 makes the one grid energy singular at every
+        # coupling: NaN aggregates, and no empty-slice RuntimeWarning.
+        doc = config_doc(
+            study="crossover",
+            alpha_grid={"min": 0.1, "max": 2.0, "points": 10},
+        )
+        doc["model"] = {
+            "nx": 4, "ny": 4, "alpha": 1.0,
+            "leads": [
+                {"contact": [0, 0], "coupling_w": 1.0},
+                {"contact": [3, 3], "coupling_w": 1.0},
+            ],
+        }
+        doc["e_grid"] = {"min": 0.0, "max": 0.5, "points": 1}
+        rows = run_crossover_study(parse_doc(doc)).rows
+        assert np.isnan(rows[:, 1:3]).all()
+        assert np.isfinite(rows[:, [0, 3, 4, 5]]).all()
+
     def test_run_study_dispatch_and_wall_time(self):
         res = run_study(parse_doc(config_doc()))
         assert res.study == "transmit"
         assert res.wall_time > 0.0
         pair = run_study_ep()
         assert isinstance(pair, tuple) and len(pair) == 2
-
-    def test_threads_match_serial(self):
-        cfg = parse_doc(config_doc())
-        serial = run_transmit_study(cfg, threads=1)
-        threaded = run_transmit_study(cfg, threads=4)
-        npt.assert_array_equal(serial.rows, threaded.rows)
 
 
 def run_study_ep():
@@ -473,28 +486,3 @@ class TestCsv:
         res = run_transmit_study(parse_doc(config_doc()))
         with pytest.raises(WriteError):
             export_csv(res, os.path.join(str(tmp_path), "no", "dir.csv"))
-
-
-class TestDeterminism:
-    def test_byte_identical_across_workers(self):
-        configs = [
-            parse_doc(config_doc()),
-            parse_doc(config_doc(study="rigidity")),
-            parse_doc(config_doc(study="delay")),
-        ]
-        doc = config_doc(
-            study="crossover",
-            alpha_grid={"min": 0.1, "max": 2.0, "points": 10},
-        )
-        doc["e_grid"]["points"] = 15
-        configs.append(parse_doc(doc))
-        for cfg in configs:
-            runner = {
-                "transmit": run_transmit_study,
-                "rigidity": run_rigidity_study,
-                "delay": run_delay_study,
-                "crossover": run_crossover_study,
-            }[cfg.study]
-            assert format_csv(runner(cfg, threads=1)) == format_csv(
-                runner(cfg, threads=4)
-            ), cfg.study
