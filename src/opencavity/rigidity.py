@@ -42,10 +42,11 @@ class RigidityReport:
 
     ``rho_direct_mod`` and ``rho_direct_theta`` come from the direct
     definition on the interior state; ``rho_spectral`` is the complex
-    expansion form; ``b_antisymmetry_residual`` is the antisymmetry defect
-    of the Hermitian overlap matrix at the same energy; ``per_state_r``
-    collects (track_id, r_lam) pairs with r_lam = 1/A_lam, the state index
-    standing in for untracked spectra.
+    expansion form; ``b_antisymmetry_residual`` measures how far the real
+    parts of distinct states at the same energy are from orthogonal (see
+    :func:`b_antisymmetry_residual`); ``per_state_r`` collects (track_id,
+    r_lam) pairs with r_lam = 1/A_lam, the state index standing in for
+    untracked spectra.
     """
 
     energy: float
@@ -133,12 +134,19 @@ def rho_spectral(coeffs, a_norms):
 
 
 def b_antisymmetry_residual(overlap_b):
-    """Antisymmetry defect of the off-diagonal Hermitian overlap matrix.
+    """Largest symmetric part of the off-diagonal Hermitian overlap matrix.
 
-    For a complex symmetric effective Hamiltonian the matrix
-    B_ij = phi_i^dag phi_j (i != j) obeys B = -B^T exactly in the absence of
-    rounding; the returned max over pairs of |B_ij + B_ji| / (1 + |B_ij|) is
-    a scale-free consistency diagnostic of the computed spectrum.
+    Returns the max over pairs of |B_ij + B_ji| / (1 + |B_ij|), with
+    B_ij = phi_i^dag phi_j (i != j). Im B is antisymmetric by construction,
+    so B + B^T = 2 Re B, and for a biorthogonal set of a complex symmetric
+    H_eff (phi_i^T phi_j = 0) Re B_ij = 2 Re phi_i . Re phi_j. The number
+    therefore measures how far the real parts of distinct states are from
+    orthogonal. It is a property of the states, not a rounding defect, and
+    B = -B^T does not hold in general: it is ~1e-16 on the dimer and
+    three-site chain of the tests, but 0.26 on their 4x4 square at E = 0.3
+    and 0.04-0.06 on their notched 10x5 cavity, whose states are
+    bilinearly orthogonal to 2e-14. Inside an exactly degenerate cluster it
+    depends on the basis chosen for the cluster.
     """
     b = np.asarray(overlap_b, dtype=complex)
     if b.size == 0 or b.shape[0] < 2:
@@ -151,9 +159,10 @@ def build_report(spectral_set, coeffs, psi):
     """Bundle the rigidity measures of one solved scattering state.
 
     Forms the Hermitian cross overlaps B_ij = phi_i^dag phi_j (zeroed
-    diagonal) of the spectral set's states for the antisymmetry residual;
-    flipping the sign of a state flips both B_ij and B_ji, so the residual
-    is the same for tracked and untracked spectra.
+    diagonal) of the spectral set's states for
+    :func:`b_antisymmetry_residual`, the non-orthogonality of their real
+    parts; flipping the sign of a state flips both B_ij and B_ji, so the
+    residual is the same for tracked and untracked spectra.
     """
     mod, theta = rho_direct(psi)
     phis = spectral_set.vectors

@@ -48,7 +48,7 @@ from .exceptions import (
 from .linalg import solve_linear
 from .model import CavityModel
 from .rigidity import RigidityReport, build_report
-from .spectrum import SpectralSet, assemble_heff, biorthogonal_spectrum
+from .spectrum import SpectralSet, assemble_heff, heff_spectrum
 
 __all__ = [
     "TwoLevelProfile",
@@ -403,9 +403,9 @@ def wigner_delay(model, energy, dE=1e-5):
 def solve_scattering(model, energy, incoming=0):
     """Solve one scattering energy end to end.
 
-    Assembles and diagonalizes H_eff(E), expands the interior state,
-    evaluates both transmission routes, the 2x2 S matrix and the rigidity
-    report, and returns everything in one record.
+    Takes the biorthogonal spectrum of H_eff(E) (:func:`heff_spectrum`),
+    expands the interior state, evaluates both transmission routes, the 2x2
+    S matrix and the rigidity report, and returns everything in one record.
 
     Raises
     ------
@@ -414,7 +414,7 @@ def solve_scattering(model, energy, incoming=0):
         reported separately when the expansion fails.
     """
     e = float(energy)
-    spectral = biorthogonal_spectrum(assemble_heff(model, e), e)
+    spectral = heff_spectrum(model, e)
     c = coefficients_c(spectral, model, incoming=incoming)
     psi = interior_wavefunction(spectral, c)
     s = s_matrix(model, e)

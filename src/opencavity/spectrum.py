@@ -23,17 +23,27 @@ states be compared across parameter sweeps. Exactly defective states (bilinear
 norm below 1e-12) are kept with a unit Hermitian norm, r = 0 and A = inf; they
 are reported, never silently repaired.
 
-Eigenvalues alone, as the crossover study's widths need them, come from
-:func:`heff_eigenvalues`. From ``SECULAR_MIN_N`` sites up it solves the
-secular equation of H_B plus the rank-2 self-energy in O(N^2), with a
-backward-error check on every root, and falls back to ``zgeev`` when a check
-fails; smaller cavities go to ``zgeev`` directly, which is faster there.
+H_eff(E) is H_B plus a rank-2 term, so from ``SECULAR_MIN_N`` sites up both
+the eigenvalues (:func:`heff_eigenvalues`, the crossover study's widths) and
+the biorthogonal set (:func:`heff_spectrum`, the spectrum and rigidity
+studies) come from the secular equation of H_B plus the rank-2 self-energy,
+after one ``eigh`` of H_B per geometry: the eigenvalues and the eigenvectors
+in the eigenbasis of H_B in O(N^2) per energy, and the eigenvectors on the
+sites with one real N x N matrix product more. Every root and every
+eigenvector passes a backward-error check, and the route falls back to
+``zgeev`` of the assembled matrix when a check fails; smaller cavities go to
+``zgeev`` directly, which is faster there. Both routes normalize through the
+same column operations, so they differ only in rounding and in the basis of
+an exactly degenerate cluster: the secular route gives the contact-free
+(dark) members of such a cluster as real closed-cavity combinations, with
+r = 1, where ``zgeev`` returns an arbitrary complex basis.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +58,7 @@ __all__ = [
     "EPReport",
     "assemble_heff",
     "heff_eigenvalues",
+    "heff_spectrum",
     "biorthogonal_spectrum",
     "fixed_point_poles",
     "track_sweep",
@@ -130,18 +141,29 @@ class SpectralSet:
     real part, ties by imaginary part). ``values`` and ``vectors`` give the
     same states as arrays, the eigenvalues and the phi matrix with one
     state per column, which is what the spectral route computes with.
+    The matrix is read-only and built at most once: the solvers pass the
+    one they computed as ``matrix``, whose columns are the states' ``phi``;
+    otherwise it is stacked from the states on first access.
     """
 
     energy: float
     states: tuple
+    matrix: InitVar[np.ndarray | None] = None
+
+    def __post_init__(self, matrix):
+        if matrix is not None:
+            matrix.flags.writeable = False
+            self.__dict__["vectors"] = matrix
 
     @property
     def values(self):
         return np.array([s.z for s in self.states])
 
-    @property
+    @cached_property
     def vectors(self):
-        return np.column_stack([s.phi for s in self.states])
+        vectors = np.column_stack([s.phi for s in self.states])
+        vectors.flags.writeable = False
+        return vectors
 
     def __len__(self):
         return len(self.states)
@@ -198,6 +220,25 @@ def heff_eigenvalues(model: CavityModel, energy) -> np.ndarray:
     return np.linalg.eigvals(assemble_heff(model, energy))
 
 
+def heff_spectrum(model: CavityModel, energy) -> SpectralSet:
+    """Biorthogonal spectrum of H_eff(E) at a real energy.
+
+    From ``SECULAR_MIN_N`` sites up the eigenpairs come from the secular
+    equation of H_B plus the rank-2 self-energy, at O(N^2) cost plus one
+    real N x N matrix product; below it, or when any check of that route fails,
+    from :func:`biorthogonal_spectrum` of the assembled matrix. Both are
+    sorted and normalized alike; inside an exactly degenerate cluster the
+    secular route gives the contact-free members as real closed-cavity
+    combinations.
+    """
+    e = float(energy)
+    if model.dimension >= SECULAR_MIN_N:
+        pairs = _secular_eigenvalues(model, e, vectors=True)
+        if pairs is not None:
+            return _biorthogonal_set(*pairs, e)
+    return biorthogonal_spectrum(assemble_heff(model, e), e)
+
+
 def _pole_sums(z, p, wsq):
     """1 / (z - p) for a block of z, and G0(z) as (g_LL, g_LR, g_RR)."""
     r = np.subtract.outer(z, p)
@@ -205,7 +246,7 @@ def _pole_sums(z, p, wsq):
     return r, r @ wsq
 
 
-def _secular_eigenvalues(model, energy):
+def _secular_eigenvalues(model, energy, vectors=False):
     """Eigenvalues of H_eff(E) as roots of its secular equation, or None.
 
     In the eigenbasis of H_B = U diag(e) U^T, H_eff is diag(e) + W S W^T,
@@ -224,6 +265,15 @@ def _secular_eigenvalues(model, energy):
     eigenvector, and all N must sum to tr H_B + sigma_L + sigma_R. The
     trace alone proves nothing: the starts already sum to it exactly, so
     iterates that never moved would pass. Returns None when a check fails.
+
+    With ``vectors`` it returns the eigenpairs instead: the eigenvalues
+    sorted like :func:`~opencavity.linalg.eig_general`, and their unit
+    eigenvectors as the columns of an N x N matrix in site coordinates.
+    A combination without contact weight is its own eigenvector, a column
+    of U rotated within its cluster; it must pass the same backward-error
+    bound, since deflation only bounds its weight to second order. The
+    others are the checked y. Both are rotated back within each cluster
+    and mapped to sites by one real matrix product with U.
     """
     e_k, u = model.closed_modes
     sigma = model.self_energy_weights(energy)
@@ -235,8 +285,10 @@ def _secular_eigenvalues(model, energy):
     # pole and the iteration would divide by zero.
     floor = np.finfo(float).eps * scale
 
-    # 1-2. Deflation and first-order starts, cluster by cluster.
-    poles, weights, starts, exact = [], [], [], []
+    # 1-2. Deflation and first-order starts, cluster by cluster. The poles
+    # and deflated values are e_k at the bright and dark indices; for the
+    # eigenvectors, each cluster's rotation and the dark contact weights.
+    weights, starts, bright, dark, rotations, dark_w = [], [], [], [], [], []
     single = np.ones(len(e_k), dtype=bool)
     for c in _cluster_degenerate(e_k, scale):
         if len(c) == 1:
@@ -254,21 +306,26 @@ def _secular_eigenvalues(model, energy):
             # A double shift (sigma_L = sigma_R on a symmetric pair) gives
             # coincident starts, which Aberth iteration never separates.
             shifts = shifts[0] * np.array([1.0 + 0.1j, 1.0 - 0.1j])
-        poles.append(e_k[c[:b]])
         weights.append(w)
         starts.append(e_k[c[:b]] + shifts)
-        exact.append(e_k[c[b:]])
+        bright.append(c[:b])
+        dark.append(c[b:])
+        if vectors:
+            rotations.append((c, vt))
+            dark_w.append(vt[b:] @ w_all[c])
     k = np.flatnonzero(single)
     lit = (w_all[k] ** 2) @ np.abs(sigma) > floor
-    bright = k[lit]
-    poles.append(e_k[bright])
-    weights.append(w_all[bright])
-    starts.append(e_k[bright] + w_all[bright] ** 2 @ sigma)
-    exact.append(e_k[k[~lit]])
-    p = np.concatenate(poles)
+    weights.append(w_all[k[lit]])
+    starts.append(e_k[k[lit]] + w_all[k[lit]] ** 2 @ sigma)
+    bright = np.concatenate(bright + [k[lit]])
+    dark = np.concatenate(dark + [k[~lit]])
+    p = e_k[bright]
     w = np.concatenate(weights)
     z = np.concatenate(starts).astype(complex)
-    exact = np.concatenate(exact)
+    # The residual of a dark combination is S times its contact weights.
+    if vectors and not (np.abs(np.concatenate(dark_w + [w_all[k[~lit]]]))
+                        @ np.abs(sigma) <= _BACKWARD_TOL * scale).all():
+        return None
 
     # 3. Aberth iteration on P(z) in blocks of roots; P'/P is
     # f'/f + sum_k 1/(z - p_k), and G0' = -sum_k w_k w_k^T / (z - p_k)^2.
@@ -305,6 +362,17 @@ def _secular_eigenvalues(model, energy):
         if active.size:
             return None
 
+        roots = np.concatenate([z, e_k[dark]])
+        if vectors:
+            # First the coefficients in the cluster-rotated eigenbasis of
+            # H_B, one column per root in sorted position; a dark root's is
+            # a unit vector.
+            order = np.lexsort((roots.imag, roots.real))
+            col = np.empty_like(order)
+            col[order] = np.arange(len(roots))
+            phi = np.zeros((len(roots), len(roots)), dtype=complex)
+            phi[dark, col[len(z):]] = 1.0
+
         # 4. Backward error: x spans the null space of M = I - S G0(z),
         # and y = (z - p)^-1 (W x) is the eigenvector of root z.
         for i in range(0, len(z), _BLOCK):
@@ -317,13 +385,25 @@ def _secular_eigenvalues(model, energy):
             x[~x.any(axis=1)] = (1.0, 0.0)
             y *= x @ w.T
             res = (y @ w * sigma) @ w.T - y * np.subtract.outer(zb, p)
-            ratio = np.linalg.norm(res, axis=1) / np.linalg.norm(y, axis=1)
-            if not (ratio <= _BACKWARD_TOL * scale).all():
+            y_norm = np.linalg.norm(y, axis=1)
+            if not (np.linalg.norm(res, axis=1) / y_norm
+                    <= _BACKWARD_TOL * scale).all():
                 return None
-    roots = np.concatenate([z, exact])
+            if vectors:
+                phi[np.ix_(bright, col[i:i + len(zb)])] = y.T / y_norm
     if not abs(roots.sum() - trace) <= _TRACE_TOL * scale * len(roots):
         return None
-    return roots
+    if not vectors:
+        return roots
+    for c, vt in rotations:
+        phi[c] = vt.T @ phi[c]
+    # Then phi = u @ phi in place, by column blocks, as a real product: a
+    # C-ordered complex matrix viewed as float interleaves the real and
+    # imaginary part of every column.
+    flat = phi.view(float)
+    for i in range(0, flat.shape[1], 2 * _BLOCK):
+        flat[:, i:i + 2 * _BLOCK] = u @ flat[:, i:i + 2 * _BLOCK]
+    return roots[order], phi
 
 
 def _canonical_sign(phis):
@@ -391,16 +471,23 @@ def biorthogonal_spectrum(heff, energy) -> SpectralSet:
             f"heff must be complex symmetric (max |H - H^T| = {asym:.3e})"
         )
     es = eig_general(h)
-    scale = float(np.abs(es.values).max())
+    return _biorthogonal_set(es.values, es.vectors, energy)
 
-    raw = es.vectors
+
+def _biorthogonal_set(values, raw, energy):
+    """SpectralSet of sorted eigenvalues and their unit eigenvectors.
+
+    The normalization of :func:`biorthogonal_spectrum`, shared by
+    :func:`heff_spectrum`'s secular route.
+    """
+    scale = float(np.abs(values).max())
     bilinear = np.einsum("ij,ij->j", raw, raw)
     # hypot rounds like the scalar abs(complex); see _closest_pair.
     prox = np.hypot(bilinear.real, bilinear.imag)
     defective = prox < DEFECTIVE_TOL
     # Defective states keep their unit Hermitian norm.
     phis = raw / np.sqrt(np.where(defective, 1.0, bilinear))
-    for members in _cluster_degenerate(es.values, scale):
+    for members in _cluster_degenerate(values, scale):
         if len(members) > 1 and (prox[members] > 1e-3).all():
             # Bilinear Gram-Schmidt; a member that collapses leaves the
             # whole cluster normalized as the solver returned it.
@@ -420,15 +507,19 @@ def biorthogonal_spectrum(heff, energy) -> SpectralSet:
     # pair inside a_norm >= 1, r in (0, 1] against rounding.
     a_norm = np.maximum(np.einsum("ij,ij->j", phis.conj(), phis).real, 1.0)
     a_norm[defective] = math.inf
+    # C order, so every product over it rounds as over a column stack of
+    # the states' phi.
+    vectors = np.ascontiguousarray(phis)
     states = map(
         ResonanceState,
-        es.values.tolist(),
-        np.asfortranarray(phis).T,
+        values.tolist(),
+        vectors.T,
         a_norm.tolist(),
         (1.0 / a_norm).tolist(),
         prox.tolist(),
     )
-    return SpectralSet(energy=float(energy), states=tuple(states))
+    return SpectralSet(energy=float(energy), states=tuple(states),
+                       matrix=vectors)
 
 
 def fixed_point_poles(model: CavityModel, damping=0.5, tol=1e-10, max_iter=200):
@@ -532,44 +623,44 @@ def _track_spectra(spectra, gap_tol=1e-6):
             replace(s, track_id=i) for i, s in enumerate(first.states)
         ))
     ]
+    # Unit columns of the last labeled spectrum, its signs included.
+    p_prev = first.vectors / np.linalg.norm(first.vectors, axis=0)
     for current in spectra[1:]:
         prev = labeled[-1]
         n = len(prev)
         if len(current) != n:
             raise InvalidMatrix("spectra in a sweep must share their dimension")
-        p_prev = prev.vectors
-        p_prev /= np.linalg.norm(p_prev, axis=0)
-        p_next = current.vectors
-        p_next /= np.linalg.norm(p_next, axis=0)
+        p_next = current.vectors / np.linalg.norm(current.vectors, axis=0)
         ov = np.abs(p_prev.conj().T @ p_next)
         row_of = _greedy_match(ov, prev.values.tolist(), current.values.tolist())
         cols = np.arange(n)
         others = ov[row_of]
         others[cols, cols] = -np.inf
         ambiguous = ov[row_of, cols] - others.max(axis=1) < gap_tol
+        matched = [prev.states[i] for i in row_of]
+        flip = np.array([(p.phi @ s.phi).real < 0.0
+                         for s, p in zip(current.states, matched)])
         labeled.append(replace(current, states=tuple(
-            replace(
-                s,
-                phi=-s.phi if (p.phi @ s.phi).real < 0.0 else s.phi,
-                track_id=p.track_id,
-                ambiguous=a,
-            )
-            for s, p, a in zip(
-                current.states, [prev.states[i] for i in row_of],
-                ambiguous.tolist(),
+            replace(s, phi=-s.phi if f else s.phi, track_id=p.track_id,
+                    ambiguous=a)
+            for s, p, f, a in zip(
+                current.states, matched, flip, ambiguous.tolist()
             )
         )))
+        p_next[:, flip] *= -1.0
+        p_prev = p_next
     return tuple(labeled)
 
 
 def track_sweep(model_family, alphas, energy, gap_tol=1e-6):
     """Follow the resonance states of a model family along a coupling sweep.
 
-    Assembles and diagonalizes H_eff at the fixed evaluation energy for each
-    coupling value, then assigns continuous ``track_id`` labels by greedy
-    best-overlap matching between consecutive spectra (ties broken by
-    eigenvalue proximity; see the returned states' ``ambiguous`` flag for
-    matches that were too close to call).
+    Takes the biorthogonal spectrum of H_eff at the fixed evaluation energy
+    for each coupling value (:func:`heff_spectrum`), then assigns
+    continuous ``track_id`` labels by greedy best-overlap matching between
+    consecutive spectra (ties broken by eigenvalue proximity; see the
+    returned states' ``ambiguous`` flag for matches that were too close to
+    call).
 
     Parameters
     ----------
@@ -587,10 +678,7 @@ def track_sweep(model_family, alphas, energy, gap_tol=1e-6):
         One per alpha, with ``track_id``, ``ambiguous`` and the continuity
         sign set.
     """
-    spectra = [
-        biorthogonal_spectrum(assemble_heff(model_family(a), energy), energy)
-        for a in alphas
-    ]
+    spectra = [heff_spectrum(model_family(a), energy) for a in alphas]
     return _track_spectra(spectra, gap_tol=gap_tol)
 
 

@@ -113,6 +113,21 @@ class TestBAntisymmetryResidual:
 
 
 class TestBuildReport:
+    def test_residual_measures_real_part_overlap(self, reference_cases):
+        # B + B^T = 2 Re B = 4 Re phi_i . Re phi_j off the diagonal for a
+        # bilinearly orthogonal set: a property of the states, far above
+        # rounding on the 4x4 square.
+        name, model, _ = reference_cases[3]
+        assert name == "square4"
+        sol = solve_scattering(model, 0.3)
+        phi = sol.spectral.vectors
+        b = np.abs(phi.conj().T @ phi)
+        overlap = 4.0 * np.abs(phi.real.T @ phi.real) / (1.0 + b)
+        np.fill_diagonal(overlap, 0.0)
+        residual = sol.rigidity.b_antisymmetry_residual
+        npt.assert_allclose(residual, overlap.max(), rtol=1e-12)
+        assert residual > 0.2
+
     def test_fields_present(self):
         sol = solve_scattering(single_site_model(), 0.4)
         rep = sol.rigidity

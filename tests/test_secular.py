@@ -1,9 +1,10 @@
-"""Secular-equation eigenvalues of H_eff against LAPACK zgeev.
+"""Secular-equation eigenpairs of H_eff against LAPACK zgeev.
 
-The kernel ``_secular_eigenvalues`` either returns all N eigenvalues or
-None; these tests call it directly, below the size at which
-``heff_eigenvalues`` selects it, and compare with ``np.linalg.eigvals`` of
-the assembled matrix root for root.
+The kernel ``_secular_eigenvalues`` either returns all N eigenvalues (with
+``vectors``, all N eigenpairs) or None; these tests call it directly, below
+the size at which ``heff_eigenvalues`` and ``heff_spectrum`` select it, and
+compare with ``zgeev`` of the assembled matrix root for root and state for
+state.
 """
 
 import numpy as np
@@ -14,15 +15,28 @@ from hypothesis import strategies as st
 
 from opencavity import (
     CavityModel,
+    DefectiveSpectrum,
     LatticeSpec,
     LeadSpec,
+    PoleOnAxis,
+    SingularMatrix,
     assemble_heff,
+    b_antisymmetry_residual,
+    biorthogonal_spectrum,
     contact_green,
     heff_eigenvalues,
+    heff_spectrum,
     s_matrix,
+    track_sweep,
+    transmission_direct,
+    transmission_spectral,
 )
 from opencavity import spectrum
-from opencavity.spectrum import _cluster_degenerate, _secular_eigenvalues
+from opencavity.spectrum import (
+    _biorthogonal_set,
+    _cluster_degenerate,
+    _secular_eigenvalues,
+)
 from opencavity.sweeps import (
     PEAK_FLOOR_ABS,
     AlphaGrid,
@@ -41,6 +55,17 @@ def root_distance(z, ref):
     return max(d.min(axis=0).max(), d.min(axis=1).max())
 
 
+def assert_eigenpairs(h, pairs):
+    """Sorted like eig_general, unit columns, small residual per state."""
+    assert pairs is not None
+    z, phi = pairs
+    assert phi.shape == h.shape
+    npt.assert_array_equal(np.lexsort((z.imag, z.real)), np.arange(len(z)))
+    npt.assert_allclose(np.linalg.norm(phi, axis=0), 1.0, rtol=0, atol=1e-13)
+    res = np.linalg.norm(h @ phi - phi * z, axis=0)
+    assert res.max() <= 1e-12 * max(1.0, np.linalg.norm(h, 2))
+
+
 def assert_matches_zgeev(model, energy):
     h = assemble_heff(model, energy)
     z = _secular_eigenvalues(model, energy)
@@ -48,7 +73,27 @@ def assert_matches_zgeev(model, energy):
     assert z.shape == (model.dimension,)
     tol = 1e-10 * max(1.0, np.linalg.norm(h, 2))
     assert root_distance(z, np.linalg.eigvals(h)) <= tol
+    pairs = _secular_eigenvalues(model, energy, vectors=True)
+    assert_eigenpairs(h, pairs)
+    npt.assert_array_equal(pairs[0], np.sort_complex(z))
     return z
+
+
+def assert_same_set(got, want):
+    """Two SpectralSets equal bit for bit."""
+    npt.assert_array_equal(got.values, want.values)
+    npt.assert_array_equal(got.vectors, want.vectors)
+    assert [s.a_norm for s in got.states] == [s.a_norm for s in want.states]
+    assert ([s.ep_proximity for s in got.states]
+            == [s.ep_proximity for s in want.states])
+
+
+def single_states(values):
+    """Mask of the states outside exactly degenerate clusters."""
+    single = np.zeros(len(values), dtype=bool)
+    for c in _cluster_degenerate(values, float(np.abs(values).max())):
+        single[c] = len(c) == 1
+    return single
 
 
 def square(n, contacts, alpha, w=(1.0, 1.0)):
@@ -74,6 +119,122 @@ def test_secular_matches_zgeev_on_random_cavities():
     assert len(accepted) >= 100
     # The kernel must not pass by always falling back.
     assert sum(accepted) >= 0.75 * len(accepted)
+
+
+def test_eigenpairs_match_zgeev_on_random_cavities():
+    # Worst over these draws: residual 2.2e-15 relative to ||H||, off-diagonal
+    # |phi_i^T phi_j| 7.5e-14, a_norm 4.8e-14 relative; all 150 accepted.
+    accepted = []
+
+    @settings(derandomize=True, deadline=None, max_examples=150,
+              database=None)
+    @given(model=open_cavities(full=st.booleans()), e=energies)
+    def check(model, e):
+        h = assemble_heff(model, e)
+        pairs = _secular_eigenvalues(model, e, vectors=True)
+        accepted.append(pairs is not None)
+        if pairs is None:
+            return
+        assert_eigenpairs(h, pairs)
+        sp = _biorthogonal_set(*pairs, e)
+        a_norm = np.array([s.a_norm for s in sp.states])
+        ok = np.isfinite(a_norm)
+        gram = (sp.vectors.T @ sp.vectors)[np.ix_(ok, ok)]
+        assert np.abs(np.diag(gram) - 1.0).max(initial=0.0) <= 1e-12
+        assert np.abs(gram - np.diag(np.diag(gram))).max(initial=0.0) <= 1e-10
+        # Inside an exactly degenerate cluster the two routes choose
+        # different bases; outside it each state is the same.
+        ref = biorthogonal_spectrum(h, e)
+        nearest = np.abs(np.subtract.outer(sp.values, ref.values)).argmin(1)
+        ref_norm = np.array([s.a_norm for s in ref.states])[nearest]
+        keep = ok & single_states(sp.values)
+        npt.assert_allclose(a_norm[keep], ref_norm[keep], rtol=1e-10)
+        # The resonance expansion agrees with the direct route.
+        try:
+            t_direct = transmission_direct(model, e)
+            t_spec = transmission_spectral(sp, model)
+        except (SingularMatrix, DefectiveSpectrum, PoleOnAxis):
+            return
+        if np.abs(e - sp.values).min() > 1e-6:
+            assert abs(t_spec - t_direct) <= 1e-11
+
+    check()
+    assert len(accepted) >= 100
+    assert sum(accepted) >= 0.75 * len(accepted)
+
+
+# Where the benchmark's ep-2x2 search converges: the three-site L of a 2 x 2
+# square, leads on (0, 0) and (1, 0), alpha = 1, E = 0.
+EP_2X2 = (1.7538270359705528, 1.2553525663825442)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-9, 1e-7])
+def test_exceptional_point_falls_back_to_zgeev(monkeypatch, offset):
+    w_l, w_r = (w * (1.0 + offset) for w in EP_2X2)
+    model = CavityModel(LatticeSpec(2, 2, mask=[[1, 0], [1, 1]]),
+                        (LeadSpec((0, 0), w_l), LeadSpec((1, 0), w_r)), 1.0)
+    h = assemble_heff(model, 0.0)
+    # The pair separates like the square root of the offset.
+    assert spectrum._closest_pair(np.linalg.eigvals(h))[1] < 1e-2
+    assert _secular_eigenvalues(model, 0.0, vectors=True) is None
+    monkeypatch.setattr(spectrum, "SECULAR_MIN_N", 1)
+    assert_same_set(heff_spectrum(model, 0.0), biorthogonal_spectrum(h, 0.0))
+
+
+def test_weakly_coupled_level_is_not_taken_for_dark():
+    # A disordered chain with both leads on its first site. One level keeps
+    # contact weight 8.8e-9: its shift w^2 sigma is below the rounding of
+    # its pole, so the eigenvalues deflate it, but its closed-cavity vector
+    # leaves a residual w sigma far above the backward-error bound.
+    onsite = 3.0 * np.random.default_rng(3).uniform(-1.0, 1.0, (20, 1))
+    model = CavityModel(LatticeSpec(20, 1, onsite=onsite.tolist()),
+                        (LeadSpec((0, 0), 1.0), LeadSpec((0, 0), 1.0)), 1.0)
+    z = _secular_eigenvalues(model, -1.2)
+    h = assemble_heff(model, -1.2)
+    assert root_distance(z, np.linalg.eigvals(h)) <= 1e-10 * np.linalg.norm(h, 2)
+    assert _secular_eigenvalues(model, -1.2, vectors=True) is None
+
+
+def test_dark_cluster_gets_real_rigid_states(monkeypatch):
+    # Contacts on opposite edges of the full 15 x 15 lattice: H_B has a
+    # 15-fold level at 0, and 13 of its states have no contact weight.
+    # zgeev returns an arbitrary complex basis for them (r down to 0.07 on
+    # the benchmark's lattices); the secular route their real combinations.
+    model = square(15, ((0, 3), (14, 9)), 0.9)
+    sp = heff_spectrum(model, 0.3)
+    r = np.array([s.rigidity_r for s in sp.states])
+    dark = np.abs(sp.values) < 1e-12
+    assert np.count_nonzero(dark) == 13
+    npt.assert_allclose(r[dark], 1.0, rtol=0, atol=1e-12)
+    assert np.abs(sp.vectors[:, dark].imag).max() == 0.0
+
+    monkeypatch.setattr(spectrum, "_secular_eigenvalues",
+                        lambda *args, **kwargs: None)
+    ref = heff_spectrum(model, 0.3)
+    r_ref = np.array([s.rigidity_r for s in ref.states])
+    single = single_states(ref.values)
+    npt.assert_array_equal(single, ~dark)
+    npt.assert_allclose(sp.values[single], ref.values[single], rtol=0,
+                        atol=1e-12)
+    npt.assert_allclose(r.min(), r_ref[single].min(), rtol=1e-10)
+    assert abs(transmission_spectral(sp, model)
+               - transmission_direct(model, 0.3)) <= 1e-11
+    # Outside the cluster the Hermitian cross overlaps agree too.
+    def residual(phis):
+        overlap_b = phis.conj().T @ phis
+        np.fill_diagonal(overlap_b, 0.0)
+        return b_antisymmetry_residual(overlap_b)
+
+    npt.assert_allclose(residual(sp.vectors[:, single]),
+                        residual(ref.vectors[:, single]), rtol=1e-10)
+
+    def ambiguous(spectra):
+        return sum(s.ambiguous for sp in spectra for s in sp.states)
+
+    alphas = [0.1, 0.4, 0.9, 2.0, 4.0]
+    zgeev_count = ambiguous(track_sweep(model.with_alpha, alphas, 0.3))
+    monkeypatch.undo()
+    assert ambiguous(track_sweep(model.with_alpha, alphas, 0.3)) <= zgeev_count
 
 
 def test_coincident_first_order_starts_are_separated():
@@ -141,12 +302,15 @@ def test_size_selects_the_route(monkeypatch):
     assert small.dimension < spectrum.SECULAR_MIN_N
     npt.assert_array_equal(heff_eigenvalues(small, 0.2),
                            np.linalg.eigvals(assemble_heff(small, 0.2)))
+    assert_same_set(heff_spectrum(small, 0.2),
+                    biorthogonal_spectrum(assemble_heff(small, 0.2), 0.2))
 
     mask, (c_l, c_r) = irregular_cavity()
     large = CavityModel(LatticeSpec(14, 13, mask=mask),
                         (LeadSpec(c_l, 1.0), LeadSpec(c_r, 1.0)), 0.8)
     assert large.dimension >= spectrum.SECULAR_MIN_N
     reference = np.linalg.eigvals(assemble_heff(large, 0.2))
+    ref_set = biorthogonal_spectrum(assemble_heff(large, 0.2), 0.2)
 
     def refuse(*args):
         raise AssertionError("the secular route assembles no H_eff")
@@ -154,11 +318,19 @@ def test_size_selects_the_route(monkeypatch):
     monkeypatch.setattr(spectrum, "assemble_heff", refuse)
     z = heff_eigenvalues(large, 0.2)
     assert root_distance(z, reference) <= 1e-12 * np.abs(reference).max()
+    got = heff_spectrum(large, 0.2)
+    npt.assert_allclose(got.values, ref_set.values, rtol=0, atol=1e-12)
+    single = single_states(ref_set.values)
+    npt.assert_allclose(np.array([s.a_norm for s in got.states])[single],
+                        np.array([s.a_norm for s in ref_set.states])[single],
+                        rtol=1e-10)
 
     # A failed check falls back to zgeev, bit for bit.
     monkeypatch.undo()
-    monkeypatch.setattr(spectrum, "_secular_eigenvalues", lambda m, e: None)
+    monkeypatch.setattr(spectrum, "_secular_eigenvalues",
+                        lambda *args, **kwargs: None)
     npt.assert_array_equal(heff_eigenvalues(large, 0.2), reference)
+    assert_same_set(heff_spectrum(large, 0.2), ref_set)
 
 
 def test_crossover_matches_eigvals_reference(monkeypatch):

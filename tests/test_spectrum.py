@@ -158,6 +158,28 @@ class TestBiorthogonalSpectrum:
             sp = biorthogonal_spectrum(assemble_heff(m, e), e)
             assert all(s.rigidity_r > 1.0 - 1e-6 for s in sp.states)
 
+    def test_vectors_stored_once_and_read_only(self):
+        m = CavityModel(
+            LatticeSpec(4, 4),
+            (LeadSpec((0, 0), 1.0), LeadSpec((3, 3), 1.0)),
+            1.0,
+        )
+        sp = biorthogonal_spectrum(assemble_heff(m, 0.37), 0.37)
+        assert sp.vectors is sp.vectors
+        assert not sp.vectors.flags.writeable
+        for j, s in enumerate(sp.states):
+            assert np.shares_memory(s.phi, sp.vectors)
+            npt.assert_array_equal(s.phi, sp.vectors[:, j])
+        # Tracking normalizes copies; a tracked set stacks its matrix from
+        # its states once, on first access.
+        before = sp.vectors.copy()
+        for tracked in _track_spectra([sp, sp]):
+            assert tracked.vectors is tracked.vectors
+            assert not tracked.vectors.flags.writeable
+            for j, s in enumerate(tracked.states):
+                npt.assert_array_equal(s.phi, tracked.vectors[:, j])
+        npt.assert_array_equal(sp.vectors, before)
+
     def test_degenerate_cluster_biorthogonal(self):
         # The 4x4 lattice keeps symmetry-protected degenerate dark states;
         # the returned set must still satisfy Phi^T Phi = I.
