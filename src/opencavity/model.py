@@ -41,11 +41,12 @@ __all__ = [
 def _as_grid(value, nx, ny, name):
     """Normalize a scalar or (nx, ny) nested sequence to a nested tuple."""
     if np.isscalar(value):
-        v = float(value)
-        return tuple(tuple(v for _ in range(ny)) for _ in range(nx))
+        value = [[value] * ny] * nx
     rows = tuple(tuple(float(x) for x in row) for row in value)
     if len(rows) != nx or any(len(r) != ny for r in rows):
         raise InvalidGeometry(f"{name} must be scalar or shape ({nx}, {ny})")
+    if not np.isfinite(rows).all():
+        raise InvalidGeometry(f"{name} must be finite")
     return rows
 
 
@@ -73,14 +74,14 @@ class LatticeSpec:
     hopping: float = 1.0
 
     def __post_init__(self):
-        if int(self.nx) != self.nx or int(self.ny) != self.ny:
+        if not all(math.isfinite(n) and int(n) == n for n in (self.nx, self.ny)):
             raise InvalidGeometry("nx and ny must be integers")
         object.__setattr__(self, "nx", int(self.nx))
         object.__setattr__(self, "ny", int(self.ny))
         if self.nx < 1 or self.ny < 1:
             raise InvalidGeometry("nx and ny must be at least 1")
-        if not (float(self.hopping) > 0.0):
-            raise InvalidGeometry("hopping must be positive")
+        if not (0.0 < float(self.hopping) < math.inf):
+            raise InvalidGeometry("hopping must be positive and finite")
         object.__setattr__(self, "hopping", float(self.hopping))
         object.__setattr__(
             self, "onsite", _as_grid(self.onsite, self.nx, self.ny, "onsite")
@@ -127,15 +128,15 @@ class LeadSpec:
     name: str = ""
 
     def __post_init__(self):
-        c = tuple(int(v) for v in self.contact)
-        if len(c) != 2:
-            raise InvalidGeometry("contact must be an (ix, iy) pair")
-        object.__setattr__(self, "contact", c)
-        if not (float(self.coupling_w) >= 0.0):
-            raise InvalidGeometry("coupling_w must be non-negative")
+        c = tuple(self.contact)
+        if len(c) != 2 or not all(math.isfinite(v) and int(v) == v for v in c):
+            raise InvalidGeometry("contact must be an (ix, iy) pair of integers")
+        object.__setattr__(self, "contact", tuple(map(int, c)))
+        if not (0.0 <= float(self.coupling_w) < math.inf):
+            raise InvalidGeometry("coupling_w must be finite and non-negative")
         object.__setattr__(self, "coupling_w", float(self.coupling_w))
-        if not (float(self.lead_hopping) > 0.0):
-            raise InvalidGeometry("lead_hopping must be positive")
+        if not (0.0 < float(self.lead_hopping) < math.inf):
+            raise InvalidGeometry("lead_hopping must be positive and finite")
         object.__setattr__(self, "lead_hopping", float(self.lead_hopping))
 
 

@@ -168,17 +168,13 @@ def build_report(spectral_set, coeffs, psi):
     phis = spectral_set.vectors
     overlap_b = np.conj(phis.T) @ phis
     np.fill_diagonal(overlap_b, 0.0)
-    per_state = tuple(
-        (s.track_id if s.track_id is not None else i, s.rigidity_r)
-        for i, s in enumerate(spectral_set.states)
-    )
+    ids = spectral_set.track_id
+    ids = range(len(spectral_set)) if ids is None else ids.tolist()
     return RigidityReport(
         energy=spectral_set.energy,
         rho_direct_mod=mod,
         rho_direct_theta=theta,
-        rho_spectral=rho_spectral(
-            coeffs, np.array([s.a_norm for s in spectral_set.states])
-        ),
+        rho_spectral=rho_spectral(coeffs, spectral_set.a_norm),
         b_antisymmetry_residual=b_antisymmetry_residual(overlap_b),
-        per_state_r=per_state,
+        per_state_r=tuple(zip(ids, spectral_set.rigidity_r.tolist())),
     )

@@ -121,7 +121,7 @@ def _pole_distances(spectral, energy):
     Raises DefectiveSpectrum when some state is defective, else PoleOnAxis
     when E lies within POLE_TOL of an eigenvalue.
     """
-    if not np.isfinite([s.a_norm for s in spectral.states]).all():
+    if not np.isfinite(spectral.a_norm).all():
         raise DefectiveSpectrum(
             "spectrum contains a defective state; the resonance "
             "expansion does not exist there"
@@ -129,7 +129,7 @@ def _pole_distances(spectral, energy):
     d = energy - spectral.values
     on_pole = np.flatnonzero(np.hypot(d.real, d.imag) < POLE_TOL)
     if on_pole.size:
-        z = spectral.states[on_pole[0]].z
+        z = complex(spectral.values[on_pole[0]])
         raise PoleOnAxis(
             f"evaluation energy {energy!r} sits on the pole z = {z!r}"
         )
@@ -450,8 +450,7 @@ def width_vs_coupling(spectral, model, energy=None):
     a = model.channel_amplitudes(e)
     contact = spectral.vectors[list(model.contact_indices)]
     product = 2.0 * math.pi * (a**2 @ np.abs(contact) ** 2)
-    defective = ~np.isfinite([s.a_norm for s in spectral.states])
-    product[defective] = math.nan
+    product[~np.isfinite(spectral.a_norm)] = math.nan
     return tuple(zip((-2.0 * spectral.values.imag).tolist(), product.tolist()))
 
 

@@ -42,7 +42,7 @@ r = 1, where ``zgeev`` returns an arbitrary complex basis.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -68,10 +68,13 @@ __all__ = [
 # Bilinear norms below this are treated as exactly defective.
 DEFECTIVE_TOL = 1e-12
 
-# Sites from which heff_eigenvalues takes the secular route. Measured with
-# BLAS at 1 thread over 10 couplings in 0.1..4: the secular route took
-# 2.3 ms against zgeev's 1.9 ms at N = 53, 3.5 against 5.4 ms at N = 80,
-# and 16 against 66 ms at N = 230.
+# Sites from which heff_eigenvalues and heff_spectrum take the secular
+# route. Measured for eigenvalues with BLAS at 1 thread over 10 couplings
+# in 0.1..4: the secular route took 2.3 ms against zgeev's 1.9 ms at
+# N = 53, 3.5 against 5.4 ms at N = 80, and 16 against 66 ms at N = 230.
+# Eigenpairs cross over near N = 45 (full rectangles, E = 0.3, same BLAS):
+# 1.8 against 1.6 ms at N = 40, 2.1 against 2.9 at 48, 2.8 against 8.4 at
+# 80 and 19 against 69 at 225, secular set against zgeev with vectors.
 SECULAR_MIN_N = 80
 # Roots per block of the Aberth iteration; the block's temporaries are
 # block x N, never N x N.
@@ -134,39 +137,51 @@ class ResonanceState:
 
 @dataclass(frozen=True)
 class SpectralSet:
-    """All eigenstates of H_eff at one evaluation energy.
+    """All eigenstates of H_eff at one evaluation energy, as arrays.
 
-    ``states`` holds one :class:`ResonanceState` per eigenvalue, in the
+    State j is ``values[j]`` with ``vectors[:, j]`` as its phi, in the
     eigenvalue order of :func:`~opencavity.linalg.eig_general` (ascending
-    real part, ties by imaginary part). ``values`` and ``vectors`` give the
-    same states as arrays, the eigenvalues and the phi matrix with one
-    state per column, which is what the spectral route computes with.
-    The matrix is read-only and built at most once: the solvers pass the
-    one they computed as ``matrix``, whose columns are the states' ``phi``;
-    otherwise it is stacked from the states on first access.
+    real part, ties by imaginary part); ``a_norm``, ``rigidity_r`` and
+    ``ep_proximity`` hold the per-state quantities of
+    :class:`ResonanceState`. ``track_id`` and ``ambiguous`` are None until
+    :func:`track_sweep` sets them. Every array is read-only. ``states``
+    gives the same data as one :class:`ResonanceState` per state, built on
+    first access.
     """
 
     energy: float
-    states: tuple
-    matrix: InitVar[np.ndarray | None] = None
+    values: np.ndarray
+    vectors: np.ndarray
+    a_norm: np.ndarray
+    ep_proximity: np.ndarray
+    track_id: np.ndarray | None = None
+    ambiguous: np.ndarray | None = None
 
-    def __post_init__(self, matrix):
-        if matrix is not None:
-            matrix.flags.writeable = False
-            self.__dict__["vectors"] = matrix
+    def __post_init__(self):
+        for a in vars(self).values():
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
 
     @property
-    def values(self):
-        return np.array([s.z for s in self.states])
+    def rigidity_r(self):
+        return 1.0 / self.a_norm
 
     @cached_property
-    def vectors(self):
-        vectors = np.column_stack([s.phi for s in self.states])
-        vectors.flags.writeable = False
-        return vectors
+    def states(self):
+        n = len(self)
+        return tuple(map(
+            ResonanceState,
+            self.values.tolist(),
+            self.vectors.T,
+            self.a_norm.tolist(),
+            self.rigidity_r.tolist(),
+            self.ep_proximity.tolist(),
+            [None] * n if self.track_id is None else self.track_id.tolist(),
+            [False] * n if self.ambiguous is None else self.ambiguous.tolist(),
+        ))
 
     def __len__(self):
-        return len(self.states)
+        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -509,17 +524,9 @@ def _biorthogonal_set(values, raw, energy):
     a_norm[defective] = math.inf
     # C order, so every product over it rounds as over a column stack of
     # the states' phi.
-    vectors = np.ascontiguousarray(phis)
-    states = map(
-        ResonanceState,
-        values.tolist(),
-        vectors.T,
-        a_norm.tolist(),
-        (1.0 / a_norm).tolist(),
-        prox.tolist(),
-    )
-    return SpectralSet(energy=float(energy), states=tuple(states),
-                       matrix=vectors)
+    return SpectralSet(energy=float(energy), values=values,
+                       vectors=np.ascontiguousarray(phis), a_norm=a_norm,
+                       ep_proximity=prox)
 
 
 def fixed_point_poles(model: CavityModel, damping=0.5, tol=1e-10, max_iter=200):
@@ -613,23 +620,23 @@ def _track_spectra(spectra, gap_tol=1e-6):
     ``gap_tol`` is flagged ambiguous. The sign of each matched state is
     re-chosen so Re(phi_prev^T phi_next) >= 0, keeping tracked vectors
     continuous even when the canonical per-spectrum sign jumps.
+    ``spectra`` is read one at a time, so :func:`track_sweep` streams it.
     """
-    spectra = list(spectra)
-    if not spectra:
+    spectra = iter(spectra)
+    first = next(spectra, None)
+    if first is None:
         return ()
-    first = spectra[0]
-    labeled = [
-        replace(first, states=tuple(
-            replace(s, track_id=i) for i, s in enumerate(first.states)
-        ))
-    ]
-    # Unit columns of the last labeled spectrum, its signs included.
-    p_prev = first.vectors / np.linalg.norm(first.vectors, axis=0)
-    for current in spectra[1:]:
+    n = len(first)
+    labeled = [replace(first, track_id=np.arange(n),
+                       ambiguous=np.zeros(n, dtype=bool))]
+    for current in spectra:
         prev = labeled[-1]
-        n = len(prev)
         if len(current) != n:
             raise InvalidMatrix("spectra in a sweep must share their dimension")
+        # Kept, so allocated before the step's temporaries; allocated after
+        # them, it raised peak RSS by 0.7 MB on the 15 x 15 lattice.
+        vectors = current.vectors.copy()
+        p_prev = prev.vectors / np.linalg.norm(prev.vectors, axis=0)
         p_next = current.vectors / np.linalg.norm(current.vectors, axis=0)
         ov = np.abs(p_prev.conj().T @ p_next)
         row_of = _greedy_match(ov, prev.values.tolist(), current.values.tolist())
@@ -637,18 +644,12 @@ def _track_spectra(spectra, gap_tol=1e-6):
         others = ov[row_of]
         others[cols, cols] = -np.inf
         ambiguous = ov[row_of, cols] - others.max(axis=1) < gap_tol
-        matched = [prev.states[i] for i in row_of]
-        flip = np.array([(p.phi @ s.phi).real < 0.0
-                         for s, p in zip(current.states, matched)])
-        labeled.append(replace(current, states=tuple(
-            replace(s, phi=-s.phi if f else s.phi, track_id=p.track_id,
-                    ambiguous=a)
-            for s, p, f, a in zip(
-                current.states, matched, flip, ambiguous.tolist()
-            )
-        )))
-        p_next[:, flip] *= -1.0
-        p_prev = p_next
+        flip = np.array([(prev.vectors[:, i] @ current.vectors[:, j]).real < 0.0
+                         for j, i in enumerate(row_of)])
+        np.negative(vectors, out=vectors, where=flip)
+        labeled.append(replace(current, vectors=vectors,
+                               track_id=prev.track_id[row_of],
+                               ambiguous=ambiguous))
     return tuple(labeled)
 
 
@@ -659,7 +660,7 @@ def track_sweep(model_family, alphas, energy, gap_tol=1e-6):
     for each coupling value (:func:`heff_spectrum`), then assigns
     continuous ``track_id`` labels by greedy best-overlap matching between
     consecutive spectra (ties broken by eigenvalue proximity; see the
-    returned states' ``ambiguous`` flag for matches that were too close to
+    returned sets' ``ambiguous`` flags for matches that were too close to
     call).
 
     Parameters
@@ -678,7 +679,7 @@ def track_sweep(model_family, alphas, energy, gap_tol=1e-6):
         One per alpha, with ``track_id``, ``ambiguous`` and the continuity
         sign set.
     """
-    spectra = [heff_spectrum(model_family(a), energy) for a in alphas]
+    spectra = (heff_spectrum(model_family(a), energy) for a in alphas)
     return _track_spectra(spectra, gap_tol=gap_tol)
 
 

@@ -84,6 +84,23 @@ _SENTINEL_NOTE = (
 )
 
 
+def _settle_grid(grid, field):
+    """Check for finite min below max and a positive integer number of
+    points, then store min and max as floats and points as an int."""
+    if not (math.isfinite(grid.min) and math.isfinite(grid.max)):
+        raise ValidationError("min and max must be finite", field=field)
+    if not (grid.min < grid.max):
+        raise ValidationError("min must be below max", field=field)
+    p = grid.points
+    if not (math.isfinite(p) and int(p) == p and p >= 1):
+        raise ValidationError(
+            "points must be a positive integer", field=f"{field}.points"
+        )
+    object.__setattr__(grid, "min", float(grid.min))
+    object.__setattr__(grid, "max", float(grid.max))
+    object.__setattr__(grid, "points", int(p))
+
+
 @dataclass(frozen=True)
 class EnergyGrid:
     """Uniform real-energy grid."""
@@ -93,15 +110,7 @@ class EnergyGrid:
     points: int
 
     def __post_init__(self):
-        if not (self.min < self.max):
-            raise ValidationError("min must be below max", field="e_grid")
-        if int(self.points) != self.points or self.points < 1:
-            raise ValidationError(
-                "points must be a positive integer", field="e_grid.points"
-            )
-        object.__setattr__(self, "min", float(self.min))
-        object.__setattr__(self, "max", float(self.max))
-        object.__setattr__(self, "points", int(self.points))
+        _settle_grid(self, "e_grid")
 
     def values(self):
         return np.linspace(self.min, self.max, self.points)
@@ -125,19 +134,11 @@ class AlphaGrid:
             raise ValidationError(
                 "scale must be 'linear' or 'log'", field="alpha_grid.scale"
             )
-        if not (self.min < self.max):
-            raise ValidationError("min must be below max", field="alpha_grid")
+        _settle_grid(self, "alpha_grid")
         if self.scale == "log" and not (self.min > 0):
             raise ValidationError(
                 "log scale needs min > 0", field="alpha_grid.min"
             )
-        if int(self.points) != self.points or self.points < 1:
-            raise ValidationError(
-                "points must be a positive integer", field="alpha_grid.points"
-            )
-        object.__setattr__(self, "min", float(self.min))
-        object.__setattr__(self, "max", float(self.max))
-        object.__setattr__(self, "points", int(self.points))
 
     def values(self):
         if self.scale == "log":
@@ -516,7 +517,7 @@ def run_trapping_study(config: RunConfig) -> StudyResult:
     n = len(tracked[0])
     rows = np.empty((len(alphas), n + 2))
     rows[:, 0] = alphas
-    track_ids = np.array([[s.track_id for s in sp.states] for sp in tracked])
+    track_ids = np.array([sp.track_id for sp in tracked])
     widths = np.array([-2.0 * sp.values.imag for sp in tracked])
     np.put_along_axis(rows, 1 + track_ids, widths, axis=1)
     rows[:, n + 1] = [

@@ -46,6 +46,24 @@ class TestLatticeSpec:
             LatticeSpec(2, 2, onsite=((1.0,), (1.0,)))
 
 
+@pytest.mark.parametrize("spec, args, kwargs", [
+    (LatticeSpec, (2, 2), {"hopping": math.inf}),
+    (LatticeSpec, (2, 2), {"hopping": math.nan}),
+    (LatticeSpec, (2, 2), {"onsite": math.nan}),
+    (LatticeSpec, (2, 1), {"onsite": [[0.0], [-math.inf]]}),
+    (LatticeSpec, (math.inf, 2), {}),
+    (LatticeSpec, (2, math.nan), {}),
+    (LeadSpec, ((math.inf, 0), 1.0), {}),
+    (LeadSpec, ((0, 0.5), 1.0), {}),
+    (LeadSpec, ((0, 0), math.inf), {}),
+    (LeadSpec, ((0, 0), math.nan), {}),
+    (LeadSpec, ((0, 0), 1.0), {"lead_hopping": math.inf}),
+])
+def test_specs_reject_non_finite(spec, args, kwargs):
+    with pytest.raises(InvalidGeometry):
+        spec(*args, **kwargs)
+
+
 class TestBuildHb:
     def test_chain_structure(self):
         h, sites = build_hb(LatticeSpec(3, 1))

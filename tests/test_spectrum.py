@@ -15,19 +15,25 @@ from opencavity import (
     LatticeSpec,
     LeadSpec,
     PoleOnAxis,
-    ResonanceState,
     SingularMatrix,
     SpectralSet,
     assemble_heff,
     biorthogonal_spectrum,
     find_exceptional_point,
+    heff_spectrum,
     fixed_point_poles,
     track_sweep,
     transmission_direct,
     transmission_spectral,
 )
 from opencavity.linalg import eig_general
-from opencavity.spectrum import _closest_pair, _cluster_degenerate, _track_spectra
+from opencavity.spectrum import (
+    SECULAR_MIN_N,
+    _closest_pair,
+    _cluster_degenerate,
+    _secular_eigenvalues,
+    _track_spectra,
+)
 
 from conftest import energies, open_cavities, single_site_model
 
@@ -165,20 +171,33 @@ class TestBiorthogonalSpectrum:
             1.0,
         )
         sp = biorthogonal_spectrum(assemble_heff(m, 0.37), 0.37)
-        assert sp.vectors is sp.vectors
-        assert not sp.vectors.flags.writeable
-        for j, s in enumerate(sp.states):
-            assert np.shares_memory(s.phi, sp.vectors)
-            npt.assert_array_equal(s.phi, sp.vectors[:, j])
-        # Tracking normalizes copies; a tracked set stacks its matrix from
-        # its states once, on first access.
+        assert sp.track_id is None and sp.ambiguous is None
+        assert_record(sp)
+        # Tracking signs a copy; the input set is left as it was.
         before = sp.vectors.copy()
         for tracked in _track_spectra([sp, sp]):
-            assert tracked.vectors is tracked.vectors
-            assert not tracked.vectors.flags.writeable
-            for j, s in enumerate(tracked.states):
-                npt.assert_array_equal(s.phi, tracked.vectors[:, j])
+            assert tracked.track_id is not None
+            assert_record(tracked)
         npt.assert_array_equal(sp.vectors, before)
+
+    def test_record_of_secular_spectrum(self):
+        m = CavityModel(
+            LatticeSpec(9, 9),
+            (LeadSpec((0, 2), 1.0), LeadSpec((8, 5), 1.0)),
+            0.9,
+        )
+        assert m.dimension >= SECULAR_MIN_N
+        assert _secular_eigenvalues(m, 0.3, vectors=True) is not None
+        assert_record(heff_spectrum(m, 0.3))
+
+    def test_record_of_track_sweep(self):
+        lat = LatticeSpec(3, 3)
+        leads = (LeadSpec((0, 1), 1.0), LeadSpec((2, 1), 1.0))
+        tracked = track_sweep(lambda a: CavityModel(lat, leads, a),
+                              np.linspace(0.2, 2.0, 6), 0.1)
+        assert all(sp.ambiguous.dtype == bool for sp in tracked)
+        for sp in tracked:
+            assert_record(sp)
 
     def test_degenerate_cluster_biorthogonal(self):
         # The 4x4 lattice keeps symmetry-protected degenerate dark states;
@@ -191,6 +210,33 @@ class TestBiorthogonalSpectrum:
         sp = biorthogonal_spectrum(assemble_heff(m, 0.37), 0.37)
         mat = np.column_stack([s.phi for s in sp.states])
         npt.assert_allclose(mat.T @ mat, np.eye(16), rtol=0, atol=1e-8)
+
+
+def bits(x, dtype):
+    return np.asarray(x, dtype=dtype).tobytes()
+
+
+def assert_record(sp):
+    """Read-only arrays, and ``states`` equal to them bit for bit."""
+    arrays = (sp.values, sp.vectors, sp.a_norm, sp.ep_proximity,
+              sp.track_id, sp.ambiguous)
+    assert not any(a.flags.writeable for a in arrays if a is not None)
+    assert sp.states is sp.states and len(sp.states) == len(sp)
+    for j, s in enumerate(sp.states):
+        col = sp.vectors[:, j]
+        assert bits(s.z, complex) == bits(sp.values[j], complex)
+        assert s.phi.base is sp.vectors
+        assert (s.phi.ctypes.data, s.phi.strides) == (col.ctypes.data,
+                                                      col.strides)
+        assert bits(s.a_norm, float) == bits(sp.a_norm[j], float)
+        assert bits(s.rigidity_r, float) == bits(1.0 / sp.a_norm[j], float)
+        assert bits(s.rigidity_r, float) == bits(sp.rigidity_r[j], float)
+        assert bits(s.ep_proximity, float) == bits(sp.ep_proximity[j], float)
+        if sp.track_id is None:
+            assert s.track_id is None and s.ambiguous is False
+        else:
+            assert type(s.track_id) is int and s.track_id == sp.track_id[j]
+            assert s.ambiguous is bool(sp.ambiguous[j])
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -420,40 +466,39 @@ def reference_track(spectra, gap_tol=1e-6):
     near-tied candidates.
     """
     first = spectra[0]
-    labeled = [replace(first, states=tuple(
-        replace(s, track_id=i) for i, s in enumerate(first.states)
-    ))]
+    n = len(first)
+    labeled = [replace(first, track_id=np.arange(n),
+                       ambiguous=np.zeros(n, dtype=bool))]
     contested = 0
     for current in spectra[1:]:
-        prev_states = labeled[-1].states
-        n = len(prev_states)
-        p_prev = np.column_stack([s.phi for s in prev_states])
-        p_next = np.column_stack([s.phi for s in current.states])
-        p_prev = p_prev / np.linalg.norm(p_prev, axis=0)
-        p_next = p_next / np.linalg.norm(p_next, axis=0)
+        prev = labeled[-1]
+        z_prev, z_next = prev.values.tolist(), current.values.tolist()
+        p_prev = prev.vectors / np.linalg.norm(prev.vectors, axis=0)
+        p_next = current.vectors / np.linalg.norm(current.vectors, axis=0)
         ov = np.abs(p_prev.conj().T @ p_next)
         work = ov.copy()
-        new_states = list(current.states)
+        phis = current.vectors.copy()
+        track_id = np.empty(n, dtype=int)
+        ambiguous = np.empty(n, dtype=bool)
         for _ in range(n):
             m = work.max()
             tied = np.argwhere(work >= m - 1e-12)
             contested += len(tied) > 1
             i, j = min(
                 (tuple(t) for t in tied),
-                key=lambda ij: abs(prev_states[ij[0]].z - current.states[ij[1]].z),
+                key=lambda ij: abs(z_prev[ij[0]] - z_next[ij[1]]),
             )
             row = ov[i].copy()
             row[j] = -np.inf
             gap = ov[i, j] - row.max() if n > 1 else np.inf
-            s = new_states[j]
-            phi = -s.phi if (prev_states[i].phi @ s.phi).real < 0.0 else s.phi
-            new_states[j] = replace(
-                s, phi=phi, track_id=prev_states[i].track_id,
-                ambiguous=bool(gap < gap_tol),
-            )
+            if (prev.vectors[:, i] @ current.vectors[:, j]).real < 0.0:
+                phis[:, j] = -phis[:, j]
+            track_id[j] = prev.track_id[i]
+            ambiguous[j] = gap < gap_tol
             work[i, :] = -np.inf
             work[:, j] = -np.inf
-        labeled.append(replace(current, states=tuple(new_states)))
+        labeled.append(replace(current, vectors=phis, track_id=track_id,
+                               ambiguous=ambiguous))
     return tuple(labeled), contested
 
 
@@ -485,13 +530,11 @@ def synthetic_sweeps():
                 phis = rng.choice([0, 0, 1, -1, 1j, -1j], size=(n, n))
                 phis[rng.permutation(n), np.arange(n)] = 1.0
                 z = rng.integers(-1, 2, n) + 1j * rng.integers(-1, 2, n)
-                sweep.append(SpectralSet(energy=0.0, states=tuple(
-                    ResonanceState(
-                        z=complex(z[j]), phi=phis[:, j].astype(complex),
-                        a_norm=1.0, rigidity_r=1.0, ep_proximity=1.0,
-                    )
-                    for j in range(n)
-                )))
+                sweep.append(SpectralSet(
+                    energy=0.0, values=z.astype(complex),
+                    vectors=phis.astype(complex), a_norm=np.ones(n),
+                    ep_proximity=np.ones(n),
+                ))
             yield sweep
 
 
@@ -504,14 +547,9 @@ class TestTrackingAgainstReference:
             want, ties = reference_track(spectra)
             contested += ties
             for g, w in zip(got, want):
-                assert [s.track_id for s in g.states] == [
-                    s.track_id for s in w.states
-                ]
-                assert [s.ambiguous for s in g.states] == [
-                    s.ambiguous for s in w.states
-                ]
-                for sg, sw in zip(g.states, w.states):
-                    npt.assert_array_equal(sg.phi, sw.phi)
+                npt.assert_array_equal(g.track_id, w.track_id)
+                npt.assert_array_equal(g.ambiguous, w.ambiguous)
+                npt.assert_array_equal(g.vectors, w.vectors)
         return contested
 
     def test_symmetric_squares(self):

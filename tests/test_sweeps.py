@@ -27,6 +27,7 @@ from opencavity import (
     run_transmit_study,
     run_trapping_study,
     serialize_config,
+    spectrum,
 )
 
 
@@ -76,6 +77,21 @@ class TestGrids:
         with pytest.raises(ValidationError) as exc:
             AlphaGrid(min=0.0, max=1.0, points=5, scale="log")
         assert exc.value.field == "alpha_grid.min"
+
+    @pytest.mark.parametrize("grid, args, field", [
+        (EnergyGrid, (0.0, 1.0, math.inf), "e_grid.points"),
+        (EnergyGrid, (0.0, 1.0, math.nan), "e_grid.points"),
+        (EnergyGrid, (-math.inf, 1.0, 5), "e_grid"),
+        (EnergyGrid, (0.0, math.nan, 5), "e_grid"),
+        (AlphaGrid, (0.1, 1.0, math.inf), "alpha_grid.points"),
+        (AlphaGrid, (0.1, 1.0, math.nan), "alpha_grid.points"),
+        (AlphaGrid, (0.1, math.inf, 5), "alpha_grid"),
+        (AlphaGrid, (math.nan, 1.0, 5), "alpha_grid"),
+    ])
+    def test_grids_reject_non_finite(self, grid, args, field):
+        with pytest.raises(ValidationError) as exc:
+            grid(*args)
+        assert exc.value.field == field
 
     def test_alpha_grid_bad_scale(self):
         with pytest.raises(ValidationError):
@@ -409,6 +425,41 @@ class TestStudyRunners:
         assert res.wall_time > 0.0
         pair = run_study_ep()
         assert isinstance(pair, tuple) and len(pair) == 2
+
+    @pytest.mark.parametrize("study", ["spectrum", "rigidity"])
+    def test_spectral_studies_build_no_state_objects(self, study, monkeypatch):
+        built = []
+
+        class Counting(spectrum.ResonanceState):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum, "ResonanceState", Counting)
+        doc = config_doc(
+            study=study,
+            e_grid={"min": -1.5, "max": 1.5, "points": 3},
+            alpha_grid={"min": 0.2, "max": 2.0, "points": 3},
+        )
+        if study == "rigidity":
+            del doc["alpha_grid"]
+        doc["model"] = {
+            "nx": 9,
+            "ny": 9,
+            "alpha": 0.9,
+            "leads": [
+                {"contact": [0, 2], "coupling_w": 1.0},
+                {"contact": [8, 5], "coupling_w": 1.0},
+            ],
+        }
+        config = parse_doc(doc)
+        model = config.build_model()
+        assert model.dimension >= spectrum.SECULAR_MIN_N
+        run_study(config)
+        assert built == []
+        # The patch is live: asking for the states builds them.
+        assert len(spectrum.heff_spectrum(model, 0.3).states) == len(built)
+        assert built
 
 
 def run_study_ep():
