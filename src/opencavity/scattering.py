@@ -19,12 +19,14 @@ expansion does not exist and only the direct route remains.
 The direct route is the contact-space resolvent of :func:`contact_green`.
 H_eff(E) differs from the real symmetric H_B only in the two contact
 diagonal entries, so one ``eigh`` of H_B per geometry turns G_cc(E) into a
-2x2 problem and each energy costs O(N) instead of a dense O(N^3) LU. The LU
-solve remains as the fallback within ``RESOLVENT_GAP`` of a closed-cavity
-eigenvalue, where the resolvent loses accuracy and where a dark state can
-make E - H_eff singular, and as the oracle of the tests. ``s_matrix`` and
-``wigner_delay`` take one energy, which raises on failure, or an array of
-energies, which gives NaN at a failed energy so a sweep does not abort.
+2x2 problem and each energy costs O(N) instead of a dense O(N^3) LU. Its
+two contact columns of (E - H_eff)^-1 also give the exact Wigner delay
+d arg det S / dE. The LU solve remains as the fallback within
+``RESOLVENT_GAP`` of a closed-cavity eigenvalue, where the resolvent loses
+accuracy and where a dark state can make E - H_eff singular, and as the
+oracle of the tests. ``s_matrix`` and ``wigner_delay`` take one energy,
+which raises on failure, or an array of energies, which gives NaN at a
+failed energy so a sweep does not abort.
 
 Widths obey the sum rule Gamma_lam * A_lam = 2 pi sum_C a_C^2 |phi_lam[c_C]|^2
 exactly at every energy, so Gamma_lam itself stays below the right-hand side
@@ -40,15 +42,13 @@ import numpy as np
 
 from .exceptions import (
     DefectiveSpectrum,
-    OutsideBand,
     PoleOnAxis,
     SingularMatrix,
     UndefinedValue,
 )
 from .linalg import solve_linear
-from .model import CavityModel
 from .rigidity import RigidityReport, build_report
-from .spectrum import SpectralSet, assemble_heff, heff_spectrum
+from .spectrum import SpectralSet, _pole_sums, assemble_heff, heff_spectrum
 
 __all__ = [
     "TwoLevelProfile",
@@ -207,24 +207,22 @@ def transmission_spectral(spectral, model, energy=None):
 
 
 def _lu_contact(model, energy):
-    """Contact block of (E - H_eff)^-1 and the state fed from L, by dense LU.
+    """Contact block of (E - H_eff)^-1 and its two contact columns, by LU.
 
     The fallback of :func:`contact_green` next to closed-cavity eigenvalues.
     Raises SingularMatrix where E - H_eff(E) is singular.
     """
     idx = model.contact_indices
-    m = np.eye(model.dimension, dtype=complex) * energy - assemble_heff(
-        model, energy
-    )
+    m = np.eye(model.dimension, dtype=complex) * energy
+    m -= assemble_heff(model, energy)
     rhs = np.zeros((model.dimension, 2), dtype=complex)
-    for col, i in enumerate(idx):
-        rhs[i, col] = 1.0
+    rhs[list(idx), [0, 1]] = 1.0
     x = solve_linear(m, rhs)
-    return x[list(idx), :], x[:, 0]
+    return x[list(idx), :], x
 
 
 def _resolvent(model, e, strict, interior):
-    """G_cc at energies e, and with ``interior`` the L-fed state x = U^T psi."""
+    """G_cc at energies e; with ``interior`` also x[:, b] = U^T psi_b."""
     e_k, u = model.closed_modes
     u_c = u[list(model.contact_indices), :]
     sigma = np.array([model.self_energy_weights(en) for en in e]).reshape(-1, 2)
@@ -232,12 +230,10 @@ def _resolvent(model, e, strict, interior):
     inv_gap = 1.0 / (RESOLVENT_GAP * max(1.0, float(np.abs(e_k).max())))
     # Rows next to an e_k may overflow here; the LU below replaces them.
     with np.errstate(all="ignore"):
-        d = np.subtract.outer(e, e_k)
-        np.divide(1.0, d, out=d)
-        near = (d.max(axis=1) > inv_gap) | (d.min(axis=1) < -inv_gap)
         # G0 is real and symmetric: its entries (0,0), (0,1), (1,1).
-        g0 = d @ np.stack([u_c[0] * u_c[0], u_c[0] * u_c[1], u_c[1] * u_c[1]],
-                          axis=1)
+        d, g0 = _pole_sums(e, e_k, np.stack(
+            [u_c[0] * u_c[0], u_c[0] * u_c[1], u_c[1] * u_c[1]], axis=1))
+        near = (d.max(axis=1) > inv_gap) | (d.min(axis=1) < -inv_gap)
         g0 = g0[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
         m = np.eye(2) - g0 * sigma[:, None, :]
         det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
@@ -245,9 +241,8 @@ def _resolvent(model, e, strict, interior):
                        axis=1).reshape(-1, 2, 2)
         g = adj @ g0 / det[:, None, None]
         if interior:
-            y = sigma * g[:, :, 0]
-            y[:, 0] += 1.0
-            x = d * (y @ u_c)
+            x = np.stack([d * ((sigma * g[:, :, b] + np.eye(2)[b]) @ u_c)
+                          for b in (0, 1)], axis=1)
 
     for i in np.flatnonzero(near):
         try:
@@ -256,9 +251,9 @@ def _resolvent(model, e, strict, interior):
             if strict:
                 raise
             g[i] = complex(math.nan, math.nan)
-            psi = np.full(len(e_k), complex(math.nan, math.nan))
+            psi = np.full((len(e_k), 2), complex(math.nan, math.nan))
         if interior:
-            x[i] = u.T @ psi
+            x[i] = [u.T @ psi[:, b] for b in (0, 1)]
     return (g, x) if interior else g
 
 
@@ -305,22 +300,26 @@ def contact_green(model, energies):
     """
     e, scalar = _energies(energies)
     g, x = _resolvent(model, e, strict=scalar, interior=True)
-    return (g[0], x[0]) if scalar else (g, x)
+    return (g[0], x[0, 0]) if scalar else (g, x[:, 0])
+
+
+def _amplitudes(model, e, strict):
+    """:meth:`CavityModel.channel_amplitudes` over energies, to the bit and
+    NaN outside the band; with the lead hoppings t_C and couplings w_C."""
+    t = np.array([ch.lead_hopping for ch in model.channels])
+    w = np.array([ch.w_eff for ch in model.channels])
+    inside = np.abs(e[:, None]) < 2.0 * t
+    if strict and not inside.all():
+        model.channel_amplitudes(float(e[0]))  # raises OutsideBand
+    with np.errstate(invalid="ignore"):
+        im_g = np.sqrt(4.0 * t * t - e[:, None] ** 2) / (2.0 * t * t)
+    return np.where(inside, w * np.sqrt(im_g / math.pi), math.nan), t, w
 
 
 def _s_matrices(model, e, strict, g=None):
-    """S at energies e, from their contact Green's functions g if given.
-
-    The amplitudes come first, so a strict energy outside the band raises
-    OutsideBand before any resolvent work.
-    """
-    a = np.full((len(e), 2), math.nan)
-    for i, energy in enumerate(e):
-        try:
-            a[i] = model.channel_amplitudes(energy)
-        except OutsideBand:
-            if strict:
-                raise
+    """S at energies e, from their G_cc if given; a strict energy outside
+    the band raises OutsideBand before any resolvent work."""
+    a = _amplitudes(model, e, strict)[0]
     if g is None:
         g = _resolvent(model, e, strict, interior=False)
     return np.eye(2) - 2j * math.pi * a[:, :, None] * a[:, None, :] * g
@@ -369,22 +368,26 @@ def transmission_direct(model, energy):
     return complex(s_matrix(model, float(energy))[1, 0])
 
 
-def wigner_delay(model, energy, dE=1e-5):
-    """Wigner-Smith delay from the total scattering phase.
+def wigner_delay(model, energy):
+    """Wigner-Smith delay tau(E) = d/dE arg det S(E), in closed form.
 
-    tau(E) = d/dE arg det S(E), evaluated by the centered difference
-    arg[det S(E + dE) / det S(E - dE)] / (2 dE). With |det S| = 1 this is
-    the sum of the eigenphase derivatives; at an isolated resonance it
-    peaks at the resonance lifetime.
+    S is unitary, so tau = Im tr(S^dag dS/dE), with
+
+        dS_ab = -2 pi i a_a a_b [(kappa_a + kappa_b) G_ab + dG_ab],
+        dG_cc = -X^T (I - Sigma') X,
+
+    X the two contact columns of (E - H_eff)^-1, kappa_C = a_C'/a_C =
+    -E / (2 (4 t_C^2 - E^2)) and Sigma' = diag(w_C^2 (1 + i E /
+    sqrt(4 t_C^2 - E^2)) / (2 t_C^2)). X comes from the resolvent of
+    :func:`contact_green`, at O(N) per energy, or from its LU fallback
+    next to an e_k.
 
     Parameters
     ----------
     model : CavityModel
     energy : float or array_like of float
-        A scalar needs E - dE and E + dE inside the band and returns a
-        float. An array returns one delay per energy, NaN where either
-        step leaves the band or meets a singular E - H_eff.
-    dE : float
+        A scalar returns a float. An array returns one delay per energy,
+        NaN outside the band or at a singular E - H_eff.
 
     Raises
     ------
@@ -392,11 +395,19 @@ def wigner_delay(model, energy, dE=1e-5):
         Only for a scalar energy.
     """
     e, scalar = _energies(energy)
-    step = float(dE)
-    s = _s_matrices(model, np.concatenate([e + step, e - step]), scalar)
-    det = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
-    with np.errstate(invalid="ignore"):
-        tau = np.angle(det[: len(e)] / det[len(e):]) / (2.0 * step)
+    a, t, w = _amplitudes(model, e, scalar)
+    g, x = _resolvent(model, e, scalar, interior=True)
+    aa = -2j * math.pi * a[:, :, None] * a[:, None, :]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        e = e[:, None]
+        root = np.sqrt(4.0 * t * t - e * e)
+        kappa = -e / (2.0 * root * root)
+        dsigma = w * w * (1.0 + 1j * e / root) / (2.0 * t * t)
+        # X^T X is taken in H_B's eigenbasis, X^T Sigma' X from G_cc.
+        gs = np.swapaxes(g, 1, 2) * dsigma[:, None, :]
+        dg = gs @ g - x @ np.swapaxes(x, 1, 2)
+        ds = aa * ((kappa[:, :, None] + kappa[:, None, :]) * g + dg)
+        tau = np.sum((np.eye(2) + aa * g).conj() * ds, axis=(1, 2)).imag
     return float(tau[0]) if scalar else tau
 
 

@@ -565,10 +565,9 @@ def run_rigidity_study(config: RunConfig) -> StudyResult:
 
 
 def run_delay_study(config: RunConfig) -> StudyResult:
-    """Wigner-Smith delay across the energy grid.
+    """Wigner-Smith delay across the energy grid, in closed form.
 
-    A point whose centred difference leaves the band, or meets a singular
-    E - H_eff, gives a NaN row.
+    A point at a singular E - H_eff gives a NaN row.
     """
     energies = config.e_grid.values()
     tau = wigner_delay(config.build_model(), energies)

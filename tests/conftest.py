@@ -17,6 +17,15 @@ def single_site_model(alpha=1.0, w=0.5):
     return CavityModel(lat, leads, alpha)
 
 
+def square4():
+    """4x4 lattice with corner leads at alpha = 1; E = 0 is a dark level."""
+    return CavityModel(
+        LatticeSpec(4, 4),
+        (LeadSpec((0, 0), 1.0), LeadSpec((3, 3), 1.0)),
+        1.0,
+    )
+
+
 def reference_models():
     """The five transmission reference models with their energy grids.
 
@@ -48,15 +57,7 @@ def reference_models():
             ),
             np.linspace(-1.9, 1.9, 201),
         ),
-        (
-            "square4",
-            CavityModel(
-                LatticeSpec(4, 4),
-                (LeadSpec((0, 0), 1.0), LeadSpec((3, 3), 1.0)),
-                1.0,
-            ),
-            np.linspace(-1.9, 1.9, 200),
-        ),
+        ("square4", square4(), np.linspace(-1.9, 1.9, 200)),
         (
             "notched10x5",
             CavityModel(

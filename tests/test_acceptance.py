@@ -302,7 +302,7 @@ def test_c08_crossover_interior_maximum_tracks_rigidity_loss():
 def test_c09_wigner_delay_analytic_and_trapping_contrast():
     # One site, symmetric coupling: tau(0) = (1 - w2) / w2 exactly.
     tau0 = wigner_delay(single_site_model(alpha=1.0, w=0.5), 0.0)
-    assert abs(tau0 - 3.0) / 3.0 < 1e-4
+    assert abs(tau0 - 3.0) / 3.0 < 1e-12
     model = trap_chain(2.0)
     tau_plateau = wigner_delay(model, 0.8)
     tau_trapped = wigner_delay(model, 1.199)

@@ -137,7 +137,9 @@ class TestHappyPaths:
         assert main(["delay", "--config", cfg, "--out", str(out)]) == 0
         rows = out.read_text(encoding="utf-8").split("\n")[4:-1]
         assert len(rows) == 41
-        assert rows[0].endswith(",nan") and rows[40].endswith(",nan")
+        # Only E = 0.0, a dark level where E - H_eff is singular, has no
+        # delay; the rows 1e-6 from the band edges are finite.
+        assert [i for i, r in enumerate(rows) if r.endswith(",nan")] == [20]
 
     def test_threads_flag_deterministic(self, tmp_path):
         cfg = write_config(tmp_path, base_doc())

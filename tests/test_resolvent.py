@@ -30,7 +30,7 @@ from opencavity import (
     wigner_delay,
 )
 
-from conftest import energies, open_cavities
+from conftest import energies, open_cavities, square4
 
 
 def lu_oracle(model, e):
@@ -92,14 +92,6 @@ def test_resolvent_rigidity_matches_lu_state(model, e):
     _, x = contact_green(model, e)
     rho = abs(np.sum(x * x)) / np.sum(np.abs(x) ** 2)
     assert abs(rho - rho_direct(psi_lu)[0]) <= 1e-10
-
-
-def square4():
-    return CavityModel(
-        LatticeSpec(4, 4),
-        (LeadSpec((0, 0), 1.0), LeadSpec((3, 3), 1.0)),
-        1.0,
-    )
 
 
 class TestFallback:

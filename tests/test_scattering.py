@@ -9,7 +9,9 @@ from opencavity import (
     DefectiveSpectrum,
     LatticeSpec,
     LeadSpec,
+    OutsideBand,
     PoleOnAxis,
+    SingularMatrix,
     assemble_heff,
     biorthogonal_spectrum,
     coefficients_c,
@@ -23,7 +25,9 @@ from opencavity import (
     wigner_delay,
 )
 
-from conftest import single_site_model
+from opencavity.scattering import RESOLVENT_GAP
+
+from conftest import single_site_model, square4
 
 
 def single_site_t_exact(e, w2=0.25):
@@ -155,11 +159,33 @@ class TestSMatrix:
         )
 
 
+def delay_oracle(model, e, h=2e-5):
+    """d arg det S / dE from dense LU solves, without the resolvent.
+
+    Richardson's combination of the centred differences at steps h and
+    h / 2, so the truncation error is O(h^4).
+    """
+    idx = list(model.contact_indices)
+
+    def det_s(en):
+        m = np.eye(model.dimension) * en - assemble_heff(model, en)
+        rhs = np.zeros((model.dimension, 2))
+        rhs[idx, [0, 1]] = 1.0
+        g = np.linalg.solve(m, rhs)[idx]
+        a = model.channel_amplitudes(en)
+        return np.linalg.det(np.eye(2) - 2j * math.pi * np.outer(a, a) * g)
+
+    def centred(step):
+        return np.angle(det_s(e + step) / det_s(e - step)) / (2.0 * step)
+
+    return (4.0 * centred(h / 2) - centred(h)) / 3.0
+
+
 class TestWignerDelay:
     def test_single_site_band_center(self):
         # Exact value (1 - w2) / w2 = 3 at w2 = 1/4.
         tau = wigner_delay(single_site_model(), 0.0)
-        npt.assert_allclose(tau, 3.0, rtol=1e-8, atol=0)
+        npt.assert_allclose(tau, 3.0, rtol=1e-12, atol=0)
 
     def test_positive_on_resonance(self):
         m = CavityModel(
@@ -169,11 +195,78 @@ class TestWignerDelay:
         )
         assert wigner_delay(m, 0.0) > 0.0
 
-    def test_step_size_insensitive(self):
-        m = single_site_model()
-        t1 = wigner_delay(m, 0.3, dE=1e-5)
-        t2 = wigner_delay(m, 0.3, dE=2e-5)
-        npt.assert_allclose(t1, t2, rtol=1e-6, atol=0)
+    # The closed form against the LU oracle: worst |tau - ref| / (1 + |ref|)
+    # measured 4.1e-11 over the reference grids (notched10x5, at its
+    # sharpest resonance, where the oracle's O(h^4) error dominates) and
+    # 1.8e-11 next to the bright e_k.
+    TOL = 1e-9
+
+    def test_matches_lu_oracle_on_reference_grids(self):
+        from conftest import reference_models
+
+        for label, model, grid in reference_models():
+            tau = wigner_delay(model, grid)
+            ref = np.array([delay_oracle(model, e) for e in grid])
+            err = np.abs(tau - ref) / (1.0 + np.abs(ref))
+            assert err.max() <= self.TOL, label
+
+    def test_matches_lu_oracle_next_to_bright_level(self):
+        # RESOLVENT_GAP / 10 from a bright e_k the resolvent hands the
+        # energy to its LU fallback, which then supplies both columns.
+        model = square4()
+        e_k, u = model.closed_modes
+        k = int(np.argmin(np.abs(e_k - 1.2360679774997898)))
+        assert np.abs(u[list(model.contact_indices), k]).min() > 0.3
+        e = float(e_k[k]) + RESOLVENT_GAP / 10
+        assert abs(e - e_k[k]) < RESOLVENT_GAP * np.abs(e_k).max()
+        ref = delay_oracle(model, e)
+        assert abs(wigner_delay(model, e) - ref) <= self.TOL * (1.0 + abs(ref))
+
+    def test_pinned_band_edge_grid(self):
+        # Values from a 50-digit evaluation of d arg det S / dE.
+        grid = np.linspace(-1.999999, 1.999999, 41)
+        model = square4()
+        tau = wigner_delay(model, grid)
+        npt.assert_allclose(tau[10], 9.23754714979081, rtol=1e-12, atol=0)
+        # Within 1e-6 of the band edges; no step leaves the band.
+        npt.assert_allclose(tau[[0, 40]], 1666.676412088364, rtol=1e-10,
+                            atol=0)
+        assert np.isnan(tau[20]) and np.isfinite(np.delete(tau, 20)).all()
+        # E = 0 is a dark level: E - H_eff is singular there.
+        with pytest.raises(SingularMatrix):
+            wigner_delay(model, grid[20])
+        with pytest.raises(SingularMatrix):
+            s_matrix(model, grid[20])
+
+    def test_outside_band(self):
+        model = square4()
+        with pytest.raises(OutsideBand):
+            wigner_delay(model, 2.5)
+        assert np.isnan(wigner_delay(model, np.array([-2.0, 2.5]))).all()
+
+    @pytest.mark.parametrize("nx, ny, levels", [(3, 1, 3), (4, 4, 5),
+                                                (10, 5, 34)])
+    def test_friedel_sum_rule(self, nx, ny, levels):
+        # At weak coupling no state has left the band, so the total phase
+        # gained across it, (1 / 2 pi) int tau dE, counts the in-band
+        # levels of H_B with contact weight: a degenerate level counts the
+        # rank of its contact rows. Measured 2.99909, 4.99987 and 34.00018.
+        model = CavityModel(
+            LatticeSpec(nx, ny),
+            (LeadSpec((0, 0), 1.0), LeadSpec((nx - 1, ny - 1), 1.0)),
+            0.3,
+        )
+        e_k, u = model.closed_modes
+        u_c = u[list(model.contact_indices)]
+        bright = sum(
+            np.linalg.matrix_rank(u_c[:, np.abs(e_k - level) < 1e-9], tol=1e-9)
+            for level in np.unique(np.round(e_k[np.abs(e_k) < 2.0], 9))
+        )
+        assert bright == levels
+        grid = np.linspace(-(2.0 - 1e-4), 2.0 - 1e-4, 40000)
+        tau = wigner_delay(model, grid)
+        total = np.sum((tau[1:] + tau[:-1]) * np.diff(grid)) / (4.0 * math.pi)
+        assert abs(total - levels) <= 2e-3
 
 
 class TestWidthVsCoupling:

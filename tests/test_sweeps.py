@@ -345,8 +345,10 @@ class TestStudyRunners:
         assert res.rows.shape == (31, 2)
 
     def test_delay_band_edge_rows_nan(self):
-        # +-1.999999 passes validation, but E -+ 1e-5 at the two ends leaves
-        # the band; those rows are NaN and the study carries on.
+        # +-1.999999 is 1e-6 inside the band edges, where the closed-form
+        # delay is finite. E = 0.0 is a dark level where E - H_eff is
+        # singular, so that row is NaN, as in transmit, and the study
+        # carries on.
         doc = config_doc(study="delay")
         doc["model"] = {
             "nx": 4,
@@ -360,8 +362,9 @@ class TestStudyRunners:
         doc["e_grid"] = {"min": -1.999999, "max": 1.999999, "points": 41}
         rows = run_delay_study(parse_doc(doc)).rows
         assert rows.shape == (41, 2)
-        assert np.isnan(rows[[0, 40], 1]).all()
-        assert np.isfinite(rows[1:40]).all()
+        assert np.flatnonzero(np.isnan(rows[:, 1])).tolist() == [20]
+        transmit = run_transmit_study(parse_doc(dict(doc, study="transmit")))
+        assert np.flatnonzero(np.isnan(transmit.rows[:, 4])).tolist() == [20]
 
     def test_ep_study_returns_pair(self):
         doc = config_doc(study="ep-find")
