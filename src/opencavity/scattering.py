@@ -225,7 +225,7 @@ def _resolvent(model, e, strict, interior):
     """G_cc at energies e; with ``interior`` also x[:, b] = U^T psi_b."""
     e_k, u = model.closed_modes
     u_c = u[list(model.contact_indices), :]
-    sigma = np.array([model.self_energy_weights(en) for en in e]).reshape(-1, 2)
+    sigma = _self_energies(model, e)
 
     inv_gap = 1.0 / (RESOLVENT_GAP * max(1.0, float(np.abs(e_k).max())))
     # Rows next to an e_k may overflow here; the LU below replaces them.
@@ -314,6 +314,30 @@ def _amplitudes(model, e, strict):
     with np.errstate(invalid="ignore"):
         im_g = np.sqrt(4.0 * t * t - e[:, None] ** 2) / (2.0 * t * t)
     return np.where(inside, w * np.sqrt(im_g / math.pi), math.nan), t, w
+
+
+def _self_energies(model, e):
+    """:meth:`CavityModel.self_energy_weights` over energies, to the bit.
+
+    :func:`~opencavity.model.surface_green` times w_C^2, with Python's
+    complex arithmetic spelled out: a float operand becomes a complex with
+    imaginary part +0.0, and the zero products that adds fix the signs of
+    zero parts, at E = -2t_C and E = -0.0 among others.
+    """
+    t = np.array([ch.lead_hopping for ch in model.channels])
+    wsq = np.array([ch.w_eff**2 for ch in model.channels])
+    e = e[:, None]
+    root = np.sqrt(np.abs(e * e - 4.0 * t * t))
+    inside = np.abs(e) <= 2.0 * t
+    re = np.where(inside, e, e - np.copysign(root, e))
+    im = np.where(inside, -root, 0.0)
+    # g = complex(re, im) / (2 t^2), then sigma = w^2 * g.
+    g_re = (re + im * 0.0) / (2.0 * t * t)
+    g_im = (im - re * 0.0) / (2.0 * t * t)
+    sigma = np.empty(g_re.shape, dtype=complex)
+    sigma.real = wsq * g_re - 0.0 * g_im
+    sigma.imag = wsq * g_im + 0.0 * g_re
+    return sigma
 
 
 def _s_matrices(model, e, strict, g=None):

@@ -29,14 +29,17 @@ the biorthogonal set (:func:`heff_spectrum`, the spectrum and rigidity
 studies) come from the secular equation of H_B plus the rank-2 self-energy,
 after one ``eigh`` of H_B per geometry: the eigenvalues and the eigenvectors
 in the eigenbasis of H_B in O(N^2) per energy, and the eigenvectors on the
-sites with one real N x N matrix product more. Every root and every
-eigenvector passes a backward-error check, and the route falls back to
-``zgeev`` of the assembled matrix when a check fails; smaller cavities go to
-``zgeev`` directly, which is faster there. Both routes normalize through the
-same column operations, so they differ only in rounding and in the basis of
-an exactly degenerate cluster: the secular route gives the contact-free
-(dark) members of such a cluster as real closed-cavity combinations, with
-r = 1, where ``zgeev`` returns an arbitrary complex basis.
+sites with one real N x N matrix product more. The degenerate levels of H_B,
+which lattice symmetries make common, are deflated in stacked LAPACK calls,
+one per cluster size and bright count rather than one per level. Every root
+and every eigenvector passes a backward-error check, and the route falls
+back to ``zgeev`` of the assembled matrix when a check fails; smaller
+cavities go to ``zgeev`` directly, which is faster there. Both routes
+normalize through the same column operations, so they differ only in
+rounding and in the basis of an exactly degenerate cluster: the secular
+route gives the contact-free (dark) members of such a cluster as real
+closed-cavity combinations, with r = 1, where ``zgeev`` returns an
+arbitrary complex basis.
 """
 
 from __future__ import annotations
@@ -79,7 +82,8 @@ SECULAR_MIN_N = 80
 # Roots per block of the Aberth iteration; the block's temporaries are
 # block x N, never N x N.
 _BLOCK = 32
-# The 290-site crossover at alpha = 4 takes up to about 35 iterations.
+# The 290-site crossover cavities take 23 to 31 iterations at alpha = 4
+# (127 to 135 block evaluations; direct-large seeds 1-5 and 21).
 _ABERTH_MAX_ITER = 60
 # Steps below this, times the scale, have converged.
 _ABERTH_TOL = 1e-14
@@ -281,14 +285,20 @@ def _secular_eigenvalues(model, energy, vectors=False):
     trace alone proves nothing: the starts already sum to it exactly, so
     iterates that never moved would pass. Returns None when a check fails.
 
+    The deflation runs on stacked LAPACK calls, grouped, not per cluster:
+    one SVD of the sigma-weighted contact rows per cluster size gives the
+    rotations and the bright counts b <= 2, and one ``eigvals`` per size
+    and b gives the first-order starts, the eigenvalues of W_c S W_c^T.
+
     With ``vectors`` it returns the eigenpairs instead: the eigenvalues
     sorted like :func:`~opencavity.linalg.eig_general`, and their unit
     eigenvectors as the columns of an N x N matrix in site coordinates.
     A combination without contact weight is its own eigenvector, a column
     of U rotated within its cluster; it must pass the same backward-error
     bound, since deflation only bounds its weight to second order. The
-    others are the checked y. Both are rotated back within each cluster
-    and mapped to sites by one real matrix product with U.
+    others are the checked y. Both are rotated back within each cluster,
+    by one stacked product per cluster size, and mapped to sites by one
+    real matrix product with U.
     """
     e_k, u = model.closed_modes
     sigma = model.self_energy_weights(energy)
@@ -300,46 +310,59 @@ def _secular_eigenvalues(model, energy, vectors=False):
     # pole and the iteration would divide by zero.
     floor = np.finfo(float).eps * scale
 
-    # 1-2. Deflation and first-order starts, cluster by cluster. The poles
-    # and deflated values are e_k at the bright and dark indices; for the
-    # eigenvectors, each cluster's rotation and the dark contact weights.
-    weights, starts, bright, dark, rotations, dark_w = [], [], [], [], [], []
-    single = np.ones(len(e_k), dtype=bool)
-    for c in _cluster_degenerate(e_k, scale):
-        if len(c) == 1:
-            continue
-        single[c] = False
+    # 1-2. Deflation and first-order starts, batched over the clusters of
+    # one size m, then of one bright count b. The first b combinations of
+    # a cluster keep weight; ``lit`` marks them by index. By index too, z0
+    # holds the starts and w_rot the contact weights after the rotation.
+    n = len(e_k)
+    clustered, lit = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    z0, w_rot = np.empty(n, dtype=complex), w_all.copy()
+    rotations = []
+    start, size = _degenerate_runs(e_k, scale)
+    for m in np.flatnonzero(np.bincount(size)).tolist():
+        c = start[size == m, None] + np.arange(m)
+        clustered[c] = True
+        w_c = w_all[c]
         # At most two combinations of a cluster keep weight. The SVD is of
         # the sigma-weighted rows, so a detached channel adds none.
-        _, s, vt = np.linalg.svd(np.sqrt(np.abs(sigma))[:, None] * w_all[c].T)
-        b = int(np.count_nonzero(s * s > floor))
-        w = vt[:b] @ w_all[c]
-        # Degenerate first order: the eigenvalues of W_c S W_c^T.
-        shifts = np.linalg.eigvals((w * sigma) @ w.T)
-        if b == 2 and (abs(shifts[0] - shifts[1])
-                       <= _COINCIDENT * abs(shifts[0])):
-            # A double shift (sigma_L = sigma_R on a symmetric pair) gives
-            # coincident starts, which Aberth iteration never separates.
-            shifts = shifts[0] * np.array([1.0 + 0.1j, 1.0 - 0.1j])
-        weights.append(w)
-        starts.append(e_k[c[:b]] + shifts)
-        bright.append(c[:b])
-        dark.append(c[b:])
+        _, s, vt = np.linalg.svd(np.sqrt(np.abs(sigma))[:, None]
+                                 * np.swapaxes(w_c, 1, 2))
+        b_of = np.count_nonzero(s * s > floor, axis=1)
         if vectors:
             rotations.append((c, vt))
-            dark_w.append(vt[b:] @ w_all[c])
-    k = np.flatnonzero(single)
-    lit = (w_all[k] ** 2) @ np.abs(sigma) > floor
-    weights.append(w_all[k[lit]])
-    starts.append(e_k[k[lit]] + w_all[k[lit]] ** 2 @ sigma)
-    bright = np.concatenate(bright + [k[lit]])
-    dark = np.concatenate(dark + [k[~lit]])
-    p = e_k[bright]
-    w = np.concatenate(weights)
-    z = np.concatenate(starts).astype(complex)
+            dark = np.arange(m) >= b_of[:, None]
+            w_rot[c[dark]] = (vt @ w_c)[dark]
+        for b in (1, 2):
+            g = b_of == b
+            if not g.any():
+                continue
+            rows = c[g, :b]
+            w = vt[g, :b] @ w_c[g]
+            # Degenerate first order: the eigenvalues of W_c S W_c^T.
+            shifts = np.linalg.eigvals((w * sigma) @ np.swapaxes(w, 1, 2))
+            if b == 2:
+                # A double shift (sigma_L = sigma_R on a symmetric pair)
+                # gives coincident starts, which Aberth iteration never
+                # separates. hypot rounds like the scalar abs(complex).
+                d = shifts[:, 0] - shifts[:, 1]
+                twin = (np.hypot(d.real, d.imag) <= _COINCIDENT
+                        * np.hypot(shifts[:, 0].real, shifts[:, 0].imag))
+                shifts[twin] = (shifts[twin, :1]
+                                * np.array([1.0 + 0.1j, 1.0 - 0.1j]))
+            lit[rows] = True
+            z0[rows] = e_k[rows] + shifts
+            w_rot[rows] = w
+    # The Aberth sums and blocks run over the clusters' bright members in
+    # index order, then over the single levels that keep weight.
+    k = np.flatnonzero(~clustered)
+    k_lit = (w_all[k] ** 2) @ np.abs(sigma) > floor
+    z0[k[k_lit]] = e_k[k[k_lit]] + w_all[k[k_lit]] ** 2 @ sigma
+    bright = np.concatenate([np.flatnonzero(lit), k[k_lit]])
+    dark = np.concatenate([np.flatnonzero(clustered & ~lit), k[~k_lit]])
+    p, w, z = e_k[bright], w_rot[bright], z0[bright]
     # The residual of a dark combination is S times its contact weights.
-    if vectors and not (np.abs(np.concatenate(dark_w + [w_all[k[~lit]]]))
-                        @ np.abs(sigma) <= _BACKWARD_TOL * scale).all():
+    if vectors and not (np.abs(w_rot[dark]) @ np.abs(sigma)
+                        <= _BACKWARD_TOL * scale).all():
         return None
 
     # 3. Aberth iteration on P(z) in blocks of roots; P'/P is
@@ -410,8 +433,13 @@ def _secular_eigenvalues(model, energy, vectors=False):
         return None
     if not vectors:
         return roots
+    # Each size's clusters rotate in one stacked product, in chunks of
+    # about 2 * _BLOCK rows, so the gathered rows stay small beside phi.
     for c, vt in rotations:
-        phi[c] = vt.T @ phi[c]
+        step = -(-2 * _BLOCK // c.shape[1])
+        for i in range(0, len(c), step):
+            rows = c[i:i + step]
+            phi[rows] = np.swapaxes(vt[i:i + step], 1, 2) @ phi[rows]
     # Then phi = u @ phi in place, by column blocks, as a real product: a
     # C-ordered complex matrix viewed as float interleaves the real and
     # imaginary part of every column.
@@ -433,17 +461,18 @@ def _canonical_sign(phis):
     return phis
 
 
-def _cluster_degenerate(values, scale):
-    """Index arrays of the runs of sorted eigenvalues that agree to rounding.
+def _degenerate_runs(values, scale):
+    """Start and size of every multi-member run of sorted eigenvalues.
 
     A run splits wherever two consecutive values differ by more than
-    1e-12 * max(scale, 1).
+    1e-12 * max(scale, 1); a value on its own forms no run.
     """
     tol = 1e-12 * max(scale, 1.0)
     d = np.diff(values)
     # hypot rounds like the scalar abs(complex); see _closest_pair.
-    splits = np.flatnonzero(np.hypot(d.real, d.imag) > tol) + 1
-    return np.split(np.arange(len(values)), splits)
+    tied = ~(np.hypot(d.real, d.imag) > tol)
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], tied, [0]))))
+    return edges[::2], edges[1::2] - edges[::2] + 1
 
 
 def biorthogonal_spectrum(heff, energy) -> SpectralSet:
@@ -502,8 +531,9 @@ def _biorthogonal_set(values, raw, energy):
     defective = prox < DEFECTIVE_TOL
     # Defective states keep their unit Hermitian norm.
     phis = raw / np.sqrt(np.where(defective, 1.0, bilinear))
-    for members in _cluster_degenerate(values, scale):
-        if len(members) > 1 and (prox[members] > 1e-3).all():
+    for first, size in zip(*_degenerate_runs(values, scale)):
+        members = slice(first, first + size)
+        if (prox[members] > 1e-3).all():
             # Bilinear Gram-Schmidt; a member that collapses leaves the
             # whole cluster normalized as the solver returned it.
             done = []
@@ -629,6 +659,9 @@ def _track_spectra(spectra, gap_tol=1e-6):
     n = len(first)
     labeled = [replace(first, track_id=np.arange(n),
                        ambiguous=np.zeros(n, dtype=bool))]
+    # The unit columns of the previous spectrum before its sign step: a
+    # flipped column only negates a row of the overlap product, exactly.
+    p_prev = first.vectors / np.linalg.norm(first.vectors, axis=0)
     for current in spectra:
         prev = labeled[-1]
         if len(current) != n:
@@ -636,16 +669,19 @@ def _track_spectra(spectra, gap_tol=1e-6):
         # Kept, so allocated before the step's temporaries; allocated after
         # them, it raised peak RSS by 0.7 MB on the 15 x 15 lattice.
         vectors = current.vectors.copy()
-        p_prev = prev.vectors / np.linalg.norm(prev.vectors, axis=0)
         p_next = current.vectors / np.linalg.norm(current.vectors, axis=0)
         ov = np.abs(p_prev.conj().T @ p_next)
+        p_prev = p_next
         row_of = _greedy_match(ov, prev.values.tolist(), current.values.tolist())
         cols = np.arange(n)
         others = ov[row_of]
         others[cols, cols] = -np.inf
         ambiguous = ov[row_of, cols] - others.max(axis=1) < gap_tol
-        flip = np.array([(prev.vectors[:, i] @ current.vectors[:, j]).real < 0.0
-                         for j, i in enumerate(row_of)])
+        # Freed before the gather below; kept, they raised peak RSS by
+        # 0.25 MB on the 15 x 15 lattice.
+        del ov, others
+        flip = np.einsum("ij,ij->j", prev.vectors[:, row_of],
+                         current.vectors).real < 0.0
         np.negative(vectors, out=vectors, where=flip)
         labeled.append(replace(current, vectors=vectors,
                                track_id=prev.track_id[row_of],

@@ -34,7 +34,7 @@ from opencavity import (
 from opencavity import spectrum
 from opencavity.spectrum import (
     _biorthogonal_set,
-    _cluster_degenerate,
+    _degenerate_runs,
     _secular_eigenvalues,
 )
 from opencavity.sweeps import (
@@ -90,9 +90,10 @@ def assert_same_set(got, want):
 
 def single_states(values):
     """Mask of the states outside exactly degenerate clusters."""
-    single = np.zeros(len(values), dtype=bool)
-    for c in _cluster_degenerate(values, float(np.abs(values).max())):
-        single[c] = len(c) == 1
+    single = np.ones(len(values), dtype=bool)
+    for first, size in zip(*_degenerate_runs(values,
+                                             float(np.abs(values).max()))):
+        single[first:first + size] = False
     return single
 
 
@@ -258,9 +259,100 @@ def test_backward_error_rejects_unmoved_iterates(monkeypatch):
 def test_degenerate_cluster_full_square(alpha, energy):
     model = square(4, ((0, 2), (3, 2)), alpha)
     e_k = model.closed_modes[0]
-    clusters = _cluster_degenerate(e_k, float(np.abs(e_k).max()))
-    assert max(len(c) for c in clusters) == 4
+    assert _degenerate_runs(e_k, float(np.abs(e_k).max()))[1].max() == 4
     assert_matches_zgeev(model, energy)
+
+
+def runs_reference(values, scale):
+    """The multi-member runs of ``_degenerate_runs`` by np.split."""
+    d = np.diff(values)
+    splits = np.flatnonzero(np.hypot(d.real, d.imag) > 1e-12 * max(scale, 1.0))
+    runs = np.split(np.arange(len(values)), splits + 1)
+    return [c.tolist() for c in runs if len(c) > 1]
+
+
+@st.composite
+def tied_values(draw):
+    """Sorted real or complex values with planted gaps at the tolerance."""
+    scale = draw(st.sampled_from([0.5, 1.0, 7.25]))
+    tol = 1e-12 * max(scale, 1.0)
+    gaps = draw(st.lists(st.sampled_from([
+        0.0, 0.5 * tol, np.nextafter(tol, 0.0), tol, np.nextafter(tol, 1.0),
+        2.0 * tol, 0.3, 1.0]), max_size=12))
+    x = draw(st.floats(-3.0, 3.0)) + np.cumsum([0.0] + gaps)
+    if draw(st.booleans()):
+        angles = draw(st.lists(st.floats(-1.5, 1.5), min_size=len(x),
+                               max_size=len(x)))
+        x = np.sort_complex(x + 1j * np.cumsum(np.tan(angles)) * tol)
+    n = draw(st.integers(0, len(x)))
+    return x[:n], scale
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(tied_values())
+def test_degenerate_runs_match_split_reference(case):
+    values, scale = case
+    first, size = _degenerate_runs(values, scale)
+    runs = [list(range(f, f + m)) for f, m in zip(first.tolist(),
+                                                   size.tolist())]
+    assert runs == runs_reference(values, scale)
+
+
+def test_degenerate_runs_of_empty_and_single_inputs():
+    for values in (np.empty(0), np.empty(0, dtype=complex), np.array([0.5]),
+                   np.array([1.0 - 2.0j])):
+        first, size = _degenerate_runs(values, 1.0)
+        assert first.size == size.size == 0
+
+
+def test_grouped_deflation_covers_every_group(monkeypatch):
+    # H_B of the 9 x 9 square has two-fold levels and one nine-fold level.
+    # The contacts are mirror images under x <-> y and sigma_L = sigma_R,
+    # so the levels keep 0, 1 or 2 bright combinations, and many two-bright
+    # levels shift twice by the same amount.
+    model, energy = square(9, ((0, 4), (4, 0)), 1.0), 0.3
+    assert model.dimension >= spectrum.SECULAR_MIN_N
+    e_k, u = model.closed_modes
+    w_all = u[list(model.contact_indices)].T
+    first, size = _degenerate_runs(e_k, float(np.abs(e_k).max()))
+    bright = [np.linalg.matrix_rank(w_all[f:f + m], tol=1e-12)
+              for f, m in zip(first, size)]
+    assert set(size.tolist()) == {2, 9}
+    assert set(bright) == {0, 1, 2}
+
+    z = assert_matches_zgeev(model, energy)
+    npt.assert_array_equal(heff_eigenvalues(model, energy), z)
+    sp = heff_spectrum(model, energy)
+    npt.assert_array_equal(sp.values, np.sort_complex(z))
+    # The dark members keep their closed-cavity values: real, rigid states.
+    dark = sp.values.imag == 0.0
+    unlit = np.abs(w_all[single_states(e_k)]).max(axis=1) < 1e-12
+    assert np.count_nonzero(dark) == (size.sum() - sum(bright)
+                                      + np.count_nonzero(unlit))
+    assert np.abs(sp.vectors[:, dark].imag).max() == 0.0
+    npt.assert_allclose(sp.rigidity_r[dark], 1.0, rtol=0, atol=1e-12)
+
+    # The coincident shifts are there: left unseparated, the starts never
+    # move and the backward-error check rejects them.
+    monkeypatch.setattr(spectrum, "_COINCIDENT", -1.0)
+    assert _secular_eigenvalues(model, energy) is None
+
+
+def test_one_svd_per_cluster_size(monkeypatch):
+    model = square(15, ((0, 3), (14, 9)), 0.9)
+    e_k = model.closed_modes[0]
+    sizes = np.unique(_degenerate_runs(e_k, float(np.abs(e_k).max()))[1])
+    assert sizes.tolist() == [2, 15]
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    heff_spectrum(model, 0.3)
+    assert 0 < len(calls) <= len(sizes)
 
 
 @pytest.mark.parametrize("alpha,w", [(0.0, (1.0, 1.0)), (1.0, (0.0, 0.0))])

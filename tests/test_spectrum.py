@@ -30,7 +30,7 @@ from opencavity.linalg import eig_general
 from opencavity.spectrum import (
     SECULAR_MIN_N,
     _closest_pair,
-    _cluster_degenerate,
+    _degenerate_runs,
     _secular_eigenvalues,
     _track_spectra,
 )
@@ -261,9 +261,9 @@ def test_biorthogonal_set_invariants(model, e):
     # A = 1/|v^T v| holds for the eigenvector itself; a cluster member is a
     # combination of the cluster's eigenvectors instead.
     scale = float(np.abs(sp.values).max())
-    single = np.zeros(len(sp), dtype=bool)
-    for members in _cluster_degenerate(sp.values, scale):
-        single[members] = len(members) == 1
+    single = np.ones(len(sp), dtype=bool)
+    for first, size in zip(*_degenerate_runs(sp.values, scale)):
+        single[first:first + size] = False
     npt.assert_allclose(
         a_norm[ok & single] * prox[ok & single], 1.0, rtol=0, atol=1e-12
     )
