@@ -30,7 +30,7 @@ print(f"  omega* = {p1:.10f}   (exact 0.5)")
 print(f"  z*     = {z_star:.10f}   (exact -0.5j)")
 print(f"  separation {report.separation:.3e}, chirality angle "
       f"{report.angle:.3e}")
-print(f"  search evaluations: {len(report.path)}")
+print(f"  Newton iterates: {len(report.path)}")
 amax = max(a for *_, a in report.path)
 print(f"  largest 1/|r| along the approach: {amax:.3e}")
 print()

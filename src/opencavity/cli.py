@@ -5,8 +5,8 @@ optionally patches it with ``--grid-override`` assignments, runs the study
 and writes CSV to ``--out``, the config's ``out`` path, or stdout.
 
 Exit codes: 0 success, 2 unusable config (parse, validation or geometry),
-3 runtime failure (including an exceptional-point search that did not
-converge), 4 output could not be written.
+3 runtime failure (including an exceptional-point search whose outcome is
+"degenerate" or "not_found"), 4 output could not be written.
 """
 
 from __future__ import annotations
@@ -141,7 +141,8 @@ def main(argv=None):
             "ep-find: "
             f"success={report.success} p=({p1:.12g}, {p2:.12g}) "
             f"z*={report.z_star.real:.12g}{report.z_star.imag:+.12g}j "
-            f"separation={report.separation:.3e} angle={report.angle:.3e}",
+            f"separation={report.separation:.3e} angle={report.angle:.3e} "
+            f"outcome={report.outcome}",
             file=sys.stderr,
         )
         if not report.success:

@@ -60,8 +60,9 @@ class DefectiveSpectrum(OpenCavityError):
 
 
 class ExceptionalPointNotFound(OpenCavityError):
-    """Exceptional-point search ended without reaching the separation
-    threshold. Carries the best report found."""
+    """Exceptional-point search ended without an exceptional point: the
+    separation stayed above the threshold, or the coalescence it reached is
+    not defective. Carries the report, whose ``outcome`` says which."""
 
     def __init__(self, message, report=None):
         super().__init__(message)

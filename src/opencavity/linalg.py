@@ -10,7 +10,10 @@ contract layer used everywhere else:
 * an explicit singularity threshold: a matrix whose smallest singular value
   is at most 1e-14 times its infinity norm is refused,
 * a fixed-coefficient Nelder-Mead simplex minimizer, iterate for iterate the
-  method of ``scipy.optimize.minimize(method="Nelder-Mead")``.
+  method of ``scipy.optimize.minimize(method="Nelder-Mead")``. The package
+  itself no longer uses it (the exceptional-point search takes Newton
+  steps); it is kept because the span recorder of ``bench/spans.py`` wraps
+  it by name.
 
 2x2 matrices are diagonalized in closed form (stable quadratic formula plus
 adjugate-row eigenvectors). The generic QR iteration perturbs a defective

@@ -50,8 +50,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import ExceptionalPointNotFound, ConvergenceFailure, InvalidMatrix
-from .linalg import eig_general, minimize_simplex
+from .exceptions import ExceptionalPointNotFound, InvalidMatrix
+from .linalg import eig_general
 from .model import CavityModel
 
 __all__ = [
@@ -96,6 +96,17 @@ _BACKWARD_TOL = 1e-12
 # Accepted |sum z - trace|, times the scale and N; the measured worst was
 # 1.6e-16 over 2,300 accepted spectra.
 _TRACE_TOL = 1e-14
+# Constants of find_exceptional_point; its docstring gives their roles.
+# Steps of about sqrt(eps) balance the forward difference's truncation and
+# rounding errors.
+_EP_MAX_STEPS = 20
+_EP_MAX_HALVINGS = 4
+_EP_FD_STEP = 1.5e-8
+_EP_RCOND = 1e-6
+_EP_SEPARATION = 1e-8
+_EP_RANK = 1e-6
+_EP_ANGLE = 1e-2
+_EP_FLOOR = 1e-7
 
 
 @dataclass(frozen=True)
@@ -202,10 +213,14 @@ class PoleResult:
 class EPReport:
     """Outcome of an exceptional-point search in a two-parameter family.
 
-    ``path`` records one (p1, p2, separation, a_norm_max) entry per objective
-    evaluation, where a_norm_max is the larger Hermitian norm of the closest
-    eigenvalue pair; its growth along the path is the standard signature of
-    an approach to an exceptional point.
+    ``path`` records one (p1, p2, separation, a_norm_max) entry per accepted
+    iterate: the start, every accepted Newton step, and every neighbour at
+    the rounding floor that lowered the separation. a_norm_max is the larger
+    Hermitian norm of the closest eigenvalue pair; its growth along the path
+    is the standard signature of an approach to an exceptional point.
+    ``params`` is one of the path's points. ``outcome`` is ``"ep"`` (then
+    ``success`` is true), ``"degenerate"`` for a coalescence that is not
+    defective, or ``"not_found"``.
     """
 
     params: tuple
@@ -214,6 +229,7 @@ class EPReport:
     angle: float
     path: tuple
     success: bool
+    outcome: str
 
 
 def assemble_heff(model: CavityModel, energy) -> np.ndarray:
@@ -751,11 +767,13 @@ def _chirality_angle(family, p_star, p_start):
     """Distance of the coalescing pair from the phi_1 = +-i phi_2 relation.
 
     Evaluated at the optimum when the pair is still separable there,
-    otherwise at points backed off toward the search start until the
-    bilinear norms allow normalization.
+    otherwise at points backed off toward the search start (along (1, 1)
+    from a start at the optimum) until the bilinear norms allow
+    normalization.
     """
+    away = p_start - p_star if (p_start != p_star).any() else np.ones(2)
     for backoff in (0.0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2):
-        p = p_star + backoff * (p_start - p_star)
+        p = p_star + backoff * away
         es = eig_general(np.asarray(family(p), dtype=complex))
         (i, j), _ = _closest_pair(es.values)
         pair = es.vectors[:, [i, j]]
@@ -769,15 +787,107 @@ def _chirality_angle(family, p_star, p_start):
     return math.nan
 
 
-def find_exceptional_point(family, start, tol=1e-10):
-    """Search a two-parameter matrix family for an eigenvalue coalescence.
+def _eigenvalues(h):
+    """Eigenvalues without vectors: the closed form for 2x2, else zgeev."""
+    return eig_general(h).values if len(h) == 2 else np.linalg.eigvals(h)
 
-    Minimizes the smallest pairwise eigenvalue separation with the simplex
-    method. The search succeeds when the minimizer terminates on its own and
-    the final separation falls below 1e-8 times the infinity norm of the
-    matrix at the optimum; the report then also carries the chirality angle
-    of the coalescing pair, which vanishes for a true exceptional point but
-    not for an ordinary crossing.
+
+def _tracked_pair(values, pair):
+    """The two distinct entries of ``values`` nearest the two of ``pair``.
+
+    Each member of ``pair`` takes its nearest value; when both take the
+    same one, one of them moves to its second choice, whichever assignment
+    has the smaller summed distance.
+    """
+    d = np.abs(values[:, None] - np.asarray(pair)[None, :])
+    a, b = np.argmin(d, axis=0)
+    if a == b:
+        both = d[a].copy()
+        d[a] = np.inf
+        a2, b2 = np.argmin(d, axis=0)
+        if d[a2, 0] + both[1] < both[0] + d[b2, 1]:
+            a = a2
+        else:
+            b = b2
+    return values[[a, b]]
+
+
+def _pair_moments(pairs):
+    """Discriminant (z_a - z_b)^2 and mean of eigenvalue pairs (last axis).
+
+    Both are symmetric in the pair, so both stay smooth through a
+    coalescence, where z_a and z_b themselves have a square-root branch.
+    """
+    d = pairs[..., 0] - pairs[..., 1]
+    return d * d, 0.5 * (pairs[..., 0] + pairs[..., 1])
+
+
+def _newton_steps(g, jac):
+    """Minimum-norm solutions dp of the real 2x2 systems g + jac @ dp = 0.
+
+    ``g`` (m,) are complex discriminants and ``jac`` (m, 2) their
+    derivatives in the two real parameters.
+    """
+    a = np.stack([jac.real, jac.imag], axis=1)
+    rhs = np.stack([g.real, g.imag], axis=1)[:, :, None]
+    return -(np.linalg.pinv(a, rcond=_EP_RCOND) @ rhs)[:, :, 0]
+
+
+class _Iterate:
+    """The family's matrix, eigenpairs and closest pair at one point p."""
+
+    def __init__(self, family, p):
+        self.p = p
+        self.h = np.asarray(family(p), dtype=complex)
+        self.es = eig_general(self.h)
+        if len(self.es.values) < 2:
+            raise InvalidMatrix("family matrices need dimension >= 2")
+        self.closest, self.separation = _closest_pair(self.es.values)
+
+    def row(self):
+        """Path entry (p1, p2, separation, a_norm_max)."""
+        return (float(self.p[0]), float(self.p[1]), self.separation,
+                _pair_a_norm(self.es.vectors, *self.closest))
+
+
+def find_exceptional_point(family, start, tol=1e-10):
+    """Search a two-parameter matrix family for an exceptional point.
+
+    Drives the discriminant g(p) = (z_a - z_b)^2 of one eigenvalue pair to
+    zero by damped Newton steps in p. Unlike the separation |z_a - z_b|,
+    which has a cusp at a coalescence, g is smooth there, so Newton
+    converges onto it. The Jacobian of g is a forward difference of the
+    eigenvalues (two eigensolves without vectors per step). Each step is
+    the minimum-norm least-squares solution of the real 2x2 system for
+    (Re g, Im g), with singular values below 1e-6 of the largest dropped:
+    where Im g vanishes identically, as on a bipartite lattice at E = 0
+    whose eigenvalues pair as z and -conj(z), coalescences form curves in
+    the parameter plane and the step heads for the nearest one. The pair is
+    the one whose first step is shortest among all pairs at the start; it
+    is followed from step to step by the first-order prediction of its
+    mean and discriminant, which are smooth through the coalescence too.
+    A backtracking line search halves a step that does not reduce |g|, up
+    to four times. The search stops when g is zero, after a step shorter
+    than ``tol`` times max(1, |p|), when the line search fails, or after
+    20 steps.
+
+    The reported point is the iterate with the smallest separation of any
+    pair. Rounding splits a coalesced pair by about sqrt(eps) ||H||, so a
+    converged separation within 10x of the bound below is rounding noise:
+    the floating-point neighbours of the point, up to three spacings away
+    in each parameter, then draw it afresh until one meets the bound. The
+    point is an exceptional point (``success``) only when it carries a
+    defectiveness signature:
+
+    * the separation is at most 1e-8 ||H*||_inf;
+    * the second-smallest singular value of H* - z* I exceeds
+      1e-6 ||H*||_inf, so the merged eigenvalue has one Jordan block;
+    * the chirality angle of the pair, the distance from the relation
+      phi_1 = +-i phi_2, is below 1e-2.
+
+    The outcome is ``"ep"`` when all three hold, ``"degenerate"`` when the
+    separation is below the bound but the point is not defective (such as a
+    symmetry-protected crossing), and ``"not_found"`` otherwise.
 
     Parameters
     ----------
@@ -787,60 +897,111 @@ def find_exceptional_point(family, start, tol=1e-10):
         second entry.
     start : sequence of 2 floats
     tol : float
-        Simplex termination diameter.
+        Newton step length, relative to max(1, |p|), after which the
+        search stops.
 
     Returns
     -------
     (float, float, complex, EPReport)
-        Optimal parameters, the degenerate eigenvalue, and the full report.
+        Parameters of the exceptional point, the merged eigenvalue z* (the
+        mean of the pair), and the full report.
 
     Raises
     ------
     ExceptionalPointNotFound
-        Search hit the iteration cap or terminated above the separation
-        threshold; the exception carries the report of the best point found.
+        The outcome is not ``"ep"``; the exception carries the report of
+        the point with the smallest separation.
     """
     p_start = np.asarray(start, dtype=float)
     if p_start.shape != (2,):
         raise InvalidMatrix("start must hold exactly two parameters")
-    path = []
+    it = best = _Iterate(family, p_start)
+    path = [it.row()]
+    z = it.es.values
+    index = np.stack(np.triu_indices(len(z), 1), axis=1)
+    pairs = z[index]
+    for _ in range(_EP_MAX_STEPS):
+        p = it.p
+        step = _EP_FD_STEP * np.maximum(1.0, np.abs(p))
+        shifted = [
+            _eigenvalues(np.asarray(family(p + dp), dtype=complex))
+            for dp in np.diag(step)
+        ]
+        if len(pairs) > 1:
+            # The start: every pair, each value matched to its nearest.
+            moved = [s[np.abs(s[None] - z[:, None]).argmin(1)][index]
+                     for s in shifted]
+        else:
+            moved = [_tracked_pair(s, pairs[0])[None] for s in shifted]
+        g, m = _pair_moments(pairs)
+        g_k, m_k = _pair_moments(np.stack(moved, axis=1))
+        dg = (g_k - g[:, None]) / step
+        dm = (m_k - m[:, None]) / step
+        dps = _newton_steps(g, dg)
+        # The pair followed from now on is the one whose step is shortest.
+        c = int(np.argmin(np.hypot(dps[:, 0], dps[:, 1])))
+        g, m, dg, dm, dp = g[c], m[c], dg[c], dm[c], dps[c]
+        if g == 0.0:
+            break
+        for _ in range(_EP_MAX_HALVINGS + 1):
+            trial = _Iterate(family, p + dp)
+            # The first-order prediction of the pair's mean and
+            # discriminant, both smooth through a coalescence, picks the
+            # pair out of the new values.
+            m_dp = m + dm @ dp
+            root = 0.5 * np.sqrt(g + dg @ dp)
+            pair = _tracked_pair(trial.es.values, (m_dp + root, m_dp - root))
+            if abs(_pair_moments(pair)[0]) < abs(g):
+                break
+            dp = 0.5 * dp
+        else:
+            break
+        it, pairs = trial, pair[None]
+        path.append(it.row())
+        if it.separation < best.separation:
+            best = it
+        if np.abs(dp).max() <= tol * max(1.0, np.abs(it.p).max()):
+            break
 
-    def objective(p):
-        es = eig_general(np.asarray(family(p), dtype=complex))
-        if len(es.values) < 2:
-            raise InvalidMatrix("family matrices need dimension >= 2")
-        (i, j), sep = _closest_pair(es.values)
-        path.append(
-            (float(p[0]), float(p[1]), sep, _pair_a_norm(es.vectors, i, j))
-        )
-        return sep
-
-    capped = False
-    try:
-        p_star, _ = minimize_simplex(objective, p_start, tol=tol)
-    except ConvergenceFailure as err:
-        p_star = np.asarray(err.best_point, dtype=float)
-        capped = True
-
-    h_star = np.asarray(family(p_star), dtype=complex)
-    es = eig_general(h_star)
-    (i, j), sep_star = _closest_pair(es.values)
-    z_star = 0.5 * (es.values[i] + es.values[j])
-    threshold = 1e-8 * float(np.abs(h_star).sum(axis=1).max())
-    success = (not capped) and sep_star < threshold
+    scale = float(np.abs(best.h).sum(axis=1).max())
+    threshold = _EP_SEPARATION * scale
+    if threshold < best.separation <= _EP_FLOOR * scale:
+        p = best.p
+        ring = range(-3, 4)
+        shifts = sorted(((a, b) for a in ring for b in ring),
+                        key=lambda v: v[0] ** 2 + v[1] ** 2)
+        for shift in shifts[1:]:
+            trial = _Iterate(family, p + np.multiply(shift, np.spacing(p)))
+            if trial.separation < best.separation:
+                best = trial
+                path.append(best.row())
+                if best.separation <= threshold:
+                    break
+        scale = float(np.abs(best.h).sum(axis=1).max())
+        threshold = _EP_SEPARATION * scale
+    i, j = best.closest
+    z_star = 0.5 * (best.es.values[i] + best.es.values[j])
+    angle = float(_chirality_angle(family, best.p, p_start))
+    if best.separation > threshold:
+        outcome = "not_found"
+        reason = (f"separation {best.separation:.3e} stayed above threshold "
+                  f"{threshold:.3e}")
+    else:
+        sigma = np.linalg.svd(best.h - z_star * np.eye(len(best.h)),
+                              compute_uv=False)[-2]
+        defective = sigma > _EP_RANK * scale and angle < _EP_ANGLE
+        outcome = "ep" if defective else "degenerate"
+        reason = (f"degenerate, not defective: second-smallest singular "
+                  f"value {sigma:.3e}, chirality angle {angle:.3e}")
     report = EPReport(
-        params=tuple(float(x) for x in p_star),
+        params=tuple(float(x) for x in best.p),
         z_star=complex(z_star),
-        separation=sep_star,
-        angle=float(_chirality_angle(family, p_star, p_start)),
+        separation=best.separation,
+        angle=angle,
         path=tuple(path),
-        success=success,
+        success=outcome == "ep",
+        outcome=outcome,
     )
-    if not success:
-        reason = (
-            "iteration cap reached"
-            if capped
-            else f"separation {sep_star:.3e} stayed above threshold {threshold:.3e}"
-        )
+    if not report.success:
         raise ExceptionalPointNotFound(reason, report=report)
     return report.params[0], report.params[1], report.z_star, report

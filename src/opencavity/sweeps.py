@@ -35,7 +35,7 @@ from .exceptions import (
     ValidationError,
     WriteError,
 )
-from .model import CavityModel, LatticeSpec, LeadSpec
+from .model import CavityModel, LatticeSpec, LeadSpec, surface_green
 from .scattering import (
     _s_matrices,
     contact_green,
@@ -44,7 +44,6 @@ from .scattering import (
     wigner_delay,
 )
 from .spectrum import (
-    assemble_heff,
     find_exceptional_point,
     heff_eigenvalues,
     track_sweep,
@@ -579,6 +578,31 @@ def run_delay_study(config: RunConfig) -> StudyResult:
     )
 
 
+def _coupling_family(config: RunConfig):
+    """H_eff at the grid center as a function of the two lead couplings.
+
+    H_B is built once; each call adds the two contact self-energies
+    (alpha |p_C|)^2 g_C(E) to a copy, in the order and with the rounding
+    of :func:`~opencavity.spectrum.assemble_heff` on a model with coupling
+    values |p|.
+    """
+    base = config.build_model()
+    h_b = base.h_b.astype(complex)
+    e_c = config.e_grid.center
+    contacts = [
+        (ch.index, surface_green(e_c, ch.lead_hopping))
+        for ch in base.channels
+    ]
+
+    def family(p):
+        h = h_b.copy()
+        for (index, g), w in zip(contacts, p):
+            h[index, index] += (base.alpha * abs(float(w))) ** 2 * g
+        return h
+
+    return family
+
+
 def run_ep_study(config: RunConfig):
     """Search for an exceptional point in the two lead couplings.
 
@@ -592,21 +616,8 @@ def run_ep_study(config: RunConfig):
         The result rows are (step, p1, p2, separation, a_norm_max); the
         report carries the optimum whether or not the search succeeded.
     """
-    e_c = config.e_grid.center
-    lead_a, lead_b = config.leads
-
-    def family(p):
-        model = CavityModel(
-            config.lattice,
-            (
-                replace(lead_a, coupling_w=abs(float(p[0]))),
-                replace(lead_b, coupling_w=abs(float(p[1]))),
-            ),
-            config.alpha,
-        )
-        return assemble_heff(model, e_c)
-
-    start = (lead_a.coupling_w, lead_b.coupling_w)
+    family = _coupling_family(config)
+    start = tuple(lead.coupling_w for lead in config.leads)
     try:
         report = find_exceptional_point(family, start)[3]
     except ExceptionalPointNotFound as err:

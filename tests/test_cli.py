@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -349,6 +350,39 @@ class TestEpFind:
         assert main(["ep-find", "--config", cfg, "--out", str(out)]) == 3
         assert "ep-find: success=False" in capsys.readouterr().err
         assert out.exists()
+
+
+    def test_symmetric_degeneracy_exits_three(self, tmp_path, capsys):
+        doc = ep_doc()
+        doc["model"] = {
+            "nx": 4, "ny": 4, "alpha": 1.0,
+            "leads": [
+                {"contact": [0, 0], "coupling_w": 1.2},
+                {"contact": [3, 3], "coupling_w": 1.6},
+            ],
+        }
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "ep.csv"
+        assert main(["ep-find", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "ep-find: success=False" in err
+        assert err.rstrip().endswith("outcome=degenerate")
+        assert out.exists()
+
+    def test_summary_matches_benchmark_oracle(self, tmp_path, capsys):
+        # The pattern bench/oracle.py reads the summary with.
+        ep_line = re.compile(
+            r"ep-find: success=(True|False) p=\(([^,]+), ([^)]+)\) .* "
+            r"angle=(\S+)")
+        cfg = write_config(tmp_path, ep_doc())
+        out = tmp_path / "ep.csv"
+        assert main(["ep-find", "--config", cfg, "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        match = ep_line.search(err)
+        assert match is not None
+        assert match.group(1) == "True"
+        assert float(match.group(4)) < 1e-2
+        assert " outcome=ep" in err
 
 
 def run_python(code, *args):

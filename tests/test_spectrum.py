@@ -33,6 +33,7 @@ from opencavity.spectrum import (
     _degenerate_runs,
     _secular_eigenvalues,
     _track_spectra,
+    _tracked_pair,
 )
 
 from conftest import energies, open_cavities, single_site_model
@@ -608,6 +609,114 @@ class TestFindExceptionalPoint:
     def test_rejects_scalar_family(self):
         with pytest.raises(InvalidMatrix):
             find_exceptional_point(lambda p: np.array([[p[0]]]), (0.5, 0.0))
+
+
+    def test_symmetric_degeneracy_is_not_an_ep(self):
+        # At E = 0 the 4x4 lattice with corner leads has a threefold,
+        # diagonalisable degeneracy at the start (1.2, 1.6).
+        lat = LatticeSpec(4, 4)
+
+        def family(p):
+            leads = (LeadSpec((0, 0), abs(float(p[0]))),
+                     LeadSpec((3, 3), abs(float(p[1]))))
+            return assemble_heff(CavityModel(lat, leads, 1.0), 0.0)
+
+        with pytest.raises(ExceptionalPointNotFound) as exc:
+            find_exceptional_point(family, (1.2, 1.6))
+        report = exc.value.report
+        assert not report.success
+        assert report.outcome == "degenerate"
+        assert report.separation <= 1e-8 * np.abs(family(report.params)).sum(
+            axis=1).max()
+
+    def test_hermitian_family_outcome_not_found(self):
+        rng = np.random.RandomState(3)
+        h0, a, b = (x + x.conj().T for x in
+                    rng.randn(3, 5, 5) + 1j * rng.randn(3, 5, 5))
+        with pytest.raises(ExceptionalPointNotFound) as exc:
+            find_exceptional_point(lambda p: h0 + p[0] * a + p[1] * b,
+                                   (0.2, -0.4))
+        assert exc.value.report.outcome == "not_found"
+        assert not exc.value.report.success
+
+    def test_outcome_ep_on_success(self):
+        report = find_exceptional_point(ep_family_1param, (0.7, 0.0))[3]
+        assert report.outcome == "ep"
+
+    def test_path_is_short(self):
+        _, _, _, report = find_exceptional_point(ep_family_1param, (0.3, 0.0))
+        # Newton converges quadratically: a handful of iterates, not the
+        # hundreds of evaluations of a simplex.
+        assert len(report.path) <= 12
+        assert report.path[0][:2] == (0.3, 0.0)
+        assert report.params in [row[:2] for row in report.path]
+
+
+def test_tracked_pair_shares_out_a_common_nearest_value():
+    # Both members are nearest to 0; giving the far member its second
+    # choice (0.55 away) beats moving the near one (0.3 + 0.5).
+    values = np.array([0.0, -0.3, 1.05])
+    assert _tracked_pair(values, (0.0, 0.5)).tolist() == [0.0, 1.05]
+
+
+# Nilpotent complex symmetric blocks: N^2 = 0 (a 2-level exceptional
+# point) and N^3 = 0 with N^2 != 0 (a 3-level one).
+_NILPOTENT = {
+    2: np.array([[1.0, 1.0j], [1.0j, -1.0]]),
+    3: np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0j], [0.0, 1.0j, 0.0]]),
+}
+
+
+@st.composite
+def ep_families(draw):
+    """A random two-parameter matrix family and a start near its EP.
+
+    Complex symmetric families H0 + (p1 - a1) A + (p2 - a2) B carry a
+    planted 2- or 3-level exceptional point at (a1, a2); Hermitian ones,
+    H0 + p1 A + p2 B, have none.
+    """
+    kind = draw(st.sampled_from(["ep2", "ep3", "hermitian"]))
+    n = draw(st.integers(2 if kind != "ep3" else 3, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.RandomState(seed)
+    a = rng.uniform(-1.0, 1.0, 2)
+    start = a + draw(st.tuples(*[st.floats(-0.3, 0.3)] * 2))
+    g = rng.randn(3, n, n) + 1j * rng.randn(3, n, n)
+    if kind == "hermitian":
+        h0, da, db = (x + x.conj().T for x in g)
+        return kind, (lambda p: h0 + p[0] * da + p[1] * db), start
+    k = int(kind[-1])
+    z0 = complex(*rng.randn(2))
+    m = np.diag(z0 + 1.5 + 2.0 * (rng.randn(n) + 1j * rng.randn(n)))
+    m[:k, :k] = z0 * np.eye(k) + rng.uniform(0.5, 2.0) * _NILPOTENT[k]
+    q = np.linalg.qr(rng.randn(n, n))[0]
+    h0 = q @ m @ q.T
+    da, db = (x + x.T for x in g[1:])
+    return kind, (lambda p: h0 + (p[0] - a[0]) * da + (p[1] - a[1]) * db), start
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(case=ep_families())
+def test_reported_ep_passes_dense_oracle(case):
+    """A reported exceptional point is one by an independent zgeev."""
+    kind, family, start = case
+    try:
+        report = find_exceptional_point(family, start)[3]
+    except ExceptionalPointNotFound as err:
+        report = err.report
+        assert report.outcome in ("degenerate", "not_found")
+        return
+    assert kind != "hermitian"
+    assert report.outcome == "ep"
+    h = family(np.array(report.params))
+    z, v = np.linalg.eig(h)
+    d = np.abs(z[:, None] - z[None, :]) + np.diag(np.full(len(z), np.inf))
+    i, j = np.unravel_index(np.argmin(d), d.shape)
+    assert d[i, j] <= 1e-6 * np.abs(h).sum(axis=1).max()
+    overlap = abs(np.vdot(v[:, i], v[:, j])) / (
+        np.linalg.norm(v[:, i]) * np.linalg.norm(v[:, j]))
+    assert overlap >= 0.99
+    assert report.angle < 1e-2
 
 
 class TestClosestPair:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -8,6 +9,7 @@ import pytest
 
 from opencavity import (
     AlphaGrid,
+    CavityModel,
     EnergyGrid,
     EPReport,
     InvalidGeometry,
@@ -15,6 +17,7 @@ from opencavity import (
     StudyResult,
     ValidationError,
     WriteError,
+    assemble_heff,
     count_peaks,
     export_csv,
     format_csv,
@@ -29,6 +32,9 @@ from opencavity import (
     serialize_config,
     spectrum,
 )
+from opencavity.sweeps import _coupling_family
+
+from conftest import NOTCH_MASK
 
 
 def config_doc(study="transmit", **overrides):
@@ -386,6 +392,46 @@ class TestStudyRunners:
         assert res.columns == ("step", "p1", "p2", "separation", "a_norm_max")
         assert len(res.rows) == len(report.path)
         npt.assert_array_equal(res.rows[:, 0], np.arange(len(res.rows)))
+
+    @pytest.mark.parametrize("model,e_grid", [
+        # The three ep-find configs of the benchmark, then one off E = 0
+        # with two lead hoppings and both leads on one site.
+        ({"nx": 2, "ny": 2, "alpha": 1.0, "mask": [[1, 0], [1, 1]],
+          "leads": [{"contact": [0, 0], "coupling_w": 1.2},
+                    {"contact": [1, 0], "coupling_w": 1.6}]},
+         (-1.0, 1.0)),
+        ({"nx": 4, "ny": 4, "alpha": 1.0,
+          "leads": [{"contact": [0, 0], "coupling_w": 1.2},
+                    {"contact": [3, 3], "coupling_w": 1.6}]},
+         (-1.0, 1.0)),
+        ({"nx": 10, "ny": 5, "alpha": 0.6,
+          "mask": [list(row) for row in NOTCH_MASK],
+          "leads": [{"contact": [0, 2], "coupling_w": 1.0},
+                    {"contact": [9, 2], "coupling_w": 1.0}]},
+         (-1.9, 1.9)),
+        ({"nx": 3, "ny": 2, "alpha": 0.7,
+          "leads": [{"contact": [1, 1], "coupling_w": 0.4,
+                     "lead_hopping": 1.5},
+                    {"contact": [1, 1], "coupling_w": 0.9}]},
+         (-1.9, 1.3)),
+    ])
+    def test_coupling_family_matches_model_assembly(self, model, e_grid):
+        doc = config_doc(study="ep-find", model=model)
+        doc["e_grid"] = {"min": e_grid[0], "max": e_grid[1], "points": 3}
+        config = parse_doc(doc)
+        family = _coupling_family(config)
+        lead_a, lead_b = config.leads
+        # The couplings enter as |p|, so negative p must match too.
+        for p in [(1.2, 1.6), (-1.2, 1.6), (0.3, -2.5), (-0.0, 0.0),
+                  (-1e-3, -7.25)]:
+            model_p = CavityModel(
+                config.lattice,
+                (replace(lead_a, coupling_w=abs(p[0])),
+                 replace(lead_b, coupling_w=abs(p[1]))),
+                config.alpha,
+            )
+            expected = assemble_heff(model_p, config.e_grid.center)
+            assert family(np.array(p)).tobytes() == expected.tobytes()
 
     def test_crossover_columns(self):
         doc = config_doc(
