@@ -7,11 +7,24 @@ and writes CSV to ``--out``, the config's ``out`` path, or stdout.
 Exit codes: 0 success, 2 unusable config (parse, validation or geometry),
 3 runtime failure (including an exceptional-point search whose outcome is
 "degenerate" or "not_found"), 4 output could not be written.
+
+Importing this module calls ``gc.freeze()`` once, after the package and
+numpy are loaded. A CLI call is a short process whose imports leave about
+22,000 objects tracked by the cyclic collector, and interpreter
+finalization runs several full collections over them, 5-7 ms each. That
+exit took 19-30 ms per call, more than the numerics of a small study
+(2-core x86-64, Python 3.11, BLAS at 1 thread). Every collection skips
+frozen objects, so the exit now takes 6-10 ms; the freeze itself takes
+about 2 microseconds and changes no output. Importing ``opencavity.cli``
+into a long-lived process therefore freezes that process's heap as it
+stands at the import: those objects are never collected. ``import
+opencavity`` alone leaves the collector untouched.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -26,6 +39,8 @@ from .exceptions import (
 from .sweeps import STUDIES, export_csv, format_csv, parse_config, run_study
 
 __all__ = ["main"]
+
+gc.freeze()
 
 
 def _build_parser():

@@ -655,6 +655,20 @@ def _greedy_match(ov, z_prev, z_next):
     return np.array(row_of)
 
 
+def _ambiguous_matches(ov, row_of, gap_tol):
+    """Matches whose overlap beats the runner-up in its row by < ``gap_tol``.
+
+    ``row_of[j]`` is the row of ``ov`` matched to column j, a permutation.
+    The runner-up is the row's maximum once its winning entry is masked,
+    so every winning entry of ``ov`` is overwritten with -inf: one entry
+    per row, with no copy of the matrix.
+    """
+    cols = np.arange(len(row_of))
+    won = ov[row_of, cols]
+    ov[row_of, cols] = -np.inf
+    return won - ov.max(axis=1)[row_of] < gap_tol
+
+
 def _track_spectra(spectra, gap_tol=1e-6):
     """Label an ordered sequence of SpectralSets by best-overlap matching.
 
@@ -689,13 +703,10 @@ def _track_spectra(spectra, gap_tol=1e-6):
         ov = np.abs(p_prev.conj().T @ p_next)
         p_prev = p_next
         row_of = _greedy_match(ov, prev.values.tolist(), current.values.tolist())
-        cols = np.arange(n)
-        others = ov[row_of]
-        others[cols, cols] = -np.inf
-        ambiguous = ov[row_of, cols] - others.max(axis=1) < gap_tol
-        # Freed before the gather below; kept, they raised peak RSS by
+        ambiguous = _ambiguous_matches(ov, row_of, gap_tol)
+        # Freed before the gather below; kept, it raised peak RSS by
         # 0.25 MB on the 15 x 15 lattice.
-        del ov, others
+        del ov
         flip = np.einsum("ij,ij->j", prev.vectors[:, row_of],
                          current.vectors).real < 0.0
         np.negative(vectors, out=vectors, where=flip)

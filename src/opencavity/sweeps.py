@@ -21,6 +21,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -158,7 +159,15 @@ class RunConfig:
     out: str | None = None
 
     def build_model(self):
-        """The model at the config's own alpha; sweeps use ``with_alpha``."""
+        """The model at the config's own alpha; sweeps use ``with_alpha``.
+
+        Built on the first call, which :func:`parse_config` makes to check
+        the geometry, and the same model on every later call.
+        """
+        return self._model
+
+    @cached_property
+    def _model(self):
         return CavityModel(self.lattice, self.leads, self.alpha)
 
 
@@ -718,8 +727,10 @@ def format_csv(result: StudyResult) -> str:
         f"# {_SENTINEL_NOTE}",
         ",".join(result.columns),
     ]
-    for row in result.rows:
-        lines.append(",".join("%.17g" % v for v in row))
+    rows = result.rows.tolist()
+    if rows:
+        fmt = ",".join(["%.17g"] * len(rows[0]))
+        lines.extend([fmt % tuple(row) for row in rows])
     return "\n".join(lines) + "\n"
 
 

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from opencavity import CavityModel
 from opencavity.cli import main
 
 from conftest import NOTCH_MASK
@@ -52,6 +53,32 @@ def ep_doc():
     }
 
 
+def study_docs():
+    """One small passing config per study."""
+    spectrum = base_doc(
+        study="spectrum",
+        alpha_grid={"min": 0.2, "max": 2.0, "points": 5},
+    )
+    spectrum["model"]["nx"] = 2
+    spectrum["model"]["leads"] = [
+        {"contact": [0, 0], "coupling_w": 1.0},
+        {"contact": [1, 0], "coupling_w": 0.0},
+    ]
+    crossover = base_doc(
+        study="crossover",
+        alpha_grid={"min": 0.1, "max": 2.0, "points": 10},
+    )
+    crossover["e_grid"]["points"] = 15
+    return {
+        "transmit": base_doc(),
+        "spectrum": spectrum,
+        "rigidity": base_doc(study="rigidity"),
+        "ep-find": ep_doc(),
+        "delay": base_doc(study="delay"),
+        "crossover": crossover,
+    }
+
+
 def write_config(tmp_path, doc, name="study.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -92,34 +119,31 @@ class TestHappyPaths:
         assert not ignored.exists()
 
     def test_every_subcommand_runs(self, tmp_path):
-        spectrum = base_doc(
-            study="spectrum",
-            alpha_grid={"min": 0.2, "max": 2.0, "points": 5},
-        )
-        spectrum["model"]["nx"] = 2
-        spectrum["model"]["leads"] = [
-            {"contact": [0, 0], "coupling_w": 1.0},
-            {"contact": [1, 0], "coupling_w": 0.0},
-        ]
-        crossover = base_doc(
-            study="crossover",
-            alpha_grid={"min": 0.1, "max": 2.0, "points": 10},
-        )
-        crossover["e_grid"]["points"] = 15
-        docs = {
-            "transmit": base_doc(),
-            "spectrum": spectrum,
-            "rigidity": base_doc(study="rigidity"),
-            "ep-find": ep_doc(),
-            "delay": base_doc(study="delay"),
-            "crossover": crossover,
-        }
-        for study, doc in docs.items():
+        for study, doc in study_docs().items():
             cfg = write_config(tmp_path, doc, name=f"{study}.json")
             out = tmp_path / f"{study}.csv"
             code = main([study, "--config", cfg, "--out", str(out)])
             assert code == 0, study
             assert out.read_text(encoding="utf-8").startswith("# opencavity")
+
+    def test_one_model_built_per_call(self, tmp_path, monkeypatch):
+        # parse_config builds the model to check the geometry; the study
+        # runs on that same model. Coupling sweeps derive theirs through
+        # with_alpha, which does not construct.
+        built = []
+        init = CavityModel.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CavityModel, "__init__", spy)
+        for study, doc in study_docs().items():
+            built.clear()
+            cfg = write_config(tmp_path, doc, name=f"{study}.json")
+            out = tmp_path / f"{study}.csv"
+            assert main([study, "--config", cfg, "--out", str(out)]) == 0
+            assert len(built) == 1, study
 
     def test_delay_band_edge_exits_zero(self, tmp_path):
         doc = base_doc(study="delay")
@@ -437,6 +461,36 @@ class TestScipyFree:
             assert proc.returncode == 0, proc.stderr
             outputs.append((out.read_bytes(), proc.stderr))
         assert outputs[0] == outputs[1]
+
+
+def test_only_the_cli_freezes_the_collector():
+    # The freeze keeps interpreter exit short for a CLI call; a library
+    # import must leave the caller's collector as it was.
+    proc = run_python(
+        "import gc, opencavity; print(gc.get_freeze_count()); "
+        "import opencavity.cli; print(gc.get_freeze_count())"
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, after = map(int, proc.stdout.split())
+    assert before == 0
+    assert after > 0
+
+
+def test_module_entry_point_matches_in_process_main(tmp_path, capsys):
+    cfg = write_config(tmp_path, base_doc())
+    args = ["transmit", "--config", cfg, "--grid-override",
+            "e_grid.points=101"]
+    code = main(args)
+    captured = capsys.readouterr()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "opencavity.cli", *args],
+        env=env, capture_output=True, timeout=120,
+    )
+    assert code == 0
+    assert (proc.returncode, proc.stderr) == (code, b"")
+    assert proc.stdout == captured.out.encode("utf-8")
 
 
 def test_import_starts_no_thread_pool():

@@ -29,6 +29,7 @@ from opencavity import (
 from opencavity.linalg import eig_general
 from opencavity.spectrum import (
     SECULAR_MIN_N,
+    _ambiguous_matches,
     _closest_pair,
     _degenerate_runs,
     _secular_eigenvalues,
@@ -559,6 +560,27 @@ class TestTrackingAgainstReference:
 
     def test_duplicated_overlaps(self):
         assert self.assert_same_tracks(synthetic_sweeps()) > 0
+
+
+def test_ambiguous_matches_equal_the_row_copy_form():
+    # Overlaps drawn from a few values, so rows hold exact ties between the
+    # winner and its runner-up, and gaps just either side of gap_tol.
+    rng = np.random.default_rng(5)
+    tol = 1e-6
+    levels = np.array([0.0, 0.25, 0.5, 0.5 + 0.5 * tol, 0.5 + 2 * tol, 1.0])
+    ties = 0
+    for n in (1, 2, 3, 5, 8, 13):
+        for _ in range(40):
+            ov = rng.choice(levels, size=(n, n))
+            row_of = rng.permutation(n)
+            cols = np.arange(n)
+            others = ov[row_of]
+            others[cols, cols] = -np.inf
+            want = ov[row_of, cols] - others.max(axis=1) < tol
+            ties += int(np.sum(ov[row_of, cols] == others.max(axis=1)))
+            got = _ambiguous_matches(ov.copy(), row_of, tol)
+            npt.assert_array_equal(got, want)
+    assert ties > 0
 
 
 class TestFindExceptionalPoint:

@@ -6,6 +6,8 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opencavity import (
     AlphaGrid,
@@ -568,6 +570,31 @@ class TestCsv:
             config_echo="{}",
         )
         assert "inf,nan" in format_csv(res)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.data())
+    def test_rows_match_per_value_formatting(self, data):
+        ncols = data.draw(st.sampled_from([1, 2, 5, 34]))
+        special = st.sampled_from([
+            math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+            2.2250738585072009e-308, 1e308, -1e308, 1.7976931348623157e308,
+        ])
+        value = st.one_of(special, st.floats(width=64))
+        rows = data.draw(st.lists(
+            st.lists(value, min_size=ncols, max_size=ncols), max_size=12
+        ))
+        res = StudyResult(
+            study="delay",
+            columns=tuple(f"c{k}" for k in range(ncols)),
+            rows=np.array(rows, dtype=float).reshape(len(rows), ncols),
+            config_echo="{}",
+        )
+        want = "".join(
+            ",".join("%.17g" % v for v in row) + "\n" for row in res.rows
+        )
+        text = format_csv(res)
+        assert text.endswith("\n" + ",".join(res.columns) + "\n" + want)
+        assert text.count("\n") == 4 + len(rows)
 
     def test_wall_time_leaves_no_trace(self):
         cfg = parse_doc(config_doc())
