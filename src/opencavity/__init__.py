@@ -96,77 +96,9 @@ from .sweeps import (
     serialize_config,
 )
 
-__all__ = [
-    "__version__",
-    "OpenCavityError",
-    "InvalidMatrix",
-    "ConvergenceFailure",
-    "SingularMatrix",
-    "InvalidGeometry",
-    "OutsideBand",
-    "NotNormalized",
-    "UndefinedValue",
-    "PoleOnAxis",
-    "DefectiveSpectrum",
-    "ExceptionalPointNotFound",
-    "ParseError",
-    "ValidationError",
-    "WriteError",
-    "EigenSystem",
-    "eig_general",
-    "solve_linear",
-    "minimize_simplex",
-    "LatticeSpec",
-    "LeadSpec",
-    "LeadChannel",
-    "CavityModel",
-    "build_hb",
-    "surface_green",
-    "lead_self_energy",
-    "lead_contact_amplitude",
-    "ResonanceState",
-    "SpectralSet",
-    "PoleResult",
-    "EPReport",
-    "assemble_heff",
-    "heff_eigenvalues",
-    "heff_spectrum",
-    "biorthogonal_spectrum",
-    "fixed_point_poles",
-    "track_sweep",
-    "find_exceptional_point",
-    "RigidityReport",
-    "rho_direct",
-    "rho_spectral",
-    "b_antisymmetry_residual",
-    "build_report",
-    "TwoLevelProfile",
-    "ScatteringSolution",
-    "coefficients_c",
-    "contact_green",
-    "interior_wavefunction",
-    "solve_scattering",
-    "transmission_spectral",
-    "transmission_direct",
-    "s_matrix",
-    "wigner_delay",
-    "width_vs_coupling",
-    "two_level_profile",
-    "STUDIES",
-    "EnergyGrid",
-    "AlphaGrid",
-    "RunConfig",
-    "StudyResult",
-    "parse_config",
-    "serialize_config",
-    "run_transmit_study",
-    "run_trapping_study",
-    "run_rigidity_study",
-    "run_delay_study",
-    "run_ep_study",
-    "run_crossover_study",
-    "run_study",
-    "format_csv",
-    "export_csv",
-    "count_peaks",
-]
+from . import exceptions, linalg, model, rigidity, scattering, spectrum, sweeps
+
+# Each module lists its public names once; the package exports them all.
+__all__ = ["__version__", *exceptions.__all__, *linalg.__all__, *model.__all__,
+           *spectrum.__all__, *rigidity.__all__, *scattering.__all__,
+           *sweeps.__all__]

@@ -4,6 +4,13 @@ Every error raised on a contract violation derives from OpenCavityError so
 callers can distinguish physics/numerics failures from programming errors.
 """
 
+__all__ = [
+    "OpenCavityError", "InvalidMatrix", "ConvergenceFailure", "SingularMatrix",
+    "InvalidGeometry", "OutsideBand", "NotNormalized", "UndefinedValue",
+    "PoleOnAxis", "DefectiveSpectrum", "ExceptionalPointNotFound",
+    "ParseError", "ValidationError", "WriteError",
+]
+
 
 class OpenCavityError(Exception):
     """Base class for all opencavity errors."""
@@ -26,8 +33,11 @@ class ConvergenceFailure(OpenCavityError):
 
 
 class SingularMatrix(OpenCavityError):
-    """Linear solve rejected: the smallest singular value is at or below the
-    singularity threshold."""
+    """E - H_eff(E) is singular at a scalar energy of ``contact_green``,
+    ``s_matrix``, ``transmission_direct`` or ``wigner_delay``, or a matrix
+    given to ``solve_linear`` is: the smallest singular value, of the block
+    of the levels next to E in the resolvent, is at most 1e-14 times the
+    matrix's infinity norm."""
 
 
 class InvalidGeometry(OpenCavityError):

@@ -16,17 +16,13 @@ routes agreeing to rounding is the central consistency check of the
 spectral machinery; they separate only at a defective spectrum, where the
 expansion does not exist and only the direct route remains.
 
-The direct route is the contact-space resolvent of :func:`contact_green`.
-H_eff(E) differs from the real symmetric H_B only in the two contact
-diagonal entries, so one ``eigh`` of H_B per geometry turns G_cc(E) into a
-2x2 problem and each energy costs O(N) instead of a dense O(N^3) LU. Its
-two contact columns of (E - H_eff)^-1 also give the exact Wigner delay
-d arg det S / dE. The LU solve remains as the fallback within
-``RESOLVENT_GAP`` of a closed-cavity eigenvalue, where the resolvent loses
-accuracy and where a dark state can make E - H_eff singular, and as the
-oracle of the tests. ``s_matrix`` and ``wigner_delay`` take one energy,
-which raises on failure, or an array of energies, which gives NaN at a
-failed energy so a sweep does not abort.
+The direct route is the contact-space resolvent of :func:`contact_green`:
+H_eff(E) differs from the real symmetric H_B only in two contact diagonal
+entries, so after one ``eigh`` of H_B per geometry every energy, next to a
+closed-cavity level too, costs O(N) instead of a dense O(N^3) LU, and its
+contact columns give the exact Wigner delay d arg det S / dE. ``s_matrix``
+and ``wigner_delay`` take one energy, which raises on failure, or an array
+of energies, which gives NaN at a failed energy so a sweep does not abort.
 
 Widths obey the sum rule Gamma_lam * A_lam = 2 pi sum_C a_C^2 |phi_lam[c_C]|^2
 exactly at every energy, so Gamma_lam itself stays below the right-hand side
@@ -46,9 +42,8 @@ from .exceptions import (
     SingularMatrix,
     UndefinedValue,
 )
-from .linalg import solve_linear
 from .rigidity import RigidityReport, build_report
-from .spectrum import SpectralSet, _pole_sums, assemble_heff, heff_spectrum
+from .spectrum import SpectralSet, _pole_sums, heff_spectrum
 
 __all__ = [
     "TwoLevelProfile",
@@ -68,10 +63,9 @@ __all__ = [
 # Real-axis pole rejection distance for the spectral route.
 POLE_TOL = 1e-12
 # Relative distance to a closed-cavity eigenvalue, in units of
-# max(1, ||H_B||), below which the contact-space resolvent hands an energy
-# to the dense LU solve. Its rounding error grows like eps / |E - e_k|; at
-# this distance it measures at most 2.4e-11 relative to LU on the five
-# reference models of the tests.
+# max(1, ||H_B||), within which the resolvent borders the level instead of
+# summing it: the sums' rounding grows like eps / |E - e_k|, to at most
+# 2.4e-11 relative to LU at this distance on the tests' reference models.
 RESOLVENT_GAP = 1e-6
 
 
@@ -206,55 +200,68 @@ def transmission_spectral(spectral, model, energy=None):
     return -2j * math.pi * a[0] * a[1] * np.sum(phi_r * phi_l / d)
 
 
-def _lu_contact(model, energy):
-    """Contact block of (E - H_eff)^-1 and its two contact columns, by LU.
-
-    The fallback of :func:`contact_green` next to closed-cavity eigenvalues.
-    Raises SingularMatrix where E - H_eff(E) is singular.
-    """
-    idx = model.contact_indices
-    m = np.eye(model.dimension, dtype=complex) * energy
-    m -= assemble_heff(model, energy)
-    rhs = np.zeros((model.dimension, 2), dtype=complex)
-    rhs[list(idx), [0, 1]] = 1.0
-    x = solve_linear(m, rhs)
-    return x[list(idx), :], x
-
-
 def _resolvent(model, e, strict, interior):
     """G_cc at energies e; with ``interior`` also x[:, b] = U^T psi_b."""
     e_k, u = model.closed_modes
     u_c = u[list(model.contact_indices), :]
     sigma = _self_energies(model, e)
-
+    wsq = np.stack([u_c[0] * u_c[0], u_c[0] * u_c[1], u_c[1] * u_c[1]], axis=1)
     inv_gap = 1.0 / (RESOLVENT_GAP * max(1.0, float(np.abs(e_k).max())))
-    # Rows next to an e_k may overflow here; the LU below replaces them.
+    # An energy on an e_k divides by zero; its level leaves the sums below.
     with np.errstate(all="ignore"):
+        d, g0 = _pole_sums(e, e_k, wsq)
+        rows = np.flatnonzero((d.max(axis=1) > inv_gap)
+                              | (d.min(axis=1) < -inv_gap))
+        near = [np.flatnonzero(np.abs(d[i]) > inv_gap) for i in rows]
+        for i, k in zip(rows, near):
+            d[i, k] = 0.0
+        g0[rows] = d[rows] @ wsq
         # G0 is real and symmetric: its entries (0,0), (0,1), (1,1).
-        d, g0 = _pole_sums(e, e_k, np.stack(
-            [u_c[0] * u_c[0], u_c[0] * u_c[1], u_c[1] * u_c[1]], axis=1))
-        near = (d.max(axis=1) > inv_gap) | (d.min(axis=1) < -inv_gap)
         g0 = g0[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
         m = np.eye(2) - g0 * sigma[:, None, :]
         det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
         adj = np.stack([m[:, 1, 1], -m[:, 0, 1], -m[:, 1, 0], m[:, 0, 0]],
                        axis=1).reshape(-1, 2, 2)
         g = adj @ g0 / det[:, None, None]
+        tol = _singular_bounds(model, e[rows], sigma[rows]) if near else ()
+        y = [_border(float(e[i]), sigma[i], g[i], e_k[k], u_c[:, k], t, strict)
+             for i, k, t in zip(rows, near, tol)]
         if interior:
             x = np.stack([d * ((sigma * g[:, :, b] + np.eye(2)[b]) @ u_c)
                           for b in (0, 1)], axis=1)
-
-    for i in np.flatnonzero(near):
-        try:
-            g[i], psi = _lu_contact(model, float(e[i]))
-        except SingularMatrix:
-            if strict:
-                raise
-            g[i] = complex(math.nan, math.nan)
-            psi = np.full((len(e_k), 2), complex(math.nan, math.nan))
-        if interior:
-            x[i] = [u.T @ psi[:, b] for b in (0, 1)]
+            for i, k, y_k in zip(rows, near, y):
+                x[i][:, k] = y_k.T
     return (g, x) if interior else g
+
+
+def _singular_bounds(model, e, sigma):
+    """1e-14 ||E - H_eff(E)||_inf, the singularity bound of solve_linear."""
+    h = model.h_b
+    m = np.subtract.outer(e, h.diagonal()).astype(complex)
+    for c, s in zip(model.contact_indices, sigma.T):
+        m[:, c] -= s
+    off = np.abs(h).sum(axis=1) - np.abs(h.diagonal())
+    return 1e-14 * (np.abs(m) + off).max(axis=1)
+
+
+def _border(e, sigma, g, e_k, w_k, tol, strict):
+    """Border the near levels e_k, contact rows w_k, into G = G_r in place,
+    as :func:`contact_green` states; returns their interior columns. Both
+    are NaN, or SingularMatrix is raised, where sigma_min(A) <= tol."""
+    b = np.eye(2) + g * sigma
+    a = np.diag(e - e_k) - w_k.T @ (np.diag(sigma) + sigma[:, None] * g
+                                    * sigma) @ w_k
+    try:
+        if np.linalg.svd(a, compute_uv=False).min() > tol:
+            y = np.linalg.solve(a, (b @ w_k).T)
+            g += b @ w_k @ y
+            return y
+    except np.linalg.LinAlgError:
+        pass
+    if strict:
+        raise SingularMatrix(f"E - H_eff(E) is singular at E = {e!r}")
+    g[...] = complex(math.nan, math.nan)
+    return np.full((len(e_k), 2), complex(math.nan, math.nan))
 
 
 def _energies(energy):
@@ -275,9 +282,16 @@ def contact_green(model, energies):
     interior state fed from lead L, psi = (E - H_eff)^-1 e_{c_L}, is U x
     with x = diag(1 / (E - e_k)) U_c^T y and y = e_L + Sigma G_cc e_L. The
     modes come from :attr:`CavityModel.closed_modes`, so after one ``eigh``
-    per geometry each energy costs O(N). Energies within
-    ``RESOLVENT_GAP * max(1, ||H_B||)`` of some e_k, where the rounding
-    error grows like eps / |E - e_k|, are solved by dense LU instead.
+    per geometry each energy costs O(N).
+
+    The levels K within ``RESOLVENT_GAP * max(1, ||H_B||)`` of E leave G0,
+    which gives G_r, and are bordered back in through their block of
+    E - H_eff with the other levels eliminated, A = diag(E - e_K) - W_K^T
+    (Sigma + Sigma G_r Sigma) W_K, W_K their contact rows: with
+    B = I + G_r Sigma, G_cc = G_r + B W_K A^-1 W_K^T B^T and x along K is
+    A^-1 W_K^T B^T e_L. A is singular exactly when E - H_eff is; the test
+    is sigma_min(A) <= 1e-14 ||E - H_eff||_inf, the bound of
+    :func:`~opencavity.linalg.solve_linear`.
 
     Parameters
     ----------
@@ -377,10 +391,9 @@ def s_matrix(model, energy):
 def transmission_direct(model, energy):
     """Transmission amplitude L -> R at one energy, t = S_RL.
 
-    Computed from the contact-space resolvent of :func:`contact_green`,
-    which falls back to a dense LU solve next to a closed-cavity
-    eigenvalue. Ground truth for the spectral route; works at defective
-    spectra too.
+    Computed from the contact-space resolvent of :func:`contact_green`, at
+    O(N) per energy. Ground truth for the spectral route; works at
+    defective spectra too.
 
     Raises
     ------
@@ -403,8 +416,7 @@ def wigner_delay(model, energy):
     X the two contact columns of (E - H_eff)^-1, kappa_C = a_C'/a_C =
     -E / (2 (4 t_C^2 - E^2)) and Sigma' = diag(w_C^2 (1 + i E /
     sqrt(4 t_C^2 - E^2)) / (2 t_C^2)). X comes from the resolvent of
-    :func:`contact_green`, at O(N) per energy, or from its LU fallback
-    next to an e_k.
+    :func:`contact_green`, at O(N) per energy.
 
     Parameters
     ----------

@@ -525,3 +525,17 @@ def test_crossover_all_failed_energies_warn_nothing(tmp_path):
     rows = out.read_text(encoding="utf-8").split("\n")[4:-1]
     assert len(rows) == 10
     assert all(r.split(",")[1:3] == ["nan", "nan"] for r in rows)
+
+
+def test_crossover_imports_no_numpy_ma(tmp_path):
+    # np.median imports numpy.ma for its NaN check, 8-13 ms per call; the
+    # crossover's width median is taken without it.
+    cfg = write_config(tmp_path, study_docs()["crossover"])
+    proc = run_python(
+        "import sys; from opencavity.cli import main; "
+        "code = main(['crossover', '--config', sys.argv[1], '--out', "
+        "sys.argv[2]]); print(code, 'numpy.ma' in sys.modules)",
+        cfg, str(tmp_path / "x.csv"),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.split() == ["0", "False"]

@@ -236,3 +236,16 @@ class TestCavityModel:
         for e in (-1.1, 0.0, 0.8):
             assert ch.self_energy(e) == lead_self_energy(ld, 0.9, e)
             assert ch.contact_amplitude(e) == lead_contact_amplitude(ld, 0.9, e)
+
+
+def test_package_exports_each_module_name_once():
+    # The package's __all__ is the union of its modules' lists, and every
+    # name resolves on the package; the exception classes are all listed.
+    import opencavity
+    from opencavity import exceptions
+
+    assert len(opencavity.__all__) == len(set(opencavity.__all__))
+    assert all(hasattr(opencavity, name) for name in opencavity.__all__)
+    classes = {name for name, value in vars(exceptions).items()
+               if isinstance(value, type) and issubclass(value, Exception)}
+    assert classes == set(exceptions.__all__)

@@ -1,12 +1,17 @@
 """Contact-space resolvent against the dense LU solve.
 
 ``contact_green`` diagonalizes H_B once and evaluates G_cc(E) and the
-interior state in O(N) per energy; next to a closed-cavity eigenvalue it
-hands the energy to the dense LU route. The property tests draw random
-connected masked lattices, contacts (shared ones included), couplings
-(zero included) and in-band energies, and compare every output with
-``solve_linear`` on E - H_eff(E). The fallback tests pin the three energies
-where the resolvent alone would be wrong or undefined.
+interior state in O(N) per energy. Next to a closed-cavity eigenvalue it
+takes the near levels out of the modal sums and borders them back in
+through their small block of E - H_eff, which is singular exactly when
+E - H_eff is. The property tests draw random connected lattices, full ones
+with their degenerate and contact-free levels included, disordered onsite
+energies, contacts (shared ones included), couplings (zero included) and
+energies anywhere in the band or within and just outside the gap of a
+level, and compare every output with ``solve_linear`` on E - H_eff(E).
+The fallback tests pin the three energies where the bare modal sums alone
+would be wrong or undefined, and a spy checks that no N x N matrix is
+factorized on the way.
 """
 
 import sys
@@ -15,6 +20,7 @@ import threading
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opencavity import (
     CavityModel,
@@ -30,20 +36,41 @@ from opencavity import (
     wigner_delay,
 )
 
-from opencavity.scattering import _self_energies
+from opencavity.scattering import RESOLVENT_GAP, _self_energies
 
 from conftest import energies, open_cavities, square4
 
 
-def lu_oracle(model, e):
-    """G_cc and the L-fed interior state from one dense LU solve."""
+def lu_columns(model, e):
+    """G_cc and both contact columns of (E - H_eff)^-1, by one dense LU."""
     idx = list(model.contact_indices)
     m = np.eye(model.dimension, dtype=complex) * e - assemble_heff(model, e)
     rhs = np.zeros((model.dimension, 2), dtype=complex)
     rhs[idx[0], 0] = 1.0
     rhs[idx[1], 1] = 1.0
     x = solve_linear(m, rhs)
-    return x[idx, :], x[:, 0]
+    return x[idx, :], x
+
+
+def lu_oracle(model, e):
+    """G_cc and the L-fed interior state from one dense LU solve."""
+    g, x = lu_columns(model, e)
+    return g, x[:, 0]
+
+
+def delay_oracle(model, e, g, x):
+    """Im tr(S^dag dS/dE) from G_cc and the contact columns X of the LU,
+    with dG_cc = G^T Sigma' G - X^T X."""
+    t = np.array([ch.lead_hopping for ch in model.channels])
+    w = np.array([ch.w_eff for ch in model.channels])
+    a = model.channel_amplitudes(e)
+    root = np.sqrt(4.0 * t * t - e * e)
+    kappa = -e / (2.0 * root * root)
+    dsigma = w * w * (1.0 + 1j * e / root) / (2.0 * t * t)
+    aa = -2j * np.pi * np.outer(a, a)
+    ds = aa * (np.add.outer(kappa, kappa) * g
+               + g.T @ np.diag(dsigma) @ g - x.T @ x)
+    return float(np.trace((np.eye(2) + aa * g).conj().T @ ds).imag)
 
 
 def rel_err(got, ref):
@@ -96,6 +123,113 @@ def test_resolvent_rigidity_matches_lu_state(model, e):
     assert abs(rho - rho_direct(psi_lu)[0]) <= 1e-10
 
 
+# Distances E - e_k in units of max(1, ||H_B||): on the level, within the
+# gap, where the level is bordered, and just outside it.
+OFFSETS = [0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9, 1e-7, -1e-7]
+OUTSIDE = [1.5 * RESOLVENT_GAP, -1.5 * RESOLVENT_GAP]
+
+
+def dark_part(model, e):
+    """Projector, in H_B's eigenbasis, onto the combinations of the levels
+    within the gap of e that have no contact weight; None if there are none.
+
+    Both routes return rounding noise of size eps / |E - e_k| along them:
+    the true component is zero, and each solve divides by E - e_k.
+    """
+    e_k, u = model.closed_modes
+    near = np.flatnonzero(np.abs(e - e_k)
+                          < RESOLVENT_GAP * max(1.0, np.abs(e_k).max()))
+    if near.size == 0:
+        return None
+    _, sv, vt = np.linalg.svd(u[list(model.contact_indices)][:, near])
+    dark = vt[np.count_nonzero(sv > 1e-8):]
+    if dark.shape[0] == 0:
+        return None
+    proj = np.zeros((len(e_k), len(e_k)))
+    proj[np.ix_(near, near)] = dark.T @ dark
+    return proj
+
+
+@st.composite
+def clean_rectangles(draw):
+    """Full rectangles without disorder and with both leads coupled: their
+    symmetries give degenerate clusters and members without contact weight.
+    """
+    nx, ny = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    sites = st.tuples(st.integers(0, nx - 1), st.integers(0, ny - 1))
+    w = st.floats(0.2, 2.0)
+    return CavityModel(
+        LatticeSpec(nx, ny),
+        (LeadSpec(draw(sites), draw(w)), LeadSpec(draw(sites), draw(w))),
+        draw(st.floats(0.1, 2.0)),
+    )
+
+
+def rounding_floor(model, e, x, proj):
+    """eps (|E| + ||H_eff||_inf) ||X||_F / sigma, with X the contact columns
+    of (E - H_eff)^-1 and sigma the smallest singular value of E - H_eff
+    off the contact-free directions of ``proj``.
+
+    Forming E - H_eff alone rounds it by eps (|E| + ||H_eff||), so to first
+    order any backward-stable route is off by this much in X and, since
+    ||X||_F <= sqrt(2) / sigma, in G_cc. It stays far below 1e-11 |X|
+    unless a closed or barely coupled level lies within the gap, where the
+    LU is off by as much as the bordered route.
+    """
+    heff = assemble_heff(model, e)
+    sv = np.linalg.svd(np.eye(model.dimension) * e - heff, compute_uv=False)
+    dark = 0 if proj is None else int(round(np.trace(proj)))
+    return (np.finfo(float).eps * (abs(e) + np.abs(heff).sum(axis=1).max())
+            * np.linalg.norm(x) / sv[len(sv) - 1 - dark])
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(model=st.one_of(open_cavities(full=st.booleans()), clean_rectangles()),
+       data=st.data())
+def test_bordered_levels_match_lu(model, data):
+    e_k, u = model.closed_modes
+    gap = RESOLVENT_GAP * max(1.0, np.abs(e_k).max())
+    split = np.diff(e_k) >= gap
+    # Members of degenerate clusters are drawn as often as any level.
+    tied = np.flatnonzero(~np.concatenate(([True], split))
+                          | ~np.concatenate((split, [True])))
+    k = data.draw(st.integers(0, len(e_k) - 1) if tied.size == 0 else
+                  st.one_of(st.integers(0, len(e_k) - 1),
+                            st.sampled_from(tied.tolist())))
+    offset = data.draw(st.sampled_from(OFFSETS + OUTSIDE))
+    e = float(e_k[k] + offset * max(1.0, np.abs(e_k).max()))
+    try:
+        g_lu, x_lu = lu_columns(model, e)
+    except SingularMatrix:
+        with pytest.raises(SingularMatrix):
+            contact_green(model, e)
+        g, x = contact_green(model, np.array([e]))
+        assert np.isnan(g).all() and np.isnan(x).all()
+        return
+    proj = dark_part(model, e)
+    floor = 8.0 * rounding_floor(model, e, x_lu, proj)
+    # Outside the gap the plain modal sums keep their own eps / |E - e_k|.
+    bound = 1e-11 if offset in OFFSETS else 1e-10
+    g, x = contact_green(model, e)
+    assert np.abs(g - g_lu).max() <= bound * max(1, np.abs(g_lu).max()) + floor
+    if abs(e) < 1.95:
+        a = model.channel_amplitudes(e)
+        aa = 2.0 * np.pi * np.outer(a, a)
+        s_lu = np.eye(2) - 1j * aa * g_lu
+        assert np.abs(s_matrix(model, e) - s_lu).max() <= (
+            bound + floor * aa.max())
+    if offset not in OFFSETS:
+        return
+    x_l = u.T @ x_lu[:, 0]
+    if proj is not None:
+        x, x_l = x - proj @ x, x_l - proj @ x_l
+    assert np.abs(x - x_l).max() <= 1e-11 * max(1, np.abs(x_l).max()) + floor
+    if abs(e) < 1.95 and proj is None:
+        tau_lu = delay_oracle(model, e, g_lu, x_lu)
+        assert abs(wigner_delay(model, e) - tau_lu) <= 1e-11 * max(
+            1.0, abs(tau_lu)) + 2.0 * floor * aa.max() * np.linalg.norm(x_lu)
+
+
 class TestFallback:
     def test_exactly_at_closed_eigenvalue(self):
         model = CavityModel(
@@ -137,6 +271,46 @@ class TestFallback:
             g, x = contact_green(model, float(e))
             assert rel_err(g, g_lu) <= 1e-12
             assert rel_err(u @ x, psi_lu) <= 1e-12
+
+
+def test_no_dense_factorization(monkeypatch):
+    # Every energy takes the O(N) route: at a bright level, in the twofold
+    # cluster at E = 1 with its contact-free member, and at the singular
+    # E = 0, nothing larger than the near block or the 2x2 Dyson problem
+    # is factorized, and the dense solve is never called.
+    import opencavity.linalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense solve called")
+
+    monkeypatch.setattr(opencavity.linalg, "solve_linear", refuse)
+    sizes = []
+    for name in ("solve", "svd"):
+        def spy(a, *args, _real=getattr(np.linalg, name), **kwargs):
+            sizes.append(max(np.shape(a)[-2:]))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    model = square4()
+    e_k, _ = model.closed_modes
+    gap = RESOLVENT_GAP * max(1.0, np.abs(e_k).max())
+    bright = e_k[np.argmin(np.abs(e_k - 1.2360679774997898))]
+    pair = e_k[np.abs(e_k - 1.0) < gap]
+    assert pair.size == 2
+    grid = np.array([bright - 1e-9, bright, pair[0] + 1e-12, pair[0] + 1e-9,
+                     0.0, 0.3])
+    block = max(np.count_nonzero(np.abs(e - e_k) < gap) for e in grid)
+    assert block == 4
+    for f in (contact_green, s_matrix, wigner_delay):
+        out = f(model, grid)
+        out = out[0] if f is contact_green else out
+        assert np.isnan(out[4]).all()
+        assert np.isfinite(np.delete(out, 4, axis=0)).all()
+        with pytest.raises(SingularMatrix):
+            f(model, 0.0)
+        for e in np.delete(grid, 4):
+            f(model, float(e))
+    assert sizes and max(sizes) <= block < model.dimension
 
 
 def test_array_matches_one_point_calls():

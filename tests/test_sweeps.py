@@ -34,7 +34,7 @@ from opencavity import (
     serialize_config,
     spectrum,
 )
-from opencavity.sweeps import _coupling_family
+from opencavity.sweeps import _coupling_family, _median
 
 from conftest import NOTCH_MASK
 
@@ -299,6 +299,22 @@ class TestCountPeaks:
     def test_nan_blocks_peak(self):
         assert count_peaks([0.0, math.nan, 0.0], floor=0.5) == 0
         assert count_peaks([math.nan, 1.0, 0.0], floor=0.5) == 0
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(values=st.lists(
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+              st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0])),
+    min_size=1, max_size=40))
+def test_median_matches_numpy_bit_for_bit(values):
+    # Odd and even lengths, ties, signed zeros, infinities and NaN: the
+    # crossover's gamma_median must not move by a bit.
+    v = np.array(values)
+    got, ref = np.array(_median(v)), np.array(float(np.median(v)))
+    if np.isnan(ref):
+        assert np.isnan(got)
+    else:
+        assert got.view(np.uint64) == ref.view(np.uint64)
 
 
 class TestStudyRunners:
