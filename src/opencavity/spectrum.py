@@ -538,30 +538,37 @@ def _biorthogonal_set(values, raw, energy):
     """SpectralSet of sorted eigenvalues and their unit eigenvectors.
 
     The normalization of :func:`biorthogonal_spectrum`, shared by
-    :func:`heff_spectrum`'s secular route.
+    :func:`heff_spectrum`'s secular route. ``raw`` is consumed: it is
+    normalized in place, after a copy of only the degenerate clusters'
+    columns that the bilinear Gram-Schmidt reads.
     """
     scale = float(np.abs(values).max())
     bilinear = np.einsum("ij,ij->j", raw, raw)
     # hypot rounds like the scalar abs(complex); see _closest_pair.
     prox = np.hypot(bilinear.real, bilinear.imag)
     defective = prox < DEFECTIVE_TOL
-    # Defective states keep their unit Hermitian norm.
-    phis = raw / np.sqrt(np.where(defective, 1.0, bilinear))
+    clusters = []
     for first, size in zip(*_degenerate_runs(values, scale)):
         members = slice(first, first + size)
         if (prox[members] > 1e-3).all():
-            # Bilinear Gram-Schmidt; a member that collapses leaves the
-            # whole cluster normalized as the solver returned it.
-            done = []
-            for u in np.ascontiguousarray(raw[:, members].T):
-                for p in done:
-                    u = u - (p @ u) * p
-                uu = complex(u @ u)
-                if abs(uu) <= DEFECTIVE_TOL:
-                    break
-                done.append(u / np.sqrt(uu))
-            else:
-                phis[:, members] = np.column_stack(done)
+            # A copy, never a view: raw is normalized in place below.
+            clusters.append((members, raw[:, members].T.copy()))
+    # Defective states keep their unit Hermitian norm.
+    phis = np.divide(raw, np.sqrt(np.where(defective, 1.0, bilinear)),
+                     out=raw)
+    for members, cols in clusters:
+        # Bilinear Gram-Schmidt; a member that collapses leaves the whole
+        # cluster normalized as the solver returned it.
+        done = []
+        for u in cols:
+            for p in done:
+                u = u - (p @ u) * p
+            uu = complex(u @ u)
+            if abs(uu) <= DEFECTIVE_TOL:
+                break
+            done.append(u / np.sqrt(uu))
+        else:
+            phis[:, members] = np.column_stack(done)
 
     _canonical_sign(phis)
     # phi^dag phi = 1/|v^T v| analytically; the clamp keeps the stored
@@ -669,50 +676,74 @@ def _ambiguous_matches(ov, row_of, gap_tol):
     return won - ov.max(axis=1)[row_of] < gap_tol
 
 
-def _track_spectra(spectra, gap_tol=1e-6):
-    """Label an ordered sequence of SpectralSets by best-overlap matching.
+def _track_steps(spectra, gap_tol=1e-6):
+    """Label a stream of SpectralSets by best-overlap matching, one at a time.
 
     Greedy matching between consecutive spectra on the overlap matrix
     |P_prev^dag P_next|, P holding the states as unit columns: the largest
     entry pairs first, and so on, with near-ties broken by eigenvalue
     proximity (see :func:`_greedy_match`). A match whose winning overlap
     exceeds the runner-up in its row of the full matrix by less than
-    ``gap_tol`` is flagged ambiguous. The sign of each matched state is
-    re-chosen so Re(phi_prev^T phi_next) >= 0, keeping tracked vectors
-    continuous even when the canonical per-spectrum sign jumps.
-    ``spectra`` is read one at a time, so :func:`track_sweep` streams it.
+    ``gap_tol`` is flagged ambiguous.
+
+    Yields ``(labeled, row_of)`` per spectrum: the spectrum with its
+    ``track_id`` and ``ambiguous`` set, and the position in the previous
+    spectrum matched to each state, None for the first. Between steps only
+    the previous eigenvalues, the conjugated unit columns for the next
+    overlap and the composed track ids are kept, so no N x N matrix of a
+    spectrum outlives its step unless the caller keeps the spectrum.
     """
     spectra = iter(spectra)
     first = next(spectra, None)
     if first is None:
-        return ()
+        return
     n = len(first)
-    labeled = [replace(first, track_id=np.arange(n),
-                       ambiguous=np.zeros(n, dtype=bool))]
-    # The unit columns of the previous spectrum before its sign step: a
-    # flipped column only negates a row of the overlap product, exactly.
-    p_prev = first.vectors / np.linalg.norm(first.vectors, axis=0)
+    track_id = np.arange(n)
+    z_prev = first.values.tolist()
+    q_prev = np.conjugate(first.vectors
+                          / np.linalg.norm(first.vectors, axis=0))
+    yield replace(first, track_id=track_id,
+                  ambiguous=np.zeros(n, dtype=bool)), None
+    # Each spectrum is released before the next one is computed.
+    del first
     for current in spectra:
-        prev = labeled[-1]
         if len(current) != n:
             raise InvalidMatrix("spectra in a sweep must share their dimension")
-        # Kept, so allocated before the step's temporaries; allocated after
-        # them, it raised peak RSS by 0.7 MB on the 15 x 15 lattice.
-        vectors = current.vectors.copy()
         p_next = current.vectors / np.linalg.norm(current.vectors, axis=0)
-        ov = np.abs(p_prev.conj().T @ p_next)
-        p_prev = p_next
-        row_of = _greedy_match(ov, prev.values.tolist(), current.values.tolist())
+        ov = q_prev.T @ p_next
+        # The previous columns go before |ov| is taken, one N x N array
+        # fewer at the step's peak.
+        q_prev = np.conjugate(p_next, out=p_next)
+        ov = np.abs(ov)
+        z_next = current.values.tolist()
+        row_of = _greedy_match(ov, z_prev, z_next)
         ambiguous = _ambiguous_matches(ov, row_of, gap_tol)
-        # Freed before the gather below; kept, it raised peak RSS by
-        # 0.25 MB on the 15 x 15 lattice.
         del ov
-        flip = np.einsum("ij,ij->j", prev.vectors[:, row_of],
-                         current.vectors).real < 0.0
-        np.negative(vectors, out=vectors, where=flip)
-        labeled.append(replace(current, vectors=vectors,
-                               track_id=prev.track_id[row_of],
-                               ambiguous=ambiguous))
+        z_prev = z_next
+        track_id = track_id[row_of]
+        yield replace(current, track_id=track_id, ambiguous=ambiguous), row_of
+        del current
+
+
+def _track_spectra(spectra, gap_tol=1e-6):
+    """Label an ordered sequence of SpectralSets by best-overlap matching.
+
+    The labels and flags of :func:`_track_steps`, plus the sign step: the
+    sign of each matched state is re-chosen so Re(phi_prev^T phi_next) >= 0,
+    keeping tracked vectors continuous even when the canonical per-spectrum
+    sign jumps. The overlaps are taken before the sign step, since a flipped
+    column only negates a row of the overlap product, exactly. ``spectra``
+    is read one at a time, so :func:`track_sweep` streams it.
+    """
+    labeled = []
+    for current, row_of in _track_steps(spectra, gap_tol):
+        if row_of is not None:
+            flip = np.einsum("ij,ij->j", labeled[-1].vectors[:, row_of],
+                             current.vectors).real < 0.0
+            vectors = np.negative(current.vectors, where=flip,
+                                  out=current.vectors.copy())
+            current = replace(current, vectors=vectors)
+        labeled.append(current)
     return tuple(labeled)
 
 
@@ -724,7 +755,11 @@ def track_sweep(model_family, alphas, energy, gap_tol=1e-6):
     continuous ``track_id`` labels by greedy best-overlap matching between
     consecutive spectra (ties broken by eigenvalue proximity; see the
     returned sets' ``ambiguous`` flags for matches that were too close to
-    call).
+    call). The spectra stream through the matching, but every labeled set
+    is kept, vectors included. The sign step that keeps matched vectors
+    continuous belongs to this function; the spectrum study, which reads
+    only widths and track ids, takes the same labels from the stream
+    without it and holds one eigenvector matrix at a time.
 
     Parameters
     ----------

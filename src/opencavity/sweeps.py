@@ -45,9 +45,10 @@ from .scattering import (
     wigner_delay,
 )
 from .spectrum import (
+    _track_steps,
     find_exceptional_point,
     heff_eigenvalues,
-    track_sweep,
+    heff_spectrum,
 )
 
 __all__ = [
@@ -525,17 +526,26 @@ def run_trapping_study(config: RunConfig) -> StudyResult:
     tracked state, so the column ``gamma_<k>`` stays with one resonance
     across the whole sweep. ``n_peaks`` counts |t| maxima above the floor
     on the energy grid.
+
+    The spectra stream through the matching of :func:`track_sweep` and
+    only their widths and track ids are kept, so no eigenvector matrix
+    outlives its coupling and memory does not grow with the coupling grid.
+    The sign step of :func:`track_sweep`, which changes only vectors, is
+    not taken.
     """
     alphas = config.alpha_grid.values()
     energies = config.e_grid.values()
     base = config.build_model()
-    tracked = track_sweep(base.with_alpha, alphas, config.e_grid.center)
-    n = len(tracked[0])
+    e = config.e_grid.center
+    n = base.dimension
     rows = np.empty((len(alphas), n + 2))
     rows[:, 0] = alphas
-    track_ids = np.array([sp.track_id for sp in tracked])
-    widths = np.array([-2.0 * sp.values.imag for sp in tracked])
-    np.put_along_axis(rows, 1 + track_ids, widths, axis=1)
+    steps = _track_steps(heff_spectrum(base.with_alpha(a), e) for a in alphas)
+    for row in rows:
+        sp, _ = next(steps)
+        row[1 + sp.track_id] = -2.0 * sp.values.imag
+        # Released before the next spectrum is computed.
+        del sp
     rows[:, n + 1] = [
         count_peaks(np.abs(s_matrix(base.with_alpha(a), energies)[:, 1, 0]),
                     PEAK_FLOOR_ABS)

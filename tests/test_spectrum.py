@@ -37,7 +37,7 @@ from opencavity.spectrum import (
     _tracked_pair,
 )
 
-from conftest import energies, open_cavities, single_site_model
+from conftest import energies, open_cavities, single_site_model, square4
 
 
 def ep_family_1param(p):
@@ -339,6 +339,24 @@ def test_biorthogonal_matches_per_state_reference(model, e):
         npt.assert_allclose(s.phi, phi, rtol=0, atol=1e-14)
         npt.assert_allclose(s.a_norm, a_norm, rtol=1e-14)
         npt.assert_allclose(s.ep_proximity, prox, rtol=1e-14)
+
+
+def test_cluster_orthogonalized_from_the_solver_columns():
+    # The normalization runs in place on the solver's vectors, yet the
+    # bilinear Gram-Schmidt must read a cluster's columns as returned. The
+    # per-state reference orthogonalizes the same columns in the same
+    # order, so the members agree bit for bit. zgeev's vectors are column
+    # major: a cluster's columns, transposed, are contiguous already.
+    for e in (0.0, 0.37, 1.0):
+        h = assemble_heff(square4(), e)
+        assert eig_general(h).vectors.flags.f_contiguous
+        sp = biorthogonal_spectrum(h, e)
+        ref = reference_biorthogonal(h)
+        (first,), (size,) = _degenerate_runs(sp.values,
+                                             float(np.abs(sp.values).max()))
+        assert size == 3 and (sp.ep_proximity[first:first + size] > 1e-3).all()
+        for j in range(first, first + size):
+            assert bits(sp.vectors[:, j], complex) == bits(ref[j][0], complex)
 
 
 class TestFixedPointPoles:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -543,6 +544,97 @@ def run_study_ep():
     }
     doc["e_grid"] = {"min": -1.0, "max": 1.0, "points": 3}
     return run_study(parse_doc(doc))
+
+
+def spectrum_doc(model, points):
+    return config_doc(
+        study="spectrum",
+        model=model,
+        e_grid={"min": -1.9, "max": 1.9, "points": 3},
+        alpha_grid={"min": 0.1, "max": 4.0, "points": points, "scale": "log"},
+    )
+
+
+# The full 15 x 15 lattice, whose symmetry gives degenerate clusters and
+# near-tied matches; it takes the secular route.
+LATTICE_15 = {
+    "nx": 15, "ny": 15, "alpha": 0.9,
+    "leads": [{"contact": [0, 3], "coupling_w": 1.0},
+              {"contact": [14, 9], "coupling_w": 1.0}],
+}
+# The 44-site notched cavity, below SECULAR_MIN_N: the zgeev route.
+NOTCH = {
+    "nx": 10, "ny": 5, "alpha": 0.9, "mask": [list(r) for r in NOTCH_MASK],
+    "leads": [{"contact": [0, 2], "coupling_w": 1.0},
+              {"contact": [9, 2], "coupling_w": 1.0}],
+}
+
+
+class TestStreamedTracking:
+    """The spectrum study tracks through the stream behind track_sweep."""
+
+    @pytest.mark.parametrize("model, secular", [(LATTICE_15, True),
+                                                (NOTCH, False)],
+                             ids=["lattice-15x15", "notch-10x5"])
+    def test_rows_equal_track_sweep(self, model, secular):
+        config = parse_doc(spectrum_doc(model, 6))
+        base = config.build_model()
+        alphas, e = config.alpha_grid.values(), config.e_grid.center
+        assert (base.dimension >= spectrum.SECULAR_MIN_N) == secular
+        tracked = spectrum.track_sweep(base.with_alpha, alphas, e)
+        if secular:
+            assert all(
+                spectrum._secular_eigenvalues(base.with_alpha(a), e,
+                                              vectors=True) is not None
+                for a in alphas
+            )
+            # The data must hold what makes tracking hard.
+            assert any(len(spectrum._degenerate_runs(sp.values, 1.0)[0])
+                       for sp in tracked)
+            assert any(sp.ambiguous.any() for sp in tracked)
+        widths = np.empty((len(alphas), base.dimension))
+        for row, sp in zip(widths, tracked):
+            row[sp.track_id] = -2.0 * sp.values.imag
+        rows = run_trapping_study(config).rows
+        npt.assert_array_equal(rows[:, 0], alphas)
+        assert rows[:, 1:-1].tobytes() == widths.tobytes()
+
+    def test_track_spectra_keeps_its_record(self):
+        # What a span counter reads of it: a tuple of SpectralSets whose
+        # states build, with the flags of the stream.
+        config = parse_doc(spectrum_doc(LATTICE_15, 6))
+        base = config.build_model()
+        e = config.e_grid.center
+        spectra = [spectrum.heff_spectrum(base.with_alpha(a), e)
+                   for a in config.alpha_grid.values()]
+        got = spectrum._track_spectra(spectra)
+        assert type(got) is tuple
+        assert all(type(sp) is spectrum.SpectralSet for sp in got)
+        flags = [sp.ambiguous for sp, _ in spectrum._track_steps(spectra)]
+        assert sum(s.ambiguous for sp in got for s in sp.states) == sum(
+            int(f.sum()) for f in flags) > 0
+        assert sum(len(sp) for sp in got[1:]) == 5 * base.dimension
+
+    def test_memory_does_not_grow_with_the_coupling_grid(self):
+        def traced_peak(points):
+            config = parse_doc(spectrum_doc(LATTICE_15, points))
+            started = not tracemalloc.is_tracing()
+            if started:
+                tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                floor = tracemalloc.get_traced_memory()[0]
+                run_trapping_study(config)
+                return tracemalloc.get_traced_memory()[1] - floor
+            finally:
+                if started:
+                    tracemalloc.stop()
+
+        n = 225
+        few, many = traced_peak(6), traced_peak(24)
+        assert many <= 1.1 * few
+        # One complex N x N array is 16 N^2 bytes.
+        assert few < 5 * 16 * n * n
 
 
 class TestCsv:
