@@ -117,15 +117,11 @@ class LeadSpec:
     lead_hopping : float
         Hopping inside the lead chain; fixes the band |E| < 2t and defaults
         to 1 like the cavity hopping.
-    name : str
-        Channel label; when empty, position assigns "L" to the first lead
-        and "R" to the second.
     """
 
     contact: tuple
     coupling_w: float
     lead_hopping: float = 1.0
-    name: str = ""
 
     def __post_init__(self):
         c = tuple(self.contact)
@@ -213,10 +209,7 @@ class LeadChannel:
     effective Hamiltonian and the transmission normalization.
     """
 
-    name: str
-    site: tuple
     index: int
-    coupling_w: float
     lead_hopping: float
     w_eff: float
 
@@ -331,25 +324,17 @@ class CavityModel:
         self.alpha = float(alpha)
         self._closed = closed
         self._h_b = closed.h
-        self.site_order = closed.sites
         pos = {s: i for i, s in enumerate(closed.sites)}
 
         channels = []
-        for default_name, lead in zip(("L", "R"), leads):
+        for lead in leads:
             if lead.contact not in pos:
                 raise InvalidGeometry(
                     f"lead contact {lead.contact} is not a retained site"
                 )
-            channels.append(
-                LeadChannel(
-                    name=lead.name or default_name,
-                    site=lead.contact,
-                    index=pos[lead.contact],
-                    coupling_w=lead.coupling_w,
-                    lead_hopping=lead.lead_hopping,
-                    w_eff=self.alpha * lead.coupling_w,
-                )
-            )
+            channels.append(LeadChannel(
+                index=pos[lead.contact], lead_hopping=lead.lead_hopping,
+                w_eff=self.alpha * lead.coupling_w))
         self.channels = tuple(channels)
 
     @property

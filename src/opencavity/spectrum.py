@@ -96,11 +96,14 @@ _BACKWARD_TOL = 1e-12
 # Accepted |sum z - trace|, times the scale and N; the measured worst was
 # 1.6e-16 over 2,300 accepted spectra.
 _TRACE_TOL = 1e-14
+# Overlap margin below which a tracked match is flagged ambiguous.
+_GAP_TOL = 1e-6
 # Constants of find_exceptional_point; its docstring gives their roles.
 # Steps of about sqrt(eps) balance the forward difference's truncation and
 # rounding errors.
 _EP_MAX_STEPS = 20
 _EP_MAX_HALVINGS = 4
+_EP_STEP_TOL = 1e-10
 _EP_FD_STEP = 1.5e-8
 _EP_RCOND = 1e-6
 _EP_SEPARATION = 1e-8
@@ -281,6 +284,37 @@ def _pole_sums(z, p, wsq):
     return r, r @ wsq
 
 
+def _aberth(z, newton, scale):
+    """All roots of a polynomial P at once by Aberth iteration, or None.
+
+    Aberth, Math. Comp. 27, 339 (1973). Refines the starts ``z`` in place,
+    ``_BLOCK`` roots at a time; ``newton(zb)`` gives P/P' at a block of
+    iterates. A step that is not finite (a pole, a coincident root) becomes
+    a nudge whose direction is set by the root's position. Returns ``z``
+    once every step is below ``_ABERTH_TOL * scale``, None after
+    ``_ABERTH_MAX_ITER`` sweeps. Run it under ``np.errstate(all="ignore")``.
+    """
+    active = np.arange(len(z))
+    for _ in range(_ABERTH_MAX_ITER):
+        if not active.size:
+            break
+        kept = []
+        for i in range(0, active.size, _BLOCK):
+            blk = active[i:i + _BLOCK]
+            zb = z[blk]
+            nt = newton(zb)
+            q = np.subtract.outer(zb, z)
+            q[np.arange(len(blk)), blk] = np.inf
+            repel = np.divide(1.0, q, out=q).sum(axis=1)
+            step = nt / (1.0 - nt * repel)
+            bad = ~np.isfinite(step)
+            step[bad] = _NUDGE * scale * np.exp(2.4j * blk[bad])
+            z[blk] = zb - step
+            kept.append(blk[bad | (np.abs(step) > _ABERTH_TOL * scale)])
+        active = np.concatenate(kept)
+    return None if active.size else z
+
+
 def _secular_eigenvalues(model, energy, vectors=False):
     """Eigenvalues of H_eff(E) as roots of its secular equation, or None.
 
@@ -293,13 +327,13 @@ def _secular_eigenvalues(model, energy, vectors=False):
         P(z) = prod_k (z - p_k) f(z),   f = det(I - S G0(z)),
         G0(z) = sum_k w_k w_k^T / (z - p_k),
 
-    over the poles p_k that keep weight. Aberth iteration (Math. Comp. 27,
-    339 (1973)) finds all of them at once from first-order perturbation
-    theory. Every root must then pass a backward-error check,
-    ||(diag p + W S W^T - z) y|| / ||y|| <= 1e-12 scale with y its
-    eigenvector, and all N must sum to tr H_B + sigma_L + sigma_R. The
-    trace alone proves nothing: the starts already sum to it exactly, so
-    iterates that never moved would pass. Returns None when a check fails.
+    over the poles p_k that keep weight. :func:`_aberth` finds all of them
+    at once from first-order perturbation theory. Every root must then pass
+    a backward-error check, ||(diag p + W S W^T - z) y|| / ||y|| <= 1e-12
+    scale with y its eigenvector, and all N must sum to tr H_B + sigma_L +
+    sigma_R. The trace alone proves nothing: the starts already sum to it
+    exactly, so iterates that never moved would pass. Returns None when a
+    check fails.
 
     The deflation runs on stacked LAPACK calls, grouped, not per cluster:
     one SVD of the sigma-weighted contact rows per cluster size gives the
@@ -381,39 +415,24 @@ def _secular_eigenvalues(model, energy, vectors=False):
                         <= _BACKWARD_TOL * scale).all():
         return None
 
-    # 3. Aberth iteration on P(z) in blocks of roots; P'/P is
-    # f'/f + sum_k 1/(z - p_k), and G0' = -sum_k w_k w_k^T / (z - p_k)^2.
+    # 3. Aberth iteration on P(z); P'/P is f'/f + sum_k 1/(z - p_k), and
+    # G0' = -sum_k w_k w_k^T / (z - p_k)^2.
     wsq = np.stack([w[:, 0] ** 2, w[:, 0] * w[:, 1], w[:, 1] ** 2], axis=1)
     s_l, s_r = sigma
-    active = np.arange(len(z))
+
+    def newton(zb):
+        r, g = _pole_sums(zb, p, wsq)
+        r_sum = r.sum(axis=1)
+        dg = np.multiply(r, r, out=r) @ wsq
+        a = 1.0 - s_l * g[:, 0]
+        d = 1.0 - s_r * g[:, 2]
+        f = a * d - s_l * s_r * g[:, 1] ** 2
+        df = (s_l * dg[:, 0] * d + s_r * dg[:, 2] * a
+              + 2.0 * s_l * s_r * g[:, 1] * dg[:, 1])
+        return f / (f * r_sum + df)
+
     with np.errstate(all="ignore"):
-        for _ in range(_ABERTH_MAX_ITER):
-            if not active.size:
-                break
-            kept = []
-            for i in range(0, active.size, _BLOCK):
-                blk = active[i:i + _BLOCK]
-                zb = z[blk]
-                r, g = _pole_sums(zb, p, wsq)
-                r_sum = r.sum(axis=1)
-                dg = np.multiply(r, r, out=r) @ wsq
-                a = 1.0 - s_l * g[:, 0]
-                d = 1.0 - s_r * g[:, 2]
-                f = a * d - s_l * s_r * g[:, 1] ** 2
-                df = (s_l * dg[:, 0] * d + s_r * dg[:, 2] * a
-                      + 2.0 * s_l * s_r * g[:, 1] * dg[:, 1])
-                newton = f / (f * r_sum + df)
-                q = np.subtract.outer(zb, z)
-                q[np.arange(len(blk)), blk] = np.inf
-                repel = np.divide(1.0, q, out=q).sum(axis=1)
-                step = newton / (1.0 - newton * repel)
-                bad = ~np.isfinite(step)
-                # Off a pole or a coincident root, each by its own amount.
-                step[bad] = _NUDGE * scale * np.exp(2.4j * blk[bad])
-                z[blk] = zb - step
-                kept.append(blk[bad | (np.abs(step) > _ABERTH_TOL * scale)])
-            active = np.concatenate(kept)
-        if active.size:
+        if _aberth(z, newton, scale) is None:
             return None
 
         roots = np.concatenate([z, e_k[dark]])
@@ -676,7 +695,7 @@ def _ambiguous_matches(ov, row_of, gap_tol):
     return won - ov.max(axis=1)[row_of] < gap_tol
 
 
-def _track_steps(spectra, gap_tol=1e-6):
+def _track_steps(spectra):
     """Label a stream of SpectralSets by best-overlap matching, one at a time.
 
     Greedy matching between consecutive spectra on the overlap matrix
@@ -684,7 +703,7 @@ def _track_steps(spectra, gap_tol=1e-6):
     entry pairs first, and so on, with near-ties broken by eigenvalue
     proximity (see :func:`_greedy_match`). A match whose winning overlap
     exceeds the runner-up in its row of the full matrix by less than
-    ``gap_tol`` is flagged ambiguous.
+    ``_GAP_TOL`` is flagged ambiguous.
 
     Yields ``(labeled, row_of)`` per spectrum: the spectrum with its
     ``track_id`` and ``ambiguous`` set, and the position in the previous
@@ -717,7 +736,7 @@ def _track_steps(spectra, gap_tol=1e-6):
         ov = np.abs(ov)
         z_next = current.values.tolist()
         row_of = _greedy_match(ov, z_prev, z_next)
-        ambiguous = _ambiguous_matches(ov, row_of, gap_tol)
+        ambiguous = _ambiguous_matches(ov, row_of, _GAP_TOL)
         del ov
         z_prev = z_next
         track_id = track_id[row_of]
@@ -725,7 +744,7 @@ def _track_steps(spectra, gap_tol=1e-6):
         del current
 
 
-def _track_spectra(spectra, gap_tol=1e-6):
+def _track_spectra(spectra):
     """Label an ordered sequence of SpectralSets by best-overlap matching.
 
     The labels and flags of :func:`_track_steps`, plus the sign step: the
@@ -736,7 +755,7 @@ def _track_spectra(spectra, gap_tol=1e-6):
     is read one at a time, so :func:`track_sweep` streams it.
     """
     labeled = []
-    for current, row_of in _track_steps(spectra, gap_tol):
+    for current, row_of in _track_steps(spectra):
         if row_of is not None:
             flip = np.einsum("ij,ij->j", labeled[-1].vectors[:, row_of],
                              current.vectors).real < 0.0
@@ -747,7 +766,7 @@ def _track_spectra(spectra, gap_tol=1e-6):
     return tuple(labeled)
 
 
-def track_sweep(model_family, alphas, energy, gap_tol=1e-6):
+def track_sweep(model_family, alphas, energy):
     """Follow the resonance states of a model family along a coupling sweep.
 
     Takes the biorthogonal spectrum of H_eff at the fixed evaluation energy
@@ -769,7 +788,6 @@ def track_sweep(model_family, alphas, energy, gap_tol=1e-6):
         Sweep order, typically increasing.
     energy : float
         Real evaluation energy, fixed along the sweep.
-    gap_tol : float
 
     Returns
     -------
@@ -778,7 +796,7 @@ def track_sweep(model_family, alphas, energy, gap_tol=1e-6):
         sign set.
     """
     spectra = (heff_spectrum(model_family(a), energy) for a in alphas)
-    return _track_spectra(spectra, gap_tol=gap_tol)
+    return _track_spectra(spectra)
 
 
 def _closest_pair(values):
@@ -896,7 +914,7 @@ class _Iterate:
                 _pair_a_norm(self.es.vectors, *self.closest))
 
 
-def find_exceptional_point(family, start, tol=1e-10):
+def find_exceptional_point(family, start):
     """Search a two-parameter matrix family for an exceptional point.
 
     Drives the discriminant g(p) = (z_a - z_b)^2 of one eigenvalue pair to
@@ -914,8 +932,7 @@ def find_exceptional_point(family, start, tol=1e-10):
     mean and discriminant, which are smooth through the coalescence too.
     A backtracking line search halves a step that does not reduce |g|, up
     to four times. The search stops when g is zero, after a step shorter
-    than ``tol`` times max(1, |p|), when the line search fails, or after
-    20 steps.
+    than 1e-10 max(1, |p|), when the line search fails, or after 20 steps.
 
     The reported point is the iterate with the smallest separation of any
     pair. Rounding splits a coalesced pair by about sqrt(eps) ||H||, so a
@@ -942,9 +959,6 @@ def find_exceptional_point(family, start, tol=1e-10):
         fixed dimension >= 2. One-parameter families simply ignore the
         second entry.
     start : sequence of 2 floats
-    tol : float
-        Newton step length, relative to max(1, |p|), after which the
-        search stops.
 
     Returns
     -------
@@ -1006,7 +1020,7 @@ def find_exceptional_point(family, start, tol=1e-10):
         path.append(it.row())
         if it.separation < best.separation:
             best = it
-        if np.abs(dp).max() <= tol * max(1.0, np.abs(it.p).max()):
+        if np.abs(dp).max() <= _EP_STEP_TOL * max(1.0, np.abs(it.p).max()):
             break
 
     scale = float(np.abs(best.h).sum(axis=1).max())

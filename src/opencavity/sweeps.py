@@ -307,7 +307,7 @@ def parse_config(text, base_dir="."):
     ParseError
         Malformed JSON; carries line and column.
     ValidationError
-        Schema violation; carries the dotted field path.
+        Schema violation or a one-site ep-find cavity; carries the field path.
     InvalidGeometry
         Geometry that parses but cannot be built (masked contact,
         disconnected cavity).
@@ -427,7 +427,9 @@ def parse_config(text, base_dir="."):
         alpha_grid=alpha_grid,
         out=out,
     )
-    config.build_model()
+    n_sites = config.build_model().dimension
+    if study == "ep-find" and n_sites < 2:
+        raise ValidationError("ep-find needs at least two sites", field="model")
     return config
 
 
@@ -476,18 +478,17 @@ def serialize_config(config: RunConfig) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def count_peaks(values, floor, prominence=PEAK_PROMINENCE):
+def count_peaks(values, floor):
     """Count interior local maxima exceeding the floor.
 
-    A maximum must top both neighbors by ``prominence``, so rounding ripple
-    on a featureless plateau does not register. NaN entries never form or
-    bound a peak.
+    A maximum must top both neighbors by ``PEAK_PROMINENCE``, so rounding
+    ripple on a featureless plateau does not register. NaN entries never
+    form or bound a peak.
     """
     v = np.asarray(values, dtype=float)
     mid = v[1:-1]
-    return int(np.count_nonzero(
-        (mid > v[:-2] + prominence) & (mid > v[2:] + prominence) & (mid > floor)
-    ))
+    top = (mid > v[:-2] + PEAK_PROMINENCE) & (mid > v[2:] + PEAK_PROMINENCE)
+    return int(np.count_nonzero(top & (mid > floor)))
 
 
 def _nan_reduce(reduce, values):

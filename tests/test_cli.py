@@ -393,6 +393,29 @@ class TestEpFind:
         assert err.rstrip().endswith("outcome=degenerate")
         assert out.exists()
 
+    @pytest.mark.parametrize("lattice", [
+        {"nx": 1, "ny": 1},
+        {"nx": 2, "ny": 1, "mask": [[1], [0]]},
+    ])
+    def test_one_site_cavity_is_an_invalid_config(self, tmp_path, capsys,
+                                                  lattice):
+        # One site has no eigenvalue pair to coalesce; the config is
+        # refused before any search, while transmit accepts the cavity.
+        doc = ep_doc()
+        doc["model"].pop("mask")
+        doc["model"].update(lattice)
+        for lead in doc["model"]["leads"]:
+            lead["contact"] = [0, 0]
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "ep.csv"
+        assert main(["ep-find", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("opencavity: invalid config at model:")
+        assert not out.exists()
+        doc["study"] = "transmit"
+        cfg = write_config(tmp_path, doc)
+        assert main(["transmit", "--config", cfg, "--out", str(out)]) == 0
+
     def test_summary_matches_benchmark_oracle(self, tmp_path, capsys):
         # The pattern bench/oracle.py reads the summary with.
         ep_line = re.compile(

@@ -189,10 +189,12 @@ class TestCavityModel:
                 1.0,
             )
 
-    def test_channel_names_default_lr(self):
+    def test_channels_follow_lead_order(self):
+        # The first lead is L and the second R, by position alone.
         lat = LatticeSpec(2, 1)
-        m = CavityModel(lat, (LeadSpec((0, 0), 1.0), LeadSpec((1, 0), 1.0)), 1.0)
-        assert [ch.name for ch in m.channels] == ["L", "R"]
+        m = CavityModel(lat, (LeadSpec((1, 0), 0.5), LeadSpec((0, 0), 2.0)), 1.0)
+        assert m.contact_indices == (1, 0)
+        assert [ch.w_eff for ch in m.channels] == [0.5, 2.0]
 
     def test_shared_contact_site_allowed(self):
         m = CavityModel(

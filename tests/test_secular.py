@@ -1,10 +1,11 @@
 """Secular-equation eigenpairs of H_eff against LAPACK zgeev.
 
-The kernel ``_secular_eigenvalues`` either returns all N eigenvalues (with
+The route ``_secular_eigenvalues`` either returns all N eigenvalues (with
 ``vectors``, all N eigenpairs) or None; these tests call it directly, below
 the size at which ``heff_eigenvalues`` and ``heff_spectrum`` select it, and
 compare with ``zgeev`` of the assembled matrix root for root and state for
-state.
+state. Its root finder, the Aberth kernel ``_aberth``, is also tested on
+its own, on polynomials with known roots.
 """
 
 import numpy as np
@@ -252,6 +253,47 @@ def test_backward_error_rejects_unmoved_iterates(monkeypatch):
     # still the trace; only the backward-error check can reject them.
     monkeypatch.setattr(spectrum, "_COINCIDENT", -1.0)
     assert _secular_eigenvalues(square(2, ((0, 1), (1, 1)), 1.0), 0.3) is None
+
+
+def aberth(z, newton):
+    with np.errstate(all="ignore"):
+        return spectrum._aberth(z, newton, 1.0)
+
+
+def test_aberth_finds_known_roots_from_perturbed_starts():
+    # z^40 - 1, two blocks of iterates; its roots are the 40th roots of 1.
+    n = 40
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    noise = np.random.default_rng(0).normal(size=(2, n))
+    z = roots + 1e-2 * (noise[0] + 1j * noise[1])
+    assert aberth(z, lambda zb: (zb ** n - 1.0) / (n * zb ** (n - 1))) is z
+    assert root_distance(z, roots) <= 1e-14
+
+
+def test_aberth_nudge_separates_coincident_starts(monkeypatch):
+    # (z - 1)(z - 3) from two equal starts: their repulsion divides by
+    # zero, and only the nudge, which differs per root, splits them.
+    def newton(zb):
+        return (zb - 1.0) * (zb - 3.0) / (2.0 * zb - 4.0)
+
+    z = np.full(2, 0.5 + 0j)
+    assert aberth(z, newton) is z
+    assert root_distance(z, np.array([1.0, 3.0])) <= 1e-14
+    monkeypatch.setattr(spectrum, "_NUDGE", 0.0)
+    assert aberth(np.full(2, 0.5 + 0j), newton) is None
+
+
+def test_aberth_gives_none_after_the_sweep_limit():
+    blocks = []
+
+    def newton(zb):
+        blocks.append(len(zb))
+        return np.ones(len(zb), dtype=complex)
+
+    assert aberth(np.arange(40, dtype=complex), newton) is None
+    # No root ever stops, so every sweep evaluates both blocks.
+    sweep = [spectrum._BLOCK, 40 - spectrum._BLOCK]
+    assert blocks == sweep * spectrum._ABERTH_MAX_ITER
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
