@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-One subcommand per study. Every subcommand reads a JSON config file,
-optionally patches it with ``--grid-override`` assignments, runs the study
+One parser; its positional argument names the study. Every study reads a
+JSON config file, optionally patched with ``--grid-override`` assignments,
 and writes CSV to ``--out``, the config's ``out`` path, or stdout.
 
 Exit codes: 0 success, 2 unusable config (parse, validation or geometry),
@@ -48,24 +48,15 @@ def _build_parser():
         prog="opencavity",
         description="Transmission studies of open tight-binding cavities.",
     )
-    sub = parser.add_subparsers(dest="study", required=True)
-    for study in STUDIES:
-        p = sub.add_parser(study, help=f"run a {study} study")
-        p.add_argument("--config", required=True, help="JSON study config")
-        p.add_argument("--out", help="CSV output path (default: config out or stdout)")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="has no effect; every study runs serially",
-        )
-        p.add_argument(
-            "--grid-override",
-            action="append",
-            default=[],
-            metavar="PATH=VALUE",
-            help="override a config entry by dotted path, e.g. e_grid.points=401",
-        )
+    parser.add_argument("study", choices=STUDIES, help="the study to run")
+    parser.add_argument("--config", required=True, help="JSON study config")
+    parser.add_argument(
+        "--out", help="CSV output path (default: config out or stdout)")
+    parser.add_argument("--threads", type=int,
+                        help="has no effect; every study runs serially")
+    parser.add_argument(
+        "--grid-override", action="append", default=[], metavar="PATH=VALUE",
+        help="override a config entry by dotted path, e.g. e_grid.points=401")
     return parser
 
 

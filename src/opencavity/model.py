@@ -10,10 +10,12 @@ lead hopping), so its propagation band is |E| < 2 t.
 
 The closed-cavity Hamiltonian H_B, the lead surface Green's function g(E),
 the channel self-energy w^2 g(E) and the energy-dependent contact amplitudes
-a(E) are defined here. They obey 2 pi a(E)^2 = -2 Im[w^2 g(E)] exactly,
-which ties the resonance widths of the effective Hamiltonian to the
-transmission normalization. The effective Hamiltonian itself is assembled in
-:mod:`opencavity.spectrum`.
+a(E) are defined here, and nowhere else: the effective Hamiltonian, the
+resolvent, the S matrix and the Wigner delay all read them from this
+module. Each takes a scalar energy or an array of energies. They obey
+2 pi a(E)^2 = -2 Im[w^2 g(E)] exactly, which ties the resonance widths of
+the effective Hamiltonian to the transmission normalization. The effective
+Hamiltonian itself is assembled in :mod:`opencavity.spectrum`.
 """
 
 from __future__ import annotations
@@ -143,43 +145,33 @@ def surface_green(energy, lead_hopping=1.0):
     outside, the branch decaying into the lead,
     (E - sign(E) sqrt(E^2 - 4 t^2)) / (2 t^2). The two agree at the band
     edges, where g(+-2t) = +-1/t, and Im g <= 0 everywhere (retarded
-    branch, so widths come out positive).
-
-    Parameters
-    ----------
-    energy : float
-    lead_hopping : float
-
-    Returns
-    -------
-    complex
+    branch, so widths come out positive). Scalar arguments give a complex;
+    arrays, broadcast against each other, give a complex array.
     """
-    t = float(lead_hopping)
-    e = float(energy)
-    if abs(e) <= 2.0 * t:
-        return complex(e, -math.sqrt(4.0 * t * t - e * e)) / (2.0 * t * t)
-    return complex(e - math.copysign(math.sqrt(e * e - 4.0 * t * t), e)) / (
-        2.0 * t * t
-    )
+    e = np.asarray(energy, dtype=float)
+    t = np.asarray(lead_hopping, dtype=float)
+    root = np.sqrt(np.abs(e * e - 4.0 * t * t))
+    inside = np.abs(e) <= 2.0 * t
+    re = np.where(inside, e, e - np.copysign(root, e))
+    im = np.where(inside, -root, 0.0)
+    # complex(re, im) / (2 t^2), dividing by the real as by a complex with
+    # imaginary part +0.0: the zero products fix the signs of zero parts,
+    # Im g(-2t) = +0.0 among them.
+    g = np.empty(re.shape, dtype=complex)
+    g.real = (re + im * 0.0) / (2.0 * t * t)
+    g.imag = (im - re * 0.0) / (2.0 * t * t)
+    return complex(g) if g.ndim == 0 else g
 
 
 def lead_self_energy(lead: LeadSpec, alpha, energy):
     """Channel self-energy w^2 g(E) with w = alpha * coupling_w.
 
-    Total function of real energy; outside the band it continues onto the
-    decaying branch, so bound-state poles stay on the physical sheet.
+    Total function of real energy, scalar or array; outside the band it
+    continues onto the decaying branch, so bound-state poles stay on the
+    physical sheet.
     """
     w = float(alpha) * lead.coupling_w
     return w * w * surface_green(energy, lead.lead_hopping)
-
-
-def _contact_amplitude(energy, coupling, lead_hopping):
-    t = float(lead_hopping)
-    e = float(energy)
-    if abs(e) >= 2.0 * t:
-        raise OutsideBand(f"energy {e} outside the open channel band (|E| < {2 * t})")
-    im_g = math.sqrt(4.0 * t * t - e * e) / (2.0 * t * t)
-    return float(coupling) * math.sqrt(im_g / math.pi)
 
 
 def lead_contact_amplitude(lead: LeadSpec, alpha, energy):
@@ -188,15 +180,16 @@ def lead_contact_amplitude(lead: LeadSpec, alpha, energy):
     Defined by a(E) = alpha * coupling_w * sqrt(-Im g(E) / pi), which makes
     2 pi a(E)^2 = -2 Im[w^2 g(E)] an identity. For unit lead hopping this is
     the familiar w sqrt(sin k / pi) with E = -2 cos k. Real and
-    non-negative.
+    non-negative; an array of energies gives NaN where |E| >= 2t.
 
     Raises
     ------
     OutsideBand
-        |E| >= 2t; the channel does not propagate there.
+        A scalar |E| >= 2t; the channel does not propagate there.
     """
-    return _contact_amplitude(energy, float(alpha) * lead.coupling_w,
-                              lead.lead_hopping)
+    # Index -1: the channel is not resolved against a cavity basis.
+    channel = LeadChannel(-1, lead.lead_hopping, float(alpha) * lead.coupling_w)
+    return channel.contact_amplitude(energy)
 
 
 @dataclass(frozen=True)
@@ -206,7 +199,8 @@ class LeadChannel:
     ``index`` addresses the contact site in the H_B basis and ``w_eff`` is
     the coupling after the global scale alpha. ``self_energy`` and
     ``contact_amplitude`` are the per-channel energy functions entering the
-    effective Hamiltonian and the transmission normalization.
+    effective Hamiltonian and the transmission normalization; both take a
+    scalar energy or an array of energies.
     """
 
     index: int
@@ -217,7 +211,15 @@ class LeadChannel:
         return self.w_eff**2 * surface_green(energy, self.lead_hopping)
 
     def contact_amplitude(self, energy):
-        return _contact_amplitude(energy, self.w_eff, self.lead_hopping)
+        t = self.lead_hopping
+        e = np.asarray(energy, dtype=float)
+        outside = np.abs(e) >= 2.0 * t
+        if e.ndim == 0 and outside:
+            raise OutsideBand(
+                f"energy {float(e)} outside the open channel band (|E| < {2 * t})")
+        im_g = np.where(outside, math.nan, -np.imag(surface_green(e, t)))
+        a = self.w_eff * np.sqrt(im_g / math.pi)
+        return float(a) if a.ndim == 0 else a
 
 
 def _check_alpha(alpha):
@@ -370,14 +372,34 @@ class CavityModel:
         return model
 
     def self_energy_weights(self, energy):
-        """Per-channel w_eff^2 g(E), the diagonal self-energy amplitudes."""
-        return np.array(
-            [ch.self_energy(energy) for ch in self.channels], dtype=complex
-        )
+        """Per-channel w_eff^2 g(E), the diagonal self-energy amplitudes.
+
+        Shape (2,) at a scalar energy, (n, 2) at n energies.
+        """
+        return np.stack([ch.self_energy(energy) for ch in self.channels],
+                        axis=-1)
 
     def channel_amplitudes(self, energy):
-        """Per-channel contact amplitudes a_C(E); OutsideBand past any edge."""
-        return np.array([ch.contact_amplitude(energy) for ch in self.channels])
+        """Per-channel contact amplitudes a_C(E).
+
+        Shape (2,) at a scalar energy, which raises OutsideBand past any
+        band edge; (n, 2) at n energies, NaN past an edge.
+        """
+        return np.stack([ch.contact_amplitude(energy) for ch in self.channels],
+                        axis=-1)
+
+    def _lead_slopes(self, energies):
+        """Sigma_C' = w_eff^2 (1 + i E / sqrt(4 t^2 - E^2)) / (2 t^2) and
+        kappa_C = a_C' / a_C = -E / (2 (4 t^2 - E^2)) at 1-d energies,
+        shape (n, 2) each; not finite where |E| >= 2t."""
+        t = np.array([ch.lead_hopping for ch in self.channels])
+        w = np.array([ch.w_eff for ch in self.channels])
+        e = np.asarray(energies, dtype=float)[:, None]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            root = np.sqrt(4.0 * t * t - e * e)
+            kappa = -e / (2.0 * root * root)
+            dsigma = w * w * (1.0 + 1j * e / root) / (2.0 * t * t)
+        return dsigma, kappa
 
     def __repr__(self):
         return (

@@ -204,7 +204,7 @@ def _resolvent(model, e, strict, interior):
     """G_cc at energies e; with ``interior`` also x[:, b] = U^T psi_b."""
     e_k, u = model.closed_modes
     u_c = u[list(model.contact_indices), :]
-    sigma = _self_energies(model, e)
+    sigma = model.self_energy_weights(e)
     wsq = np.stack([u_c[0] * u_c[0], u_c[0] * u_c[1], u_c[1] * u_c[1]], axis=1)
     inv_gap = 1.0 / (RESOLVENT_GAP * max(1.0, float(np.abs(e_k).max())))
     # An energy on an e_k divides by zero; its level leaves the sums below.
@@ -317,47 +317,10 @@ def contact_green(model, energies):
     return (g[0], x[0, 0]) if scalar else (g, x[:, 0])
 
 
-def _amplitudes(model, e, strict):
-    """:meth:`CavityModel.channel_amplitudes` over energies, to the bit and
-    NaN outside the band; with the lead hoppings t_C and couplings w_C."""
-    t = np.array([ch.lead_hopping for ch in model.channels])
-    w = np.array([ch.w_eff for ch in model.channels])
-    inside = np.abs(e[:, None]) < 2.0 * t
-    if strict and not inside.all():
-        model.channel_amplitudes(float(e[0]))  # raises OutsideBand
-    with np.errstate(invalid="ignore"):
-        im_g = np.sqrt(4.0 * t * t - e[:, None] ** 2) / (2.0 * t * t)
-    return np.where(inside, w * np.sqrt(im_g / math.pi), math.nan), t, w
-
-
-def _self_energies(model, e):
-    """:meth:`CavityModel.self_energy_weights` over energies, to the bit.
-
-    :func:`~opencavity.model.surface_green` times w_C^2, with Python's
-    complex arithmetic spelled out: a float operand becomes a complex with
-    imaginary part +0.0, and the zero products that adds fix the signs of
-    zero parts, at E = -2t_C and E = -0.0 among others.
-    """
-    t = np.array([ch.lead_hopping for ch in model.channels])
-    wsq = np.array([ch.w_eff**2 for ch in model.channels])
-    e = e[:, None]
-    root = np.sqrt(np.abs(e * e - 4.0 * t * t))
-    inside = np.abs(e) <= 2.0 * t
-    re = np.where(inside, e, e - np.copysign(root, e))
-    im = np.where(inside, -root, 0.0)
-    # g = complex(re, im) / (2 t^2), then sigma = w^2 * g.
-    g_re = (re + im * 0.0) / (2.0 * t * t)
-    g_im = (im - re * 0.0) / (2.0 * t * t)
-    sigma = np.empty(g_re.shape, dtype=complex)
-    sigma.real = wsq * g_re - 0.0 * g_im
-    sigma.imag = wsq * g_im + 0.0 * g_re
-    return sigma
-
-
 def _s_matrices(model, e, strict, g=None):
     """S at energies e, from their G_cc if given; a strict energy outside
     the band raises OutsideBand before any resolvent work."""
-    a = _amplitudes(model, e, strict)[0]
+    a = model.channel_amplitudes(e[0] if strict else e).reshape(-1, 2)
     if g is None:
         g = _resolvent(model, e, strict, interior=False)
     return np.eye(2) - 2j * math.pi * a[:, :, None] * a[:, None, :] * g
@@ -413,10 +376,9 @@ def wigner_delay(model, energy):
         dS_ab = -2 pi i a_a a_b [(kappa_a + kappa_b) G_ab + dG_ab],
         dG_cc = -X^T (I - Sigma') X,
 
-    X the two contact columns of (E - H_eff)^-1, kappa_C = a_C'/a_C =
-    -E / (2 (4 t_C^2 - E^2)) and Sigma' = diag(w_C^2 (1 + i E /
-    sqrt(4 t_C^2 - E^2)) / (2 t_C^2)). X comes from the resolvent of
-    :func:`contact_green`, at O(N) per energy.
+    X the two contact columns of (E - H_eff)^-1, kappa_C = a_C'/a_C and
+    Sigma' = diag(Sigma_C'), both from :mod:`~opencavity.model`. X comes
+    from the resolvent of :func:`contact_green`, at O(N) per energy.
 
     Parameters
     ----------
@@ -431,14 +393,11 @@ def wigner_delay(model, energy):
         Only for a scalar energy.
     """
     e, scalar = _energies(energy)
-    a, t, w = _amplitudes(model, e, scalar)
+    a = model.channel_amplitudes(e[0] if scalar else e).reshape(-1, 2)
     g, x = _resolvent(model, e, scalar, interior=True)
+    dsigma, kappa = model._lead_slopes(e)
     aa = -2j * math.pi * a[:, :, None] * a[:, None, :]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        e = e[:, None]
-        root = np.sqrt(4.0 * t * t - e * e)
-        kappa = -e / (2.0 * root * root)
-        dsigma = w * w * (1.0 + 1j * e / root) / (2.0 * t * t)
+    with np.errstate(invalid="ignore"):
         # X^T X is taken in H_B's eigenbasis, X^T Sigma' X from G_cc.
         gs = np.swapaxes(g, 1, 2) * dsigma[:, None, :]
         dg = gs @ g - x @ np.swapaxes(x, 1, 2)

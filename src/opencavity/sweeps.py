@@ -36,7 +36,7 @@ from .exceptions import (
     ValidationError,
     WriteError,
 )
-from .model import CavityModel, LatticeSpec, LeadSpec, surface_green
+from .model import CavityModel, LatticeSpec, LeadSpec
 from .scattering import (
     _s_matrices,
     contact_green,
@@ -609,23 +609,20 @@ def run_delay_study(config: RunConfig) -> StudyResult:
 def _coupling_family(config: RunConfig):
     """H_eff at the grid center as a function of the two lead couplings.
 
-    H_B is built once; each call adds the two contact self-energies
-    (alpha |p_C|)^2 g_C(E) to a copy, in the order and with the rounding
-    of :func:`~opencavity.spectrum.assemble_heff` on a model with coupling
-    values |p|.
+    H_B is built once; each call adds the self-energies of the channels
+    with w_eff = alpha |p_C| to a copy, as
+    :func:`~opencavity.spectrum.assemble_heff` does on a model with
+    coupling values |p|.
     """
     base = config.build_model()
     h_b = base.h_b.astype(complex)
     e_c = config.e_grid.center
-    contacts = [
-        (ch.index, surface_green(e_c, ch.lead_hopping))
-        for ch in base.channels
-    ]
 
     def family(p):
         h = h_b.copy()
-        for (index, g), w in zip(contacts, p):
-            h[index, index] += (base.alpha * abs(float(w))) ** 2 * g
+        for ch, w in zip(base.channels, p):
+            ch = replace(ch, w_eff=base.alpha * abs(float(w)))
+            h[ch.index, ch.index] += ch.self_energy(e_c)
         return h
 
     return family

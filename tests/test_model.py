@@ -3,6 +3,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from opencavity import (
     CavityModel,
@@ -238,6 +240,116 @@ class TestCavityModel:
         for e in (-1.1, 0.0, 0.8):
             assert ch.self_energy(e) == lead_self_energy(ld, 0.9, e)
             assert ch.contact_amplitude(e) == lead_contact_amplitude(ld, 0.9, e)
+
+
+# The lead layer computes g, Sigma and a once, array-valued; a scalar
+# energy goes through the same code. The references below are the formulas
+# in Python's own float and complex arithmetic: the results at scalar and
+# array energies must match them to the bit, so the layer's outputs do not
+# depend on how the energies are batched.
+HOPPINGS = (1.0, 0.6)
+EDGES = [2.0 * t for t in HOPPINGS]
+SPECIAL_ENERGIES = [0.0, -0.0, 1e3, -1e3] + [
+    s * x
+    for edge in EDGES
+    for x in (edge, np.nextafter(edge, 0.0), np.nextafter(edge, 9.0))
+    for s in (1.0, -1.0)
+]
+lead_energies = st.lists(
+    st.one_of(st.sampled_from(SPECIAL_ENERGIES), st.floats(-3.0, 3.0)),
+    min_size=1, max_size=12,
+)
+lead_couplings = st.one_of(st.just(0.0), st.floats(0.05, 2.0))
+
+
+def green_ref(e, t):
+    if abs(e) <= 2.0 * t:
+        return complex(e, -math.sqrt(4.0 * t * t - e * e)) / (2.0 * t * t)
+    root = math.sqrt(e * e - 4.0 * t * t)
+    return complex(e - math.copysign(root, e)) / (2.0 * t * t)
+
+
+def amplitude_ref(e, w, t):
+    return w * math.sqrt(math.sqrt(4.0 * t * t - e * e) / (2.0 * t * t) / math.pi)
+
+
+def bits(x, dtype):
+    """Integer view, so equality covers every bit, zero signs included."""
+    return np.asarray(x, dtype=dtype).view(np.uint64)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(lead_energies, st.permutations(HOPPINGS), lead_couplings,
+       lead_couplings, st.floats(0.0, 2.0))
+@example(SPECIAL_ENERGIES, list(HOPPINGS), 0.0, 1.3, 0.8)
+def test_lead_layer_scalar_and_array_agree_bit_for_bit(e, hop, w_l, w_r, alpha):
+    model = CavityModel(
+        LatticeSpec(2, 1),
+        (LeadSpec((0, 0), w_l, lead_hopping=hop[0]),
+         LeadSpec((1, 0), w_r, lead_hopping=hop[1])),
+        alpha,
+    )
+    grid = np.array(e)
+    for t in HOPPINGS:
+        ref = [green_ref(x, t) for x in e]
+        assert all(type(surface_green(x, t)) is complex for x in e)
+        np.testing.assert_array_equal(bits(surface_green(grid, t), complex),
+                                      bits(ref, complex))
+        np.testing.assert_array_equal(
+            bits([surface_green(x, t) for x in e], complex), bits(ref, complex))
+
+    sigma = model.self_energy_weights(grid)
+    assert sigma.shape == (len(e), 2)
+    ref = [[ch.w_eff**2 * green_ref(x, ch.lead_hopping) for ch in model.channels]
+           for x in e]
+    np.testing.assert_array_equal(bits(sigma, complex), bits(ref, complex))
+    np.testing.assert_array_equal(
+        bits([model.self_energy_weights(x) for x in e], complex),
+        bits(ref, complex))
+
+    a = model.channel_amplitudes(grid)
+    assert a.shape == (len(e), 2)
+    for i, x in enumerate(e):
+        for c, ch in enumerate(model.channels):
+            if abs(x) >= 2.0 * ch.lead_hopping:
+                assert math.isnan(a[i, c])
+                with pytest.raises(OutsideBand):
+                    ch.contact_amplitude(x)
+                continue
+            got = ch.contact_amplitude(x)
+            assert type(got) is float
+            ref = amplitude_ref(x, ch.w_eff, ch.lead_hopping)
+            assert bits(got, float) == bits(ref, float) == bits(a[i, c], float)
+            # 2 pi a^2 = -2 Im Sigma, the width normalization.
+            npt.assert_allclose(2.0 * math.pi * got * got, -2.0 * sigma[i, c].imag,
+                                rtol=1e-14, atol=0)
+        if np.isnan(a[i]).any():
+            with pytest.raises(OutsideBand):
+                model.channel_amplitudes(x)
+        else:
+            np.testing.assert_array_equal(
+                bits(model.channel_amplitudes(x), float), bits(a[i], float))
+
+
+def test_lead_slopes_match_centred_differences():
+    # Sigma'(E) and kappa(E) = (log a)'(E), the lead terms of the Wigner
+    # delay, against centred differences inside both bands.
+    model = CavityModel(
+        LatticeSpec(2, 1),
+        (LeadSpec((0, 0), 0.8, lead_hopping=1.0),
+         LeadSpec((1, 0), 1.3, lead_hopping=0.6)),
+        0.9,
+    )
+    e = np.linspace(-1.1, 1.1, 23)
+    h = 1e-5
+    dsigma, kappa = model._lead_slopes(e)
+    num_sigma = (model.self_energy_weights(e + h)
+                 - model.self_energy_weights(e - h)) / (2.0 * h)
+    num_kappa = (np.log(model.channel_amplitudes(e + h))
+                 - np.log(model.channel_amplitudes(e - h))) / (2.0 * h)
+    assert dsigma.shape == kappa.shape == (len(e), 2)
+    npt.assert_allclose(dsigma, num_sigma, rtol=1e-7, atol=0)
+    npt.assert_allclose(kappa, num_kappa, rtol=1e-7, atol=1e-12)
 
 
 def test_package_exports_each_module_name_once():

@@ -36,7 +36,7 @@ from opencavity import (
     wigner_delay,
 )
 
-from opencavity.scattering import RESOLVENT_GAP, _self_energies
+from opencavity.scattering import RESOLVENT_GAP
 
 from conftest import energies, open_cavities, square4
 
@@ -326,25 +326,6 @@ def test_array_matches_one_point_calls():
     for i, e in enumerate(grid):
         np.testing.assert_allclose(s[i], s_matrix(model, e), rtol=0, atol=1e-13)
         np.testing.assert_allclose(tau[i], wigner_delay(model, e), rtol=1e-9)
-
-
-@pytest.mark.parametrize("w", [(1.0, 0.7), (0.0, 1.3)])
-def test_self_energies_match_scalar_path_bit_for_bit(w):
-    # Unequal lead hoppings put the two band edges apart.
-    model = CavityModel(
-        LatticeSpec(5, 3),
-        (LeadSpec((0, 1), w[0], lead_hopping=1.0),
-         LeadSpec((4, 2), w[1], lead_hopping=0.6)),
-        0.8,
-    )
-    edges = [2.0, 1.2, np.nextafter(2.0, 0.0), np.nextafter(1.2, 3.0)]
-    grid = np.array([0.0, -0.0, 0.3, 1.1, 1.9, 2.5, 1e3]
-                    + edges + np.linspace(-3.0, 3.0, 41).tolist())
-    grid = np.concatenate([grid, -grid])
-    got = _self_energies(model, grid)
-    ref = np.array([model.self_energy_weights(e) for e in grid])
-    # Views as integers compare every bit, the signs of zeros included.
-    np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 def test_with_alpha_shares_closed_modes():
