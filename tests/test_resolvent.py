@@ -328,6 +328,28 @@ def test_array_matches_one_point_calls():
         np.testing.assert_allclose(tau[i], wigner_delay(model, e), rtol=1e-9)
 
 
+@pytest.mark.parametrize("w", [(1.0, 0.7), (0.0, 1.3)])
+def test_self_energies_match_scalar_path_bit_for_bit(w):
+    # The grid path of the resolvent takes Sigma(E) for all energies at
+    # once; it must equal the one-point path in every bit. Unequal lead
+    # hoppings put the two band edges apart.
+    model = CavityModel(
+        LatticeSpec(5, 3),
+        (LeadSpec((0, 1), w[0], lead_hopping=1.0),
+         LeadSpec((4, 2), w[1], lead_hopping=0.6)),
+        0.8,
+    )
+    edges = [2.0, 1.2, np.nextafter(2.0, 0.0), np.nextafter(1.2, 3.0)]
+    grid = np.array([0.0, -0.0, 0.3, 1.1, 1.9, 2.5, 1e3]
+                    + edges + np.linspace(-3.0, 3.0, 41).tolist())
+    grid = np.concatenate([grid, -grid])
+    got = model.self_energy_weights(grid)
+    ref = np.array([model.self_energy_weights(float(e)) for e in grid])
+    assert got.shape == ref.shape == (len(grid), 2)
+    # Views as integers compare every bit, the signs of zeros included.
+    np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
 def test_with_alpha_shares_closed_modes():
     model = square4()
     other = model.with_alpha(0.3)
