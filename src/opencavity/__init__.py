@@ -6,9 +6,10 @@ energy-dependent effective Hamiltonian H_eff(E) = H_B + sum of channel
 self-energies: its biorthogonal spectrum carries the resonance energies,
 widths and phase rigidities; the scattering matrix built from the same
 surface Green's function is unitary by construction; transmission can be
-evaluated independently from the resonance expansion and from a direct
-linear solve, and the two agree to rounding wherever the spectrum is not
-defective. Exceptional points, resonance trapping and the crossover to
+evaluated independently from the resonance expansion and from the
+contact-space resolvent, and the two agree to rounding wherever the
+spectrum is not defective; so does the phase rigidity of the interior
+state. Exceptional points, resonance trapping and the crossover to
 plateau transmission are exposed through dedicated searches and
 config-driven studies with deterministic CSV export.
 """
@@ -21,7 +22,6 @@ from .exceptions import (
     ExceptionalPointNotFound,
     InvalidGeometry,
     InvalidMatrix,
-    NotNormalized,
     OpenCavityError,
     OutsideBand,
     ParseError,
@@ -60,7 +60,6 @@ from .rigidity import (
     b_antisymmetry_residual,
     build_report,
     rho_direct,
-    rho_spectral,
 )
 from .scattering import (
     ScatteringSolution,

@@ -6,7 +6,7 @@ callers can distinguish physics/numerics failures from programming errors.
 
 __all__ = [
     "OpenCavityError", "InvalidMatrix", "ConvergenceFailure", "SingularMatrix",
-    "InvalidGeometry", "OutsideBand", "NotNormalized", "UndefinedValue",
+    "InvalidGeometry", "OutsideBand", "UndefinedValue",
     "PoleOnAxis", "DefectiveSpectrum", "ExceptionalPointNotFound",
     "ParseError", "ValidationError", "WriteError",
 ]
@@ -48,10 +48,6 @@ class InvalidGeometry(OpenCavityError):
 class OutsideBand(OpenCavityError):
     """Energy lies outside the open interval (-2, 2) where propagating lead
     states exist."""
-
-
-class NotNormalized(OpenCavityError):
-    """Coefficient vector violates the unit-probability normalization."""
 
 
 class UndefinedValue(OpenCavityError):

@@ -8,14 +8,18 @@ so that its real and imaginary parts are orthogonal; the phase rigidity
 measures what is left: |rho| = 1 for a standing wave (real up to a global
 phase) and |rho| -> 0 for a fully open, traveling state. The rotation angle
 theta that maximizes the real content is fixed by the same bilinear sum.
+Both sums are invariant under a real orthogonal change of basis, so a state
+given in the eigenbasis of H_B has the rigidity of the state on the sites.
 
-Two routes are provided. ``rho_direct`` evaluates the definition on a given
-interior state and is the ground truth. ``rho_spectral`` evaluates the
-expansion form sum c_lam^2 A_lam over the resonance decomposition
-psi = sum c_lam phi_lam with sum |c|^2 = 1; it folds the biorthogonal norms
-into the coefficients instead of the state, so it tracks the direct value in
-the isolated regime and deviates once Hermitian cross terms between
-overlapping resonances matter.
+``rho_direct`` evaluates the definition on one state or on a stack of
+states, and is the package's one rigidity formula. It is reached by two
+independent routes. The direct route applies it to the interior state of
+the contact-space resolvent (:func:`~opencavity.scattering.contact_green`).
+The spectral route applies it to the resonance expansion
+psi = sum c_lam phi_lam with sum |c|^2 = 1: since phi^T phi = 1, that is
+rho = sum c_lam^2 / (c^dag B c) with B = phi^dag phi. The two agree to
+rounding wherever the expansion exists; only the direct route exists at a
+defective spectrum or a pole on the real axis.
 """
 
 from __future__ import annotations
@@ -25,12 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import NotNormalized, UndefinedValue
+from .exceptions import UndefinedValue
 
 __all__ = [
     "RigidityReport",
     "rho_direct",
-    "rho_spectral",
     "b_antisymmetry_residual",
     "build_report",
 ]
@@ -40,9 +43,10 @@ __all__ = [
 class RigidityReport:
     """Phase-rigidity measures of one solved scattering state.
 
-    ``rho_direct_mod`` and ``rho_direct_theta`` come from the direct
-    definition on the interior state; ``rho_spectral`` is the complex
-    expansion form; ``b_antisymmetry_residual`` measures how far the real
+    ``rho_direct_mod`` and ``rho_direct_theta`` are the rigidity of the
+    interior state the report was built from; ``rho_spectral`` is the
+    complex rigidity of its resonance expansion, the same number by the
+    spectral route; ``b_antisymmetry_residual`` measures how far the real
     parts of distinct states at the same energy are from orthogonal (see
     :func:`b_antisymmetry_residual`); ``per_state_r`` collects (track_id,
     r_lam) pairs with r_lam = 1/A_lam, the state index standing in for
@@ -58,79 +62,44 @@ class RigidityReport:
 
 
 def rho_direct(psi):
-    """Phase rigidity of an interior state by its definition.
+    """Phase rigidity of an interior state, or of a stack of states.
 
-    Parameters
-    ----------
-    psi : array_like
-        Complex interior amplitudes; any nonzero overall scale, down to the
-        smallest and up to the largest finite magnitudes.
-
-    Returns
-    -------
-    (float, float)
-        |rho| in [0, 1] up to rounding, and the phase angle theta in
-        (-pi/2, pi/2] that rotates psi to maximal real content. theta is 0
-        when the bilinear sum vanishes, since no rotation is preferred.
-
-    Raises
-    ------
-    UndefinedValue
-        All components are zero.
+    ``psi`` holds complex amplitudes along its last axis, at any nonzero
+    overall scale, down to the smallest and up to the largest finite
+    magnitudes. Returns |rho| in [0, 1] up to rounding and the angle theta
+    in (-pi/2, pi/2] that rotates psi to maximal real content, so that
+    rho = |rho| exp(-2i theta); theta is 0 when the bilinear sum vanishes,
+    since no rotation is preferred. One state gives two floats and raises
+    UndefinedValue if it is zero; a stack gives two arrays, NaN for a zero
+    state or one with a NaN entry.
     """
-    v = np.asarray(psi, dtype=complex).ravel()
-    with np.errstate(over="ignore"):
-        denom = float(np.sum(np.abs(v) ** 2))
-    if denom == 0.0 or not math.isfinite(denom):
-        # The squares over- or underflowed; rho is scale-free, so divide by
-        # the largest modulus when that is a positive finite number.
-        scale = np.abs(v).max() if v.size else 0.0
-        if 0.0 < scale < math.inf:
-            v = v / scale
-            denom = float(np.sum(np.abs(v) ** 2))
-    if denom == 0.0:
-        raise UndefinedValue("phase rigidity of the zero vector")
-    s = complex(np.sum(v * v))
-    mod = abs(s) / denom
-    if s == 0.0:
-        return 0.0, 0.0
-    theta = -0.5 * float(np.angle(s))
-    if theta <= -0.5 * math.pi:
-        theta += math.pi
-    return mod, theta
-
-
-def rho_spectral(coeffs, a_norms):
-    """Resonance-expansion form of the phase rigidity.
-
-    Parameters
-    ----------
-    coeffs : array_like
-        Expansion coefficients c_lam, normalized to sum |c|^2 = 1.
-    a_norms : array_like
-        Hermitian norms A_lam of the biorthogonal states.
-
-    Returns
-    -------
-    complex
-        sum(c_lam^2 A_lam). No modulus bound is asserted; far from any
-        exceptional point it approaches the direct value.
-
-    Raises
-    ------
-    NotNormalized
-        sum |c|^2 deviates from 1 by more than 1e-8.
-    UndefinedValue
-        Some A_lam is not finite (defective state in the expansion).
-    """
-    c = np.asarray(coeffs, dtype=complex).ravel()
-    a = np.asarray(a_norms, dtype=float).ravel()
-    total = float(np.sum(np.abs(c) ** 2))
-    if abs(total - 1.0) > 1e-8:
-        raise NotNormalized(f"sum |c|^2 = {total!r}, expected 1")
-    if not np.all(np.isfinite(a)):
-        raise UndefinedValue("expansion contains a defective state")
-    return complex(np.sum(c * c * a))
+    v = np.asarray(psi, dtype=complex)
+    one = v.ndim <= 1
+    v = v.reshape(1, -1) if one else v.reshape(-1, v.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.abs(v)
+        denom, scale = np.sum(a**2, axis=1), a.max(axis=1, initial=0.0)
+        # Where the squares over- or underflowed, divide the state by its
+        # largest modulus if that is positive and finite: rho is scale-free.
+        # A real division, since a complex one overflows at 1 / scale.
+        redo = (((denom == 0.0) | ~np.isfinite(denom))
+                & (scale > 0.0) & (scale < math.inf))
+        if redo.any():
+            v = v.copy()
+            v[redo] = (v[redo].view(float) / scale[redo, None]).view(complex)
+            denom[redo] = np.sum(np.abs(v[redo]) ** 2, axis=1)
+        s = np.sum(v * v, axis=1)
+        mod = np.abs(s) / denom
+    theta = -0.5 * np.angle(s)
+    theta[theta <= -0.5 * math.pi] += math.pi
+    theta[s == 0.0] = 0.0
+    theta[denom == 0.0] = math.nan
+    if one:
+        if denom[0] == 0.0:
+            raise UndefinedValue("phase rigidity of the zero vector")
+        return float(mod[0]), float(theta[0])
+    shape = np.shape(psi)[:-1]
+    return mod.reshape(shape), theta.reshape(shape)
 
 
 def b_antisymmetry_residual(overlap_b):
@@ -158,14 +127,19 @@ def b_antisymmetry_residual(overlap_b):
 def build_report(spectral_set, coeffs, psi):
     """Bundle the rigidity measures of one solved scattering state.
 
-    Forms the Hermitian cross overlaps B_ij = phi_i^dag phi_j (zeroed
-    diagonal) of the spectral set's states for
-    :func:`b_antisymmetry_residual`, the non-orthogonality of their real
-    parts; flipping the sign of a state flips both B_ij and B_ji, so the
-    residual is the same for tracked and untracked spectra.
+    The direct value is the rigidity of ``psi``, the interior state by the
+    direct route, on the sites or in any real orthogonal basis; the
+    spectral value is that of sum c_lam phi_lam over the spectral set, with
+    ``coeffs`` from :func:`~opencavity.scattering.coefficients_c`. Also
+    forms the Hermitian cross overlaps B_ij = phi_i^dag phi_j (zeroed
+    diagonal) of the states for :func:`b_antisymmetry_residual`, the
+    non-orthogonality of their real parts; flipping the sign of a state
+    flips both B_ij and B_ji, so the residual is the same for tracked and
+    untracked spectra. Raises UndefinedValue if either state is zero.
     """
     mod, theta = rho_direct(psi)
     phis = spectral_set.vectors
+    spec_mod, spec_theta = rho_direct(phis @ coeffs)
     overlap_b = np.conj(phis.T) @ phis
     np.fill_diagonal(overlap_b, 0.0)
     ids = spectral_set.track_id
@@ -174,7 +148,7 @@ def build_report(spectral_set, coeffs, psi):
         energy=spectral_set.energy,
         rho_direct_mod=mod,
         rho_direct_theta=theta,
-        rho_spectral=rho_spectral(coeffs, spectral_set.a_norm),
+        rho_spectral=complex(spec_mod * np.exp(-2j * spec_theta)),
         b_antisymmetry_residual=b_antisymmetry_residual(overlap_b),
         per_state_r=tuple(zip(ids, spectral_set.rigidity_r.tolist())),
     )

@@ -407,32 +407,36 @@ def wigner_delay(model, energy):
 
 
 def solve_scattering(model, energy, incoming=0):
-    """Solve one scattering energy end to end.
+    """Solve one scattering energy end to end, by both routes.
 
-    Takes the biorthogonal spectrum of H_eff(E) (:func:`heff_spectrum`),
-    expands the interior state, evaluates both transmission routes, the 2x2
-    S matrix and the rigidity report, and returns everything in one record.
+    The spectrum of H_eff(E) (:func:`heff_spectrum`) gives the expansion
+    coefficients, the interior state sum c_lam phi_lam and the spectral
+    transmission; one contact-space resolvent (:func:`contact_green`) gives
+    the 2x2 S matrix, the direct transmission and the interior state fed
+    from the incoming channel, whose rigidity is the report's direct value.
 
     Raises
     ------
     PoleOnAxis, DefectiveSpectrum, UndefinedValue
-        Propagated from the expansion; the direct-only quantities are not
-        reported separately when the expansion fails.
+        Propagated from the expansion, before any direct-route work.
+    OutsideBand, SingularMatrix
+        As for a scalar :func:`s_matrix`.
     """
     e = float(energy)
     spectral = heff_spectrum(model, e)
     c = coefficients_c(spectral, model, incoming=incoming)
-    psi = interior_wavefunction(spectral, c)
-    s = s_matrix(model, e)
+    e1 = np.array([e])
+    g, x = _resolvent(model, e1, strict=True, interior=True)
+    s = _s_matrices(model, e1, True, g)[0]
     return ScatteringSolution(
         energy=e,
         incoming=incoming,
         c=c,
-        psi_interior=psi,
+        psi_interior=interior_wavefunction(spectral, c),
         t_spectral=complex(transmission_spectral(spectral, model)),
         t_direct=complex(s[1, 0]),
         s_matrix=s,
-        rigidity=build_report(spectral, c, psi),
+        rigidity=build_report(spectral, c, x[0, incoming]),
         spectral=spectral,
     )
 

@@ -9,9 +9,9 @@ version and numpy/BLAS build, at the same BLAS thread count, give
 byte-identical files. Every study runs serially over its grid; each step is
 array code or one LAPACK call.
 
-Grid points that land on a real-axis pole or excite no resonance produce NaN
-rows rather than aborting the sweep; aggregate columns use NaN-aware
-reductions.
+Grid points that land on a real-axis pole or excite no resonance give NaN
+in the columns they cannot fill rather than aborting the sweep; aggregate
+columns use NaN-aware reductions.
 """
 
 from __future__ import annotations
@@ -31,17 +31,17 @@ from .exceptions import (
     ExceptionalPointNotFound,
     ParseError,
     PoleOnAxis,
-    SingularMatrix,
     UndefinedValue,
     ValidationError,
     WriteError,
 )
 from .model import CavityModel, LatticeSpec, LeadSpec
+from .rigidity import build_report, rho_direct
 from .scattering import (
     _s_matrices,
+    coefficients_c,
     contact_green,
     s_matrix,
-    solve_scattering,
     wigner_delay,
 )
 from .spectrum import (
@@ -561,32 +561,35 @@ def run_trapping_study(config: RunConfig) -> StudyResult:
 
 
 def run_rigidity_study(config: RunConfig) -> StudyResult:
-    """Phase rigidity of the interior state fed from lead L."""
+    """Phase rigidity of the interior state fed from lead L, by two routes.
+
+    ``rho_mod`` and ``rho_theta`` come from one contact-space resolvent
+    over the grid, as in the crossover study; the other columns from the
+    spectrum and expansion coefficients per energy. Where the expansion
+    does not exist, only those four are NaN.
+    """
     model = config.build_model()
-
-    def one(e):
+    energies = config.e_grid.values()
+    _, x = contact_green(model, energies)
+    rows = np.full((len(energies), 7), math.nan)
+    rows[:, 0] = energies
+    rows[:, 1], rows[:, 2] = rho_direct(x)
+    for row, e, x_e in zip(rows, energies, x):
         try:
-            rig = solve_scattering(model, e, incoming=0).rigidity
-        except (PoleOnAxis, DefectiveSpectrum, UndefinedValue, SingularMatrix):
-            return (e,) + (math.nan,) * 6
-        return (
-            e,
-            rig.rho_direct_mod,
-            rig.rho_direct_theta,
-            rig.rho_spectral.real,
-            rig.rho_spectral.imag,
-            rig.b_antisymmetry_residual,
-            min(r for _, r in rig.per_state_r),
-        )
-
-    rows = [one(e) for e in config.e_grid.values()]
+            sp = heff_spectrum(model, e)
+            rig = build_report(sp, coefficients_c(sp, model), x_e)
+        except (PoleOnAxis, DefectiveSpectrum, UndefinedValue):
+            continue
+        row[3:] = (rig.rho_spectral.real, rig.rho_spectral.imag,
+                   rig.b_antisymmetry_residual,
+                   min(r for _, r in rig.per_state_r))
     return StudyResult(
         study=config.study,
         columns=(
             "e", "rho_mod", "rho_theta", "rho_spec_re", "rho_spec_im",
             "b_residual", "r_min",
         ),
-        rows=np.array(rows, dtype=float),
+        rows=rows,
         config_echo=serialize_config(config),
     )
 
@@ -684,13 +687,10 @@ def run_crossover_study(config: RunConfig) -> StudyResult:
         model = base.with_alpha(a)
         g, x = contact_green(model, energies)
         abs_t = np.abs(_s_matrices(model, energies, False, g)[:, 1, 0])
-        # x holds the interior state in the real orthogonal eigenbasis of
-        # H_B, which leaves both sums of the rigidity |psi^T psi| / psi^dag
-        # psi unchanged.
-        rho = np.abs(np.sum(x * x, axis=1)) / np.sum(np.abs(x) ** 2, axis=1)
         widths = -2.0 * heff_eigenvalues(model, e_c).imag
         return (
-            a, _nan_reduce(np.nanmean, abs_t**2), _nan_reduce(np.nanmin, rho),
+            a, _nan_reduce(np.nanmean, abs_t**2),
+            _nan_reduce(np.nanmin, rho_direct(x)[0]),
             float(widths.max()), _median(widths),
             count_peaks(abs_t, PEAK_FLOOR_ABS),
         )

@@ -1,20 +1,31 @@
+import cmath
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
 
 from opencavity import (
-    NotNormalized,
+    DefectiveSpectrum,
+    PoleOnAxis,
+    SingularMatrix,
     UndefinedValue,
     b_antisymmetry_residual,
     build_report,
     rho_direct,
-    rho_spectral,
 )
 from opencavity.scattering import solve_scattering
 
-from conftest import single_site_model
+from conftest import energies, open_cavities, single_site_model, square4
+from test_resolvent import lu_oracle
+
+
+def assert_rows_match_scalar(stack):
+    """Each row of a stack gives the scalar call's result bit for bit."""
+    mod, theta = rho_direct(stack)
+    for row, m, t in zip(stack, mod, theta):
+        assert (m, t) == rho_direct(row)
 
 
 class TestRhoDirect:
@@ -38,6 +49,17 @@ class TestRhoDirect:
             mod, theta = rho_direct(psi)
             assert -math.pi / 2.0 < theta <= math.pi / 2.0
             assert 0.0 <= mod <= 1.0 + 1e-12
+        # A stack along the last axis gives one value per state, each the
+        # scalar call's, rounded as the elementwise numpy expression.
+        psi = rng.randn(25, 2, 7) + 1j * rng.randn(25, 2, 7)
+        mod, theta = rho_direct(psi)
+        assert mod.shape == theta.shape == (25, 2)
+        assert_rows_match_scalar(psi.reshape(50, 7))
+        x = psi[:, 0]
+        npt.assert_array_equal(
+            rho_direct(x)[0],
+            np.abs(np.sum(x * x, axis=1)) / np.sum(np.abs(x) ** 2, axis=1),
+        )
 
     def test_rotation_invariant_modulus(self):
         # |rho| does not change under a global phase of psi.
@@ -52,42 +74,32 @@ class TestRhoDirect:
         mod, theta = rho_direct(np.array([1.0, 1.0j]))
         assert mod == 0.0
         assert theta == 0.0
+        assert_rows_match_scalar(np.array([[1.0, 1.0j], [1.0, -1.0j]]))
 
     def test_zero_vector_undefined(self):
         with pytest.raises(UndefinedValue):
             rho_direct(np.zeros(3))
+        # In a stack, a zero or NaN state gives NaN and the others stand.
+        mod, theta = rho_direct([[0.0, 0.0], [math.nan, 1.0], [1.0, 2.0]])
+        assert np.isnan(mod[:2]).all() and np.isnan(theta[:2]).all()
+        assert (mod[2], theta[2]) == rho_direct([1.0, 2.0])
 
     def test_huge_entries_do_not_overflow(self):
         # |psi_k|^2 overflows to inf; the result is that of psi / 2e160.
         assert rho_direct([1e160, 2e160j]) == rho_direct([0.5, 1.0j])
         assert rho_direct([1e160, 2e160j]) == (0.6, math.pi / 2.0)
+        assert_rows_match_scalar(np.array([[1e160, 2e160j], [0.5, 1.0j],
+                                           [1e300, 3e299 + 1e300j]]))
 
     def test_tiny_entries_do_not_underflow(self):
         # |psi_k|^2 underflows to 0, yet the vector is not the zero vector.
         assert rho_direct([1e-170, 1e-170j]) == (0.0, 0.0)
         assert rho_direct([1e-170, 2e-170j]) == rho_direct([0.5, 1.0j])
-
-
-class TestRhoSpectral:
-    def test_single_state(self):
-        assert rho_spectral(np.array([1.0]), np.array([1.0])) == 1.0
-
-    def test_circular_coefficients_cancel(self):
-        c = np.array([1.0, 1.0j]) / math.sqrt(2.0)
-        val = rho_spectral(c, np.array([1.0, 1.0]))
-        assert abs(val) < 1e-15
-
-    def test_weights_enter_linearly(self):
-        val = rho_spectral(np.array([1.0, 0.0]), np.array([5.0, 1.0]))
-        npt.assert_allclose(val, 5.0 + 0.0j, rtol=0, atol=1e-15)
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(NotNormalized):
-            rho_spectral(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
-
-    def test_infinite_a_norm_undefined(self):
-        with pytest.raises(UndefinedValue):
-            rho_spectral(np.array([1.0, 0.0]), np.array([math.inf, 1.0]))
+        # Down to a subnormal largest modulus, whose reciprocal overflows.
+        assert rho_direct([5e-324, 2e-323j]) == rho_direct([0.25, 1.0j])
+        assert_rows_match_scalar(np.array([[1e-170, 1e-170j],
+                                           [1e-170, 2e-170j], [0.5, 1.0j],
+                                           [5e-324, 2e-323j]]))
 
 
 class TestBAntisymmetryResidual:
@@ -139,13 +151,18 @@ class TestBuildReport:
         assert len(rep.per_state_r) == 1
 
     def test_spectral_matches_direct_modulus(self):
-        # For a one-level cavity the interior wave is the resonance state,
-        # so both phase-rigidity routes agree.
-        sol = solve_scattering(single_site_model(), 0.4)
-        rep = sol.rigidity
-        npt.assert_allclose(
-            abs(rep.rho_spectral), rep.rho_direct_mod, rtol=0, atol=1e-10
-        )
+        # The rigidity of the resonance expansion is that of the direct
+        # state: on a one-level cavity, where the interior wave is the
+        # resonance state, and on the 4x4 square, where the diagonal form
+        # sum c^2 A misses it by 0.06 through the cross terms of B.
+        for model, e in ((single_site_model(), 0.4), (square4(), 0.3)):
+            sol = solve_scattering(model, e)
+            rep = sol.rigidity
+            npt.assert_allclose(
+                abs(rep.rho_spectral), rep.rho_direct_mod, rtol=0, atol=1e-10
+            )
+        diagonal = abs(np.sum(sol.c**2 * sol.spectral.a_norm))
+        assert abs(diagonal - rep.rho_direct_mod) > 0.05
 
     def test_per_state_r_in_range(self):
         from conftest import reference_models
@@ -163,3 +180,27 @@ class TestBuildReport:
             rebuilt.rho_direct_mod, sol.rigidity.rho_direct_mod,
             rtol=0, atol=1e-15,
         )
+
+
+# Largest gaps seen over 1,000 derandomized draws of the test below: 5.5e-13
+# between direct and spectral, 1.8e-13 between the resolvent and the LU.
+TWO_ROUTE_TOL = 1e-11
+
+
+# About two draws in three have a closed lead L or no expansion, so 400
+# examples give about 140 checked ones.
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(model=open_cavities(), e=energies)
+def test_direct_and_spectral_rigidity_agree(model, e):
+    # Wherever the expansion exists, the rigidity of sum c phi equals that
+    # of the resolvent's interior state as a complex number, and that state
+    # has the rigidity of the dense LU solve.
+    try:
+        rep = solve_scattering(model, e).rigidity
+        _, psi_lu = lu_oracle(model, e)
+    except (PoleOnAxis, DefectiveSpectrum, UndefinedValue, SingularMatrix):
+        return
+    direct = cmath.rect(rep.rho_direct_mod, -2.0 * rep.rho_direct_theta)
+    assert abs(rep.rho_spectral - direct) <= TWO_ROUTE_TOL
+    mod, theta = rho_direct(psi_lu)
+    assert abs(cmath.rect(mod, -2.0 * theta) - direct) <= TWO_ROUTE_TOL

@@ -364,6 +364,31 @@ class TestStudyRunners:
         assert (res.rows[ok, 1] <= 1.0 + 1e-12).all()
         assert (res.rows[ok, 6] > 0.0).all()
 
+    def test_rigidity_at_exact_exceptional_point(self):
+        # Both leads on one site of a dimer at alpha = 1: H_eff(0) is
+        # [[-2i, -1], [-1, 0]], an exactly defective pair, so the expansion
+        # does not exist at E = 0. E - H_eff is regular there, and the
+        # direct columns print the rigidity of its solve; only the four
+        # spectral columns are NaN.
+        doc = config_doc(study="rigidity",
+                         e_grid={"min": -1.0, "max": 1.0, "points": 3})
+        doc["model"] = {
+            "nx": 2, "ny": 1, "alpha": 1.0,
+            "leads": [{"contact": [0, 0], "coupling_w": 1.0},
+                      {"contact": [0, 0], "coupling_w": 1.0}],
+        }
+        config = parse_doc(doc)
+        model = config.build_model()
+        h = assemble_heff(model, 0.0)
+        npt.assert_allclose(h, [[-2j, -1.0], [-1.0, 0.0]], rtol=0, atol=1e-15)
+        psi = np.linalg.solve(-h, [1.0, 0.0])
+        rho = abs(psi @ psi) / np.vdot(psi, psi).real
+        row = run_rigidity_study(config).rows[1]
+        assert row[0] == 0.0
+        assert abs(row[1] - rho) <= 1e-14 and abs(rho - 1.0) <= 1e-14
+        assert math.isfinite(row[2])
+        assert np.isnan(row[3:]).all()
+
     def test_delay_columns(self):
         res = run_delay_study(parse_doc(config_doc(study="delay")))
         assert res.columns == ("e", "tau")
