@@ -35,11 +35,8 @@ from .linalg import EigenSystem, eig_general, minimize_simplex, solve_linear
 from .model import (
     CavityModel,
     LatticeSpec,
-    LeadChannel,
     LeadSpec,
     build_hb,
-    lead_contact_amplitude,
-    lead_self_energy,
     surface_green,
 )
 from .spectrum import (
@@ -66,7 +63,6 @@ from .scattering import (
     TwoLevelProfile,
     coefficients_c,
     contact_green,
-    interior_wavefunction,
     s_matrix,
     solve_scattering,
     transmission_direct,

@@ -12,7 +12,11 @@ The closed-cavity Hamiltonian H_B, the lead surface Green's function g(E),
 the channel self-energy w^2 g(E) and the energy-dependent contact amplitudes
 a(E) are defined here, and nowhere else: the effective Hamiltonian, the
 resolvent, the S matrix and the Wigner delay all read them from this
-module. Each takes a scalar energy or an array of energies. They obey
+module. A :class:`CavityModel` resolves its leads against the H_B basis
+into read-only per-channel arrays in channel order (L, R):
+``contact_indices``, ``w_eff`` (alpha times the bare coupling) and
+``lead_hopping``. Its self-energies and amplitudes are one broadcast
+expression over them, at a scalar energy or an array of energies. They obey
 2 pi a(E)^2 = -2 Im[w^2 g(E)] exactly, which ties the resonance widths of
 the effective Hamiltonian to the transmission normalization. The effective
 Hamiltonian itself is assembled in :mod:`opencavity.spectrum`.
@@ -31,12 +35,9 @@ from .exceptions import InvalidGeometry, OutsideBand
 __all__ = [
     "LatticeSpec",
     "LeadSpec",
-    "LeadChannel",
     "CavityModel",
     "build_hb",
     "surface_green",
-    "lead_self_energy",
-    "lead_contact_amplitude",
 ]
 
 
@@ -163,65 +164,6 @@ def surface_green(energy, lead_hopping=1.0):
     return complex(g) if g.ndim == 0 else g
 
 
-def lead_self_energy(lead: LeadSpec, alpha, energy):
-    """Channel self-energy w^2 g(E) with w = alpha * coupling_w.
-
-    Total function of real energy, scalar or array; outside the band it
-    continues onto the decaying branch, so bound-state poles stay on the
-    physical sheet.
-    """
-    w = float(alpha) * lead.coupling_w
-    return w * w * surface_green(energy, lead.lead_hopping)
-
-
-def lead_contact_amplitude(lead: LeadSpec, alpha, energy):
-    """Channel coupling amplitude a(E) at real energy inside the band.
-
-    Defined by a(E) = alpha * coupling_w * sqrt(-Im g(E) / pi), which makes
-    2 pi a(E)^2 = -2 Im[w^2 g(E)] an identity. For unit lead hopping this is
-    the familiar w sqrt(sin k / pi) with E = -2 cos k. Real and
-    non-negative; an array of energies gives NaN where |E| >= 2t.
-
-    Raises
-    ------
-    OutsideBand
-        A scalar |E| >= 2t; the channel does not propagate there.
-    """
-    # Index -1: the channel is not resolved against a cavity basis.
-    channel = LeadChannel(-1, lead.lead_hopping, float(alpha) * lead.coupling_w)
-    return channel.contact_amplitude(energy)
-
-
-@dataclass(frozen=True)
-class LeadChannel:
-    """Lead resolved against a concrete cavity basis.
-
-    ``index`` addresses the contact site in the H_B basis and ``w_eff`` is
-    the coupling after the global scale alpha. ``self_energy`` and
-    ``contact_amplitude`` are the per-channel energy functions entering the
-    effective Hamiltonian and the transmission normalization; both take a
-    scalar energy or an array of energies.
-    """
-
-    index: int
-    lead_hopping: float
-    w_eff: float
-
-    def self_energy(self, energy):
-        return self.w_eff**2 * surface_green(energy, self.lead_hopping)
-
-    def contact_amplitude(self, energy):
-        t = self.lead_hopping
-        e = np.asarray(energy, dtype=float)
-        outside = np.abs(e) >= 2.0 * t
-        if e.ndim == 0 and outside:
-            raise OutsideBand(
-                f"energy {float(e)} outside the open channel band (|E| < {2 * t})")
-        im_g = np.where(outside, math.nan, -np.imag(surface_green(e, t)))
-        a = self.w_eff * np.sqrt(im_g / math.pi)
-        return float(a) if a.ndim == 0 else a
-
-
 def _check_alpha(alpha):
     if not (float(alpha) >= 0.0) or not math.isfinite(float(alpha)):
         raise InvalidGeometry("alpha must be finite and non-negative")
@@ -311,6 +253,13 @@ class CavityModel:
     alpha : float
         Global coupling scale, non-negative. The channel self-energy uses
         w_eff = alpha * coupling_w.
+
+    Attributes
+    ----------
+    contact_indices, w_eff, lead_hopping : ndarray, shape (2,)
+        The resolved leads in channel order (L, R), read-only: each
+        contact's index in the H_B basis, its coupling after the scale
+        alpha, and its lead hopping.
     """
 
     def __init__(self, lattice, leads, alpha):
@@ -327,17 +276,20 @@ class CavityModel:
         self._closed = closed
         self._h_b = closed.h
         pos = {s: i for i, s in enumerate(closed.sites)}
-
-        channels = []
         for lead in leads:
             if lead.contact not in pos:
                 raise InvalidGeometry(
                     f"lead contact {lead.contact} is not a retained site"
                 )
-            channels.append(LeadChannel(
-                index=pos[lead.contact], lead_hopping=lead.lead_hopping,
-                w_eff=self.alpha * lead.coupling_w))
-        self.channels = tuple(channels)
+        w = [self.alpha * lead.coupling_w for lead in leads]
+        self.contact_indices = np.array([pos[lead.contact] for lead in leads])
+        self.w_eff = np.array(w)
+        self.lead_hopping = np.array([lead.lead_hopping for lead in leads])
+        # Python's float power (C pow), not numpy's w * w: the two round
+        # some couplings differently, and Sigma's last bits follow this one.
+        self._w_sq = np.array([x**2 for x in w])
+        for a in (self.contact_indices, self.w_eff, self.lead_hopping, self._w_sq):
+            a.flags.writeable = False
 
     @property
     def dimension(self):
@@ -347,10 +299,6 @@ class CavityModel:
     def h_b(self):
         """Closed-cavity Hamiltonian (read-only view)."""
         return self._h_b
-
-    @property
-    def contact_indices(self):
-        return tuple(ch.index for ch in self.channels)
 
     @property
     def closed_modes(self):
@@ -374,26 +322,37 @@ class CavityModel:
     def self_energy_weights(self, energy):
         """Per-channel w_eff^2 g(E), the diagonal self-energy amplitudes.
 
-        Shape (2,) at a scalar energy, (n, 2) at n energies.
+        Shape (2,) at a scalar energy, (n, 2) at n energies. A total
+        function of real energy: outside a band it continues onto the
+        decaying branch, so bound-state poles stay on the physical sheet.
         """
-        return np.stack([ch.self_energy(energy) for ch in self.channels],
-                        axis=-1)
+        e = np.asarray(energy, dtype=float)[..., None]
+        return self._w_sq * surface_green(e, self.lead_hopping)
 
     def channel_amplitudes(self, energy):
-        """Per-channel contact amplitudes a_C(E).
+        """Per-channel contact amplitudes a_C(E) = w_eff sqrt(-Im g(E) / pi).
 
-        Shape (2,) at a scalar energy, which raises OutsideBand past any
-        band edge; (n, 2) at n energies, NaN past an edge.
+        This makes 2 pi a^2 = -2 Im[w_eff^2 g(E)] an identity; for unit lead
+        hopping it is the familiar w sqrt(sin k / pi) with E = -2 cos k.
+        Real and non-negative. Shape (2,) at a scalar energy, which raises
+        OutsideBand past any band edge |E| >= 2t; (n, 2) at n energies, NaN
+        past an edge.
         """
-        return np.stack([ch.contact_amplitude(energy) for ch in self.channels],
-                        axis=-1)
+        e = np.asarray(energy, dtype=float)
+        t = self.lead_hopping
+        outside = np.abs(e[..., None]) >= 2.0 * t
+        if e.ndim == 0 and outside.any():
+            raise OutsideBand(
+                f"energy {float(e)} outside the open channel band "
+                f"(|E| < {2 * t[outside][0]})")
+        im_g = np.where(outside, math.nan, -surface_green(e[..., None], t).imag)
+        return self.w_eff * np.sqrt(im_g / math.pi)
 
     def _lead_slopes(self, energies):
         """Sigma_C' = w_eff^2 (1 + i E / sqrt(4 t^2 - E^2)) / (2 t^2) and
         kappa_C = a_C' / a_C = -E / (2 (4 t^2 - E^2)) at 1-d energies,
         shape (n, 2) each; not finite where |E| >= 2t."""
-        t = np.array([ch.lead_hopping for ch in self.channels])
-        w = np.array([ch.w_eff for ch in self.channels])
+        t, w = self.lead_hopping, self.w_eff
         e = np.asarray(energies, dtype=float)[:, None]
         with np.errstate(invalid="ignore", divide="ignore"):
             root = np.sqrt(4.0 * t * t - e * e)
@@ -404,5 +363,5 @@ class CavityModel:
     def __repr__(self):
         return (
             f"CavityModel(n={self.dimension}, "
-            f"channels={len(self.channels)}, alpha={self.alpha:g})"
+            f"channels={len(self.w_eff)}, alpha={self.alpha:g})"
         )

@@ -90,7 +90,8 @@ def rho_direct(psi):
             denom[redo] = np.sum(np.abs(v[redo]) ** 2, axis=1)
         s = np.sum(v * v, axis=1)
         mod = np.abs(s) / denom
-    theta = -0.5 * np.angle(s)
+    # + 0.0 turns the -0.0 of a positive real sum into +0.0.
+    theta = -0.5 * np.angle(s) + 0.0
     theta[theta <= -0.5 * math.pi] += math.pi
     theta[s == 0.0] = 0.0
     theta[denom == 0.0] = math.nan

@@ -38,6 +38,7 @@ import numpy as np
 
 from .exceptions import (
     DefectiveSpectrum,
+    OutsideBand,
     PoleOnAxis,
     SingularMatrix,
     UndefinedValue,
@@ -49,7 +50,6 @@ __all__ = [
     "TwoLevelProfile",
     "ScatteringSolution",
     "coefficients_c",
-    "interior_wavefunction",
     "solve_scattering",
     "transmission_spectral",
     "contact_green",
@@ -130,22 +130,19 @@ def _pole_distances(spectral, energy):
     return d
 
 
-def coefficients_c(spectral, model, energy=None, incoming=0):
+def coefficients_c(spectral, model, incoming=0):
     """Resonance-expansion coefficients of the interior scattering state.
 
     The interior state excited through the incoming channel expands as
     psi = sum_lam c_lam phi_lam with c_lam proportional to
-    a_in phi_lam[c_in] / (E - z_lam); the returned coefficients are
-    normalized to sum |c|^2 = 1.
+    a_in phi_lam[c_in] / (E - z_lam) at the spectrum's energy E; the
+    returned coefficients are normalized to sum |c|^2 = 1, and the interior
+    state is ``spectral.vectors @ c``.
 
     Parameters
     ----------
     spectral : SpectralSet
     model : CavityModel
-    energy : float or None
-        Evaluation energy of the amplitudes and pole denominators; defaults
-        to the energy the spectrum was assembled at. Passing a different
-        value evaluates the frozen-spectrum approximation.
     incoming : int
         Channel index, 0 for L (default) and 1 for R.
 
@@ -157,10 +154,14 @@ def coefficients_c(spectral, model, energy=None, incoming=0):
         The spectrum contains a defective state.
     UndefinedValue
         All coefficients vanish (the incoming contact is dark at E).
+    OutsideBand
+        E is past the incoming lead's band edge; the other band does not enter.
     """
-    e = spectral.energy if energy is None else float(energy)
+    e = spectral.energy
     d = _pole_distances(spectral, e)
-    a_in = model.channels[incoming].contact_amplitude(e)
+    a_in = model.channel_amplitudes([e])[0, incoming]
+    if math.isnan(a_in):
+        raise OutsideBand(f"energy {e} outside the incoming channel's band")
     c = a_in * spectral.vectors[model.contact_indices[incoming]] / d
     nrm = math.sqrt(float(np.sum(np.abs(c) ** 2)))
     if nrm == 0.0:
@@ -168,21 +169,8 @@ def coefficients_c(spectral, model, energy=None, incoming=0):
     return c / nrm
 
 
-def interior_wavefunction(spectral, coeffs):
-    """Interior state sum_lam c_lam phi_lam from expansion coefficients."""
-    return spectral.vectors @ np.asarray(coeffs, dtype=complex).ravel()
-
-
-def transmission_spectral(spectral, model, energy=None):
-    """Transmission amplitude L -> R from the resonance expansion.
-
-    Parameters
-    ----------
-    spectral : SpectralSet
-    model : CavityModel
-    energy : float or None
-        Defaults to the spectrum's own energy; see :func:`coefficients_c`
-        for the meaning of a mismatch.
+def transmission_spectral(spectral, model):
+    """Transmission amplitude L -> R by the resonance expansion, at its E.
 
     Returns
     -------
@@ -192,18 +180,20 @@ def transmission_spectral(spectral, model, energy=None):
     ------
     PoleOnAxis, DefectiveSpectrum
         Same conditions as :func:`coefficients_c`.
+    OutsideBand
+        The energy is past either lead's band edge.
     """
-    e = spectral.energy if energy is None else float(energy)
+    e = spectral.energy
     d = _pole_distances(spectral, e)
     a = model.channel_amplitudes(e)
-    phi_l, phi_r = spectral.vectors[list(model.contact_indices)]
+    phi_l, phi_r = spectral.vectors[model.contact_indices]
     return -2j * math.pi * a[0] * a[1] * np.sum(phi_r * phi_l / d)
 
 
 def _resolvent(model, e, strict, interior):
     """G_cc at energies e; with ``interior`` also x[:, b] = U^T psi_b."""
     e_k, u = model.closed_modes
-    u_c = u[list(model.contact_indices), :]
+    u_c = u[model.contact_indices, :]
     sigma = model.self_energy_weights(e)
     wsq = np.stack([u_c[0] * u_c[0], u_c[0] * u_c[1], u_c[1] * u_c[1]], axis=1)
     inv_gap = 1.0 / (RESOLVENT_GAP * max(1.0, float(np.abs(e_k).max())))
@@ -432,7 +422,7 @@ def solve_scattering(model, energy, incoming=0):
         energy=e,
         incoming=incoming,
         c=c,
-        psi_interior=interior_wavefunction(spectral, c),
+        psi_interior=spectral.vectors @ c,
         t_spectral=complex(transmission_spectral(spectral, model)),
         t_direct=complex(s[1, 0]),
         s_matrix=s,
@@ -441,8 +431,8 @@ def solve_scattering(model, energy, incoming=0):
     )
 
 
-def width_vs_coupling(spectral, model, energy=None):
-    """Per-state width against its channel-coupling bound.
+def width_vs_coupling(spectral, model):
+    """Per-state width against its channel-coupling bound, at the spectrum's E.
 
     For each state the pair (gamma, product) holds the width
     gamma = -2 Im z and the right-hand side of the width sum rule,
@@ -456,9 +446,8 @@ def width_vs_coupling(spectral, model, energy=None):
         One pair per state, spectrum order. The product is nan for a
         defective state, whose biorthogonal norm does not exist.
     """
-    e = spectral.energy if energy is None else float(energy)
-    a = model.channel_amplitudes(e)
-    contact = spectral.vectors[list(model.contact_indices)]
+    a = model.channel_amplitudes(spectral.energy)
+    contact = spectral.vectors[model.contact_indices]
     product = 2.0 * math.pi * (a**2 @ np.abs(contact) ** 2)
     product[~np.isfinite(spectral.a_norm)] = math.nan
     return tuple(zip((-2.0 * spectral.values.imag).tolist(), product.tolist()))

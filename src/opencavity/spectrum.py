@@ -110,6 +110,10 @@ _EP_SEPARATION = 1e-8
 _EP_RANK = 1e-6
 _EP_ANGLE = 1e-2
 _EP_FLOOR = 1e-7
+# Damping, step tolerance and step limit of fixed_point_poles.
+_POLE_DAMPING = 0.5
+_POLE_TOL = 1e-10
+_POLE_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -238,8 +242,9 @@ class EPReport:
 def assemble_heff(model: CavityModel, energy) -> np.ndarray:
     """Effective Hamiltonian H_B + sum_C w_C^2 g_C(E) at a real energy."""
     h = model.h_b.astype(complex)
-    for ch, sigma in zip(model.channels, model.self_energy_weights(energy)):
-        h[ch.index, ch.index] += sigma
+    # One at a time: both leads may sit on one site.
+    for c, sigma in zip(model.contact_indices, model.self_energy_weights(energy)):
+        h[c, c] += sigma
     return h
 
 
@@ -353,7 +358,7 @@ def _secular_eigenvalues(model, energy, vectors=False):
     e_k, u = model.closed_modes
     sigma = model.self_energy_weights(energy)
     trace = e_k.sum() + sigma.sum()
-    w_all = u[list(model.contact_indices), :].T
+    w_all = u[model.contact_indices, :].T
     scale = max(1.0, float(np.abs(e_k).max() + np.abs(sigma).sum()))
     # A combination moves its pole by at most sum_C |sigma_C| w_C^2. Below
     # the rounding of the pole it is deflated: its start would sit on the
@@ -601,14 +606,14 @@ def _biorthogonal_set(values, raw, energy):
                        ep_proximity=prox)
 
 
-def fixed_point_poles(model: CavityModel, damping=0.5, tol=1e-10, max_iter=200):
+def fixed_point_poles(model: CavityModel):
     """Locate the resonance poles by fixed-point iteration in the energy.
 
     Each pole solves E = Re z_k(E) for its own eigenvalue branch of
     H_eff(E); the width there is Gamma = -2 Im z_k(E). Iterations start from
     the closed-cavity eigenvalues, follow the branch by eigenvector overlap,
-    and apply damped updates E <- (1 - d) E + d Re z. A run that fails to
-    settle within ``max_iter`` steps is returned with ``converged=False``
+    and apply damped updates E <- (1 - d) E + d Re z, d = 1/2. A run that
+    fails to settle within 200 steps is returned with ``converged=False``
     rather than raised, since neighboring poles usually still converge.
 
     Returns
@@ -624,14 +629,14 @@ def fixed_point_poles(model: CavityModel, damping=0.5, tol=1e-10, max_iter=200):
         z = complex(e)
         converged = False
         it = 0
-        for it in range(1, max_iter + 1):
+        for it in range(1, _POLE_MAX_ITER + 1):
             es = eig_general(assemble_heff(model, e))
             overlaps = np.abs(np.conj(prev) @ es.vectors)
             j = int(np.argmax(overlaps))
             z = complex(es.values[j])
             prev = es.vectors[:, j]
-            e_next = (1.0 - damping) * e + damping * z.real
-            if abs(e_next - e) < tol:
+            e_next = (1.0 - _POLE_DAMPING) * e + _POLE_DAMPING * z.real
+            if abs(e_next - e) < _POLE_TOL:
                 e = e_next
                 converged = True
                 break

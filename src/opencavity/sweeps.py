@@ -35,7 +35,7 @@ from .exceptions import (
     ValidationError,
     WriteError,
 )
-from .model import CavityModel, LatticeSpec, LeadSpec
+from .model import CavityModel, LatticeSpec, LeadSpec, surface_green
 from .rigidity import build_report, rho_direct
 from .scattering import (
     _s_matrices,
@@ -81,7 +81,7 @@ PEAK_PROMINENCE = 1e-9
 
 _SENTINEL_NOTE = (
     "values %.17g; sentinels: inf = defective-state norm, "
-    "nan = failed grid point"
+    "nan = value undefined at that grid point"
 )
 
 
@@ -612,20 +612,19 @@ def run_delay_study(config: RunConfig) -> StudyResult:
 def _coupling_family(config: RunConfig):
     """H_eff at the grid center as a function of the two lead couplings.
 
-    H_B is built once; each call adds the self-energies of the channels
-    with w_eff = alpha |p_C| to a copy, as
+    H_B and the leads' g(E) are computed once; each call adds the
+    self-energies (alpha |p_C|)^2 g_C(E) to a copy, as
     :func:`~opencavity.spectrum.assemble_heff` does on a model with
     coupling values |p|.
     """
     base = config.build_model()
     h_b = base.h_b.astype(complex)
-    e_c = config.e_grid.center
+    g = surface_green(config.e_grid.center, base.lead_hopping).tolist()
 
     def family(p):
         h = h_b.copy()
-        for ch, w in zip(base.channels, p):
-            ch = replace(ch, w_eff=base.alpha * abs(float(w)))
-            h[ch.index, ch.index] += ch.self_energy(e_c)
+        for c, w, g_c in zip(base.contact_indices, p, g):
+            h[c, c] += (base.alpha * abs(float(w))) ** 2 * g_c
         return h
 
     return family

@@ -91,12 +91,14 @@ def connected_part(mask, nx, ny):
 
 
 @st.composite
-def open_cavities(draw, full=None):
+def open_cavities(draw, full=None, open_leads=False):
     """Random connected masked lattice with two leads, for property tests.
 
     ``full``, a strategy of booleans, draws whether the whole rectangle is
     kept; full lattices keep the symmetry-protected degeneracies that a
-    random mask breaks. Without it the mask is always drawn.
+    random mask breaks. Without it the mask is always drawn. With
+    ``open_leads`` both couplings and alpha are drawn from [0.05, 2], so
+    both channels are open; without it each may also be 0.
     """
     nx = draw(st.integers(1, 8))
     ny = draw(st.integers(1, 8))
@@ -114,9 +116,11 @@ def open_cavities(draw, full=None):
     # Contacts may coincide: both leads on one site is a supported geometry.
     c_l = sites[draw(st.integers(0, len(sites) - 1))]
     c_r = sites[draw(st.integers(0, len(sites) - 1))]
-    coupling = st.one_of(st.just(0.0), st.floats(0.05, 2.0))
+    coupling = st.floats(0.05, 2.0)
+    if not open_leads:
+        coupling = st.one_of(st.just(0.0), coupling)
     leads = (LeadSpec(c_l, draw(coupling)), LeadSpec(c_r, draw(coupling)))
-    alpha = draw(st.floats(0.0, 2.0))
+    alpha = draw(st.floats(0.05 if open_leads else 0.0, 2.0))
     lattice = LatticeSpec(nx, ny, onsite=onsite.tolist(), mask=mask)
     return CavityModel(lattice, leads, alpha)
 

@@ -14,8 +14,6 @@ from opencavity import (
     OutsideBand,
     build_hb,
     eig_general,
-    lead_contact_amplitude,
-    lead_self_energy,
     surface_green,
 )
 
@@ -137,42 +135,41 @@ class TestSurfaceGreen:
         npt.assert_allclose(surface_green(0.0, 2.0), -0.5j, rtol=0, atol=1e-15)
 
 
+def lead_pair(w, alpha, t=1.0):
+    """One site fed by two identical leads of coupling w and hopping t."""
+    lead = LeadSpec((0, 0), w, lead_hopping=t)
+    return CavityModel(LatticeSpec(1, 1), (lead, lead), alpha)
+
+
 class TestLeadFunctions:
     def test_self_energy_examples(self):
-        ld = LeadSpec((0, 0), 1.0)
-        assert lead_self_energy(ld, 1.0, 0.0) == -1j
-        assert lead_self_energy(ld, 1.0, 2.0) == 1.0 + 0.0j
+        m = lead_pair(1.0, 1.0)
+        assert m.self_energy_weights(0.0).tolist() == [-1j, -1j]
+        assert m.self_energy_weights(2.0).tolist() == [1.0 + 0.0j] * 2
 
     def test_self_energy_alpha_scale(self):
-        ld = LeadSpec((0, 0), 0.5)
-        npt.assert_allclose(
-            lead_self_energy(ld, 2.0, 0.0), -1j, rtol=0, atol=1e-15
-        )
+        npt.assert_allclose(lead_pair(0.5, 2.0).self_energy_weights(0.0),
+                            [-1j, -1j], rtol=0, atol=1e-15)
 
     def test_amplitude_band_center(self):
-        ld = LeadSpec((0, 0), 1.0)
-        npt.assert_allclose(
-            lead_contact_amplitude(ld, 1.0, 0.0),
-            math.sqrt(1.0 / math.pi),
-            rtol=0,
-            atol=1e-15,
-        )
+        npt.assert_allclose(lead_pair(1.0, 1.0).channel_amplitudes(0.0),
+                            [math.sqrt(1.0 / math.pi)] * 2, rtol=0, atol=1e-15)
 
     def test_amplitude_outside_band(self):
-        ld = LeadSpec((0, 0), 1.0)
+        m = lead_pair(1.0, 1.0)
         for e in (2.0, -2.0, 2.5):
             with pytest.raises(OutsideBand):
-                lead_contact_amplitude(ld, 1.0, e)
+                m.channel_amplitudes(e)
 
     def test_amplitude_self_energy_identity(self):
         # 2 pi a^2 = -2 Im sigma ties widths to transmission normalization;
         # holds for any lead hopping by construction.
         for t in (1.0, 1.7):
-            ld = LeadSpec((0, 0), 0.8, lead_hopping=t)
+            m = lead_pair(0.8, 0.7, t)
             for e in np.linspace(-1.99 * t, 1.99 * t, 201):
-                a = lead_contact_amplitude(ld, 0.7, e)
-                sigma = lead_self_energy(ld, 0.7, e)
-                assert abs(2.0 * math.pi * a * a + 2.0 * sigma.imag) < 1e-10
+                a = m.channel_amplitudes(e)
+                sigma = m.self_energy_weights(e)
+                assert np.abs(2.0 * math.pi * a * a + 2.0 * sigma.imag).max() < 1e-10
 
     def test_rejects_negative_coupling(self):
         with pytest.raises(InvalidGeometry):
@@ -192,11 +189,17 @@ class TestCavityModel:
             )
 
     def test_channels_follow_lead_order(self):
-        # The first lead is L and the second R, by position alone.
+        # The first lead is L and the second R, by position alone; the
+        # resolved leads are read-only arrays in that order.
         lat = LatticeSpec(2, 1)
-        m = CavityModel(lat, (LeadSpec((1, 0), 0.5), LeadSpec((0, 0), 2.0)), 1.0)
-        assert m.contact_indices == (1, 0)
-        assert [ch.w_eff for ch in m.channels] == [0.5, 2.0]
+        m = CavityModel(lat, (LeadSpec((1, 0), 0.5),
+                              LeadSpec((0, 0), 2.0, lead_hopping=0.6)), 1.0)
+        assert m.contact_indices.tolist() == [1, 0]
+        assert m.w_eff.tolist() == [0.5, 2.0]
+        assert m.lead_hopping.tolist() == [1.0, 0.6]
+        for per_channel in (m.contact_indices, m.w_eff, m.lead_hopping):
+            with pytest.raises(ValueError):
+                per_channel[0] = 0
 
     def test_shared_contact_site_allowed(self):
         m = CavityModel(
@@ -204,7 +207,7 @@ class TestCavityModel:
             (LeadSpec((0, 0), 1.0), LeadSpec((0, 0), 1.0)),
             1.0,
         )
-        assert m.contact_indices == (0, 0)
+        assert m.contact_indices.tolist() == [0, 0]
 
     def test_masked_contact_rejected(self):
         lat = LatticeSpec(2, 2, mask=((1, 0), (1, 1)))
@@ -221,8 +224,8 @@ class TestCavityModel:
         lat = LatticeSpec(2, 1)
         m = CavityModel(lat, (LeadSpec((0, 0), 0.5), LeadSpec((1, 0), 0.5)), 1.0)
         m2 = m.with_alpha(3.0)
-        assert m2.channels[0].w_eff == 1.5
-        assert m.channels[0].w_eff == 0.5
+        assert m2.w_eff[0] == 1.5
+        assert m.w_eff[0] == 0.5
 
     def test_h_b_read_only(self):
         m = CavityModel(
@@ -232,14 +235,6 @@ class TestCavityModel:
         )
         with pytest.raises(ValueError):
             m.h_b[0, 0] = 5.0
-
-    def test_channel_methods_match_module_functions(self):
-        ld = LeadSpec((0, 0), 0.7, lead_hopping=1.3)
-        m = CavityModel(LatticeSpec(1, 1), (ld, ld), 0.9)
-        ch = m.channels[0]
-        for e in (-1.1, 0.0, 0.8):
-            assert ch.self_energy(e) == lead_self_energy(ld, 0.9, e)
-            assert ch.contact_amplitude(e) == lead_contact_amplitude(ld, 0.9, e)
 
 
 # The lead layer computes g, Sigma and a once, array-valued; a scalar
@@ -298,10 +293,11 @@ def test_lead_layer_scalar_and_array_agree_bit_for_bit(e, hop, w_l, w_r, alpha):
         np.testing.assert_array_equal(
             bits([surface_green(x, t) for x in e], complex), bits(ref, complex))
 
+    # Python floats, so the reference squares w_eff with Python's **.
+    channels = list(zip(model.w_eff.tolist(), model.lead_hopping.tolist()))
     sigma = model.self_energy_weights(grid)
     assert sigma.shape == (len(e), 2)
-    ref = [[ch.w_eff**2 * green_ref(x, ch.lead_hopping) for ch in model.channels]
-           for x in e]
+    ref = [[w**2 * green_ref(x, t) for w, t in channels] for x in e]
     np.testing.assert_array_equal(bits(sigma, complex), bits(ref, complex))
     np.testing.assert_array_equal(
         bits([model.self_energy_weights(x) for x in e], complex),
@@ -310,18 +306,14 @@ def test_lead_layer_scalar_and_array_agree_bit_for_bit(e, hop, w_l, w_r, alpha):
     a = model.channel_amplitudes(grid)
     assert a.shape == (len(e), 2)
     for i, x in enumerate(e):
-        for c, ch in enumerate(model.channels):
-            if abs(x) >= 2.0 * ch.lead_hopping:
+        for c, (w, t) in enumerate(channels):
+            if abs(x) >= 2.0 * t:
                 assert math.isnan(a[i, c])
-                with pytest.raises(OutsideBand):
-                    ch.contact_amplitude(x)
                 continue
-            got = ch.contact_amplitude(x)
-            assert type(got) is float
-            ref = amplitude_ref(x, ch.w_eff, ch.lead_hopping)
-            assert bits(got, float) == bits(ref, float) == bits(a[i, c], float)
+            ref = amplitude_ref(x, w, t)
+            assert bits(ref, float) == bits(a[i, c], float)
             # 2 pi a^2 = -2 Im Sigma, the width normalization.
-            npt.assert_allclose(2.0 * math.pi * got * got, -2.0 * sigma[i, c].imag,
+            npt.assert_allclose(2.0 * math.pi * ref * ref, -2.0 * sigma[i, c].imag,
                                 rtol=1e-14, atol=0)
         if np.isnan(a[i]).any():
             with pytest.raises(OutsideBand):

@@ -61,8 +61,7 @@ def lu_oracle(model, e):
 def delay_oracle(model, e, g, x):
     """Im tr(S^dag dS/dE) from G_cc and the contact columns X of the LU,
     with dG_cc = G^T Sigma' G - X^T X."""
-    t = np.array([ch.lead_hopping for ch in model.channels])
-    w = np.array([ch.w_eff for ch in model.channels])
+    t, w = model.lead_hopping, model.w_eff
     a = model.channel_amplitudes(e)
     root = np.sqrt(4.0 * t * t - e * e)
     kappa = -e / (2.0 * root * root)
@@ -354,7 +353,7 @@ def test_with_alpha_shares_closed_modes():
     model = square4()
     other = model.with_alpha(0.3)
     assert other.closed_modes[1] is model.closed_modes[1]
-    assert other.channels[0].w_eff == 0.3
+    assert other.w_eff[0] == 0.3
     g_new, _ = contact_green(other, 0.7)
     g_fresh, _ = contact_green(
         CavityModel(model.lattice, model.leads, 0.3), 0.7

@@ -18,7 +18,7 @@ from opencavity import (
 from opencavity.scattering import solve_scattering
 
 from conftest import energies, open_cavities, single_site_model, square4
-from test_resolvent import lu_oracle
+from test_resolvent import lu_oracle, rounding_floor
 
 
 def assert_rows_match_scalar(stack):
@@ -182,15 +182,19 @@ class TestBuildReport:
         )
 
 
-# Largest gaps seen over 1,000 derandomized draws of the test below: 5.5e-13
-# between direct and spectral, 1.8e-13 between the resolvent and the LU.
+# Largest gaps seen over 1,000 derandomized draws of the test below when a
+# lead or alpha could be 0: 5.5e-13 between direct and spectral, 1.8e-13
+# between the resolvent and the LU.
 TWO_ROUTE_TOL = 1e-11
 
 
-# About two draws in three have a closed lead L or no expansion, so 400
-# examples give about 140 checked ones.
-@settings(derandomize=True, deadline=None, max_examples=400)
-@given(model=open_cavities(), e=energies)
+# Both leads are open in every draw, and all 170 draws have an expansion
+# (161 of 400 when a lead or alpha could be 0). Next to a narrow resonance
+# every backward-stable route is off by the state's rounding floor (see
+# test_resolvent.rounding_floor), and rho by up to four times its relative
+# size; elsewhere that term is far below TWO_ROUTE_TOL.
+@settings(derandomize=True, deadline=None, max_examples=170)
+@given(model=open_cavities(open_leads=True), e=energies)
 def test_direct_and_spectral_rigidity_agree(model, e):
     # Wherever the expansion exists, the rigidity of sum c phi equals that
     # of the resolvent's interior state as a complex number, and that state
@@ -200,7 +204,9 @@ def test_direct_and_spectral_rigidity_agree(model, e):
         _, psi_lu = lu_oracle(model, e)
     except (PoleOnAxis, DefectiveSpectrum, UndefinedValue, SingularMatrix):
         return
+    floor = rounding_floor(model, e, psi_lu, None) / np.linalg.norm(psi_lu)
+    tol = TWO_ROUTE_TOL + 4.0 * floor
     direct = cmath.rect(rep.rho_direct_mod, -2.0 * rep.rho_direct_theta)
-    assert abs(rep.rho_spectral - direct) <= TWO_ROUTE_TOL
+    assert abs(rep.rho_spectral - direct) <= tol
     mod, theta = rho_direct(psi_lu)
-    assert abs(cmath.rect(mod, -2.0 * theta) - direct) <= TWO_ROUTE_TOL
+    assert abs(cmath.rect(mod, -2.0 * theta) - direct) <= tol

@@ -15,7 +15,6 @@ from opencavity import (
     assemble_heff,
     biorthogonal_spectrum,
     coefficients_c,
-    interior_wavefunction,
     s_matrix,
     solve_scattering,
     transmission_direct,
@@ -88,10 +87,17 @@ class TestCoefficients:
     def test_normalized(self):
         from conftest import reference_models
 
-        for label, model, grid in reference_models():
-            sp = biorthogonal_spectrum(
-                assemble_heff(model, float(grid[31])), float(grid[31])
-            )
+        cases = [(label, model, float(grid[31]))
+                 for label, model, grid in reference_models()]
+        # E = 1.5 lies past lead R's band edge 1.2 but inside lead L's, and
+        # only the incoming lead L enters the coefficients.
+        cases.append(("chain3_unequal_hopping", CavityModel(
+            LatticeSpec(3, 1),
+            (LeadSpec((0, 0), 1.0), LeadSpec((2, 0), 1.0, lead_hopping=0.6)),
+            0.3,
+        ), 1.5))
+        for label, model, e in cases:
+            sp = biorthogonal_spectrum(assemble_heff(model, e), e)
             c = coefficients_c(sp, model)
             npt.assert_allclose(np.sum(np.abs(c) ** 2), 1.0, rtol=0,
                                 atol=1e-12, err_msg=label)
@@ -116,7 +122,7 @@ class TestCoefficients:
         )
         sp = biorthogonal_spectrum(assemble_heff(m, 0.3), 0.3)
         c = coefficients_c(sp, m)
-        psi = interior_wavefunction(sp, c)
+        psi = sp.vectors @ c
         manual = np.zeros(3, dtype=complex)
         for ck, s in zip(c, sp.states):
             manual += ck * s.phi

@@ -386,7 +386,8 @@ class TestStudyRunners:
         row = run_rigidity_study(config).rows[1]
         assert row[0] == 0.0
         assert abs(row[1] - rho) <= 1e-14 and abs(rho - 1.0) <= 1e-14
-        assert math.isfinite(row[2])
+        # The bilinear sum is a positive real: theta prints 0, not -0.
+        assert row[2] == 0.0 and math.copysign(1.0, row[2]) == 1.0
         assert np.isnan(row[3:]).all()
 
     def test_delay_columns(self):
