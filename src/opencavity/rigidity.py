@@ -16,10 +16,11 @@ states, and is the package's one rigidity formula. It is reached by two
 independent routes. The direct route applies it to the interior state of
 the contact-space resolvent (:func:`~opencavity.scattering.contact_green`).
 The spectral route applies it to the resonance expansion
-psi = sum c_lam phi_lam with sum |c|^2 = 1: since phi^T phi = 1, that is
-rho = sum c_lam^2 / (c^dag B c) with B = phi^dag phi. The two agree to
-rounding wherever the expansion exists; only the direct route exists at a
-defective spectrum or a pole on the real axis.
+psi = sum c_lam phi_lam with sum |c|^2 = 1: on the ``zgeev`` route as the
+sum over the sites of phi @ c, on the secular route in the closed form that
+phi^T phi = 1 gives, rho = sum c_lam^2 / (c^dag B c) with B = phi^dag phi.
+The two agree to rounding wherever the expansion exists; only the direct
+route exists at a defective spectrum or a pole on the real axis.
 """
 
 from __future__ import annotations
@@ -125,31 +126,31 @@ def b_antisymmetry_residual(overlap_b):
     return float(defect.max())
 
 
-def build_report(spectral_set, coeffs, psi):
+def build_report(spectral_set, psi, model, incoming=0):
     """Bundle the rigidity measures of one solved scattering state.
 
-    The direct value is the rigidity of ``psi``, the interior state by the
-    direct route, on the sites or in any real orthogonal basis; the
-    spectral value is that of sum c_lam phi_lam over the spectral set, with
-    ``coeffs`` from :func:`~opencavity.scattering.coefficients_c`. Also
-    forms the Hermitian cross overlaps B_ij = phi_i^dag phi_j (zeroed
-    diagonal) of the states for :func:`b_antisymmetry_residual`, the
-    non-orthogonality of their real parts; flipping the sign of a state
-    flips both B_ij and B_ji, so the residual is the same for tracked and
-    untracked spectra. Raises UndefinedValue if either state is zero.
+    The direct value is the rigidity of ``psi``, the interior state fed
+    from channel ``incoming`` of ``model`` by the direct route, on the
+    sites or in any real orthogonal basis. The spectral value is that of
+    the resonance expansion of the same state over ``spectral_set``, and
+    the residual is :func:`b_antisymmetry_residual` of the Hermitian cross
+    overlaps B_ij = phi_i^dag phi_j of its states, the non-orthogonality of
+    their real parts; both come from
+    :meth:`~opencavity.spectrum.SpectralSet.expansion_rigidity`, so they do
+    not depend on the states' signs, and on the secular route they are
+    O(N^2) closed forms that form no phi. Raises UndefinedValue if either
+    state is zero, and whatever the expansion raises where it does not
+    exist.
     """
     mod, theta = rho_direct(psi)
-    phis = spectral_set.vectors
-    spec_mod, spec_theta = rho_direct(phis @ coeffs)
-    overlap_b = np.conj(phis.T) @ phis
-    np.fill_diagonal(overlap_b, 0.0)
+    rho_spectral, residual = spectral_set.expansion_rigidity(model, incoming)
     ids = spectral_set.track_id
     ids = range(len(spectral_set)) if ids is None else ids.tolist()
     return RigidityReport(
         energy=spectral_set.energy,
         rho_direct_mod=mod,
         rho_direct_theta=theta,
-        rho_spectral=complex(spec_mod * np.exp(-2j * spec_theta)),
-        b_antisymmetry_residual=b_antisymmetry_residual(overlap_b),
+        rho_spectral=rho_spectral,
+        b_antisymmetry_residual=residual,
         per_state_r=tuple(zip(ids, spectral_set.rigidity_r.tolist())),
     )

@@ -36,15 +36,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    DefectiveSpectrum,
-    OutsideBand,
-    PoleOnAxis,
-    SingularMatrix,
-    UndefinedValue,
-)
+from .exceptions import SingularMatrix
 from .rigidity import RigidityReport, build_report
-from .spectrum import SpectralSet, _pole_sums, heff_spectrum
+from .spectrum import (
+    SpectralSet,
+    _expansion_coefficients,
+    _pole_distances,
+    _pole_sums,
+    heff_spectrum,
+)
 
 __all__ = [
     "TwoLevelProfile",
@@ -60,8 +60,6 @@ __all__ = [
     "two_level_profile",
 ]
 
-# Real-axis pole rejection distance for the spectral route.
-POLE_TOL = 1e-12
 # Relative distance to a closed-cavity eigenvalue, in units of
 # max(1, ||H_B||), within which the resolvent borders the level instead of
 # summing it: the sums' rounding grows like eps / |E - e_k|, to at most
@@ -109,27 +107,6 @@ class ScatteringSolution:
     spectral: SpectralSet
 
 
-def _pole_distances(spectral, energy):
-    """E - z_lam of each state, once the expansion is known to exist.
-
-    Raises DefectiveSpectrum when some state is defective, else PoleOnAxis
-    when E lies within POLE_TOL of an eigenvalue.
-    """
-    if not np.isfinite(spectral.a_norm).all():
-        raise DefectiveSpectrum(
-            "spectrum contains a defective state; the resonance "
-            "expansion does not exist there"
-        )
-    d = energy - spectral.values
-    on_pole = np.flatnonzero(np.hypot(d.real, d.imag) < POLE_TOL)
-    if on_pole.size:
-        z = complex(spectral.values[on_pole[0]])
-        raise PoleOnAxis(
-            f"evaluation energy {energy!r} sits on the pole z = {z!r}"
-        )
-    return d
-
-
 def coefficients_c(spectral, model, incoming=0):
     """Resonance-expansion coefficients of the interior scattering state.
 
@@ -137,7 +114,10 @@ def coefficients_c(spectral, model, incoming=0):
     psi = sum_lam c_lam phi_lam with c_lam proportional to
     a_in phi_lam[c_in] / (E - z_lam) at the spectrum's energy E; the
     returned coefficients are normalized to sum |c|^2 = 1, and the interior
-    state is ``spectral.vectors @ c``.
+    state is ``spectral.vectors @ c``. They share the signs of
+    ``spectral.vectors``, so on the secular route this forms phi; the
+    sign-free :meth:`~opencavity.spectrum.SpectralSet.expansion_rigidity`
+    does not.
 
     Parameters
     ----------
@@ -157,16 +137,9 @@ def coefficients_c(spectral, model, incoming=0):
     OutsideBand
         E is past the incoming lead's band edge; the other band does not enter.
     """
-    e = spectral.energy
-    d = _pole_distances(spectral, e)
-    a_in = model.channel_amplitudes([e])[0, incoming]
-    if math.isnan(a_in):
-        raise OutsideBand(f"energy {e} outside the incoming channel's band")
-    c = a_in * spectral.vectors[model.contact_indices[incoming]] / d
-    nrm = math.sqrt(float(np.sum(np.abs(c) ** 2)))
-    if nrm == 0.0:
-        raise UndefinedValue("interior state vanishes at this energy")
-    return c / nrm
+    return _expansion_coefficients(
+        spectral, model, incoming,
+        spectral.vectors[model.contact_indices[incoming]])
 
 
 def transmission_spectral(spectral, model):
@@ -426,7 +399,7 @@ def solve_scattering(model, energy, incoming=0):
         t_spectral=complex(transmission_spectral(spectral, model)),
         t_direct=complex(s[1, 0]),
         s_matrix=s,
-        rigidity=build_report(spectral, c, x[0, incoming]),
+        rigidity=build_report(spectral, x[0, incoming], model, incoming),
         spectral=spectral,
     )
 

@@ -27,18 +27,21 @@ H_eff(E) is H_B plus a rank-2 term, so from ``SECULAR_MIN_N`` sites up both
 the eigenvalues (:func:`heff_eigenvalues`, the crossover study's widths) and
 the biorthogonal set (:func:`heff_spectrum`, the spectrum and rigidity
 studies) come from the secular equation of H_B plus the rank-2 self-energy,
-after one ``eigh`` of H_B per geometry: the eigenvalues and the eigenvectors
-in the eigenbasis of H_B in O(N^2) per energy, and the eigenvectors on the
-sites with one real N x N matrix product more. The degenerate levels of H_B,
-which lattice symmetries make common, are deflated in stacked LAPACK calls,
-one per cluster size and bright count rather than one per level. Every root
-and every eigenvector passes a backward-error check, and the route falls
-back to ``zgeev`` of the assembled matrix when a check fails; smaller
-cavities go to ``zgeev`` directly, which is faster there. Both routes
-normalize through the same column operations, so they differ only in
-rounding and in the basis of an exactly degenerate cluster: the secular
-route gives the contact-free (dark) members of such a cluster as real
-closed-cavity combinations, with r = 1, where ``zgeev`` returns an
+after one ``eigh`` of H_B per geometry, in O(N^2) per energy. The degenerate
+levels of H_B, which lattice symmetries make common, are deflated in stacked
+LAPACK calls, one per cluster size and bright count rather than one per
+level. Every root and every eigenvector passes a backward-error check, and
+the route falls back to ``zgeev`` of the assembled matrix when a check fails;
+smaller cavities go to ``zgeev`` directly, which is faster there.
+
+The secular route keeps each state as the 2-vector x of its root in the
+eigenbasis of H_B, and the per-state norms, the overlaps of two spectra and
+the resonance expansion's rigidity are O(N^2) sums over them; phi on the
+sites, an N x N matrix, is formed only on request. It is then normalized
+through the same column operations as ``zgeev``'s, so the two routes differ
+only in rounding and in the basis of an exactly degenerate cluster: the
+secular route gives the contact-free (dark) members of such a cluster as
+real closed-cavity combinations, with r = 1, where ``zgeev`` returns an
 arbitrary complex basis.
 """
 
@@ -50,9 +53,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import ExceptionalPointNotFound, InvalidMatrix
+from .exceptions import (
+    DefectiveSpectrum,
+    ExceptionalPointNotFound,
+    InvalidMatrix,
+    OutsideBand,
+    PoleOnAxis,
+    UndefinedValue,
+)
 from .linalg import eig_general
 from .model import CavityModel
+from .rigidity import b_antisymmetry_residual, rho_direct
 
 __all__ = [
     "ResonanceState",
@@ -75,9 +86,10 @@ DEFECTIVE_TOL = 1e-12
 # route. Measured for eigenvalues with BLAS at 1 thread over 10 couplings
 # in 0.1..4: the secular route took 2.3 ms against zgeev's 1.9 ms at
 # N = 53, 3.5 against 5.4 ms at N = 80, and 16 against 66 ms at N = 230.
-# Eigenpairs cross over near N = 45 (full rectangles, E = 0.3, same BLAS):
-# 1.8 against 1.6 ms at N = 40, 2.1 against 2.9 at 48, 2.8 against 8.4 at
-# 80 and 19 against 69 at 225, secular set against zgeev with vectors.
+# Spectral sets cross over near N = 30 (full rectangles, E = 0.3, same
+# BLAS, alpha = 0.3, 0.9, 2): the secular set, which forms no phi, took
+# 1.4 against zgeev's 1.5 ms at N = 30, 2.1 against 3.2 at 48, 3.3 against
+# 10 at 80 and 5.5 against 73 at 225.
 SECULAR_MIN_N = 80
 # Roots per block of the Aberth iteration; the block's temporaries are
 # block x N, never N x N.
@@ -96,6 +108,11 @@ _BACKWARD_TOL = 1e-12
 # Accepted |sum z - trace|, times the scale and N; the measured worst was
 # 1.6e-16 over 2,300 accepted spectra.
 _TRACE_TOL = 1e-14
+# Estimated rounding of a closed-form product of two bright states, relative
+# to their Hermitian norms, above which the product is summed directly.
+_CLOSED_FORM_TOL = 1e-13
+# Real-axis pole rejection distance of the resonance expansion.
+POLE_TOL = 1e-12
 # Overlap margin below which a tracked match is flagged ambiguous.
 _GAP_TOL = 1e-6
 # Constants of find_exceptional_point; its docstring gives their roles.
@@ -161,21 +178,28 @@ class ResonanceState:
 class SpectralSet:
     """All eigenstates of H_eff at one evaluation energy, as arrays.
 
-    State j is ``values[j]`` with ``vectors[:, j]`` as its phi, in the
-    eigenvalue order of :func:`~opencavity.linalg.eig_general` (ascending
-    real part, ties by imaginary part); ``a_norm``, ``rigidity_r`` and
-    ``ep_proximity`` hold the per-state quantities of
-    :class:`ResonanceState`. ``track_id`` and ``ambiguous`` are None until
-    :func:`track_sweep` sets them. Every array is read-only. ``states``
-    gives the same data as one :class:`ResonanceState` per state, built on
-    first access.
+    State j is ``values[j]``, in the eigenvalue order of
+    :func:`~opencavity.linalg.eig_general` (ascending real part, ties by
+    imaginary part); ``a_norm``, ``rigidity_r`` and ``ep_proximity`` hold
+    the per-state quantities of :class:`ResonanceState`. ``track_id`` and
+    ``ambiguous`` are None until :func:`track_sweep` sets them. Every array
+    is read-only.
+
+    ``basis`` holds the states themselves: the dense phi of the ``zgeev``
+    route (:class:`_DenseStates`), or the secular route's (z, x) pairs in
+    the eigenbasis of H_B (:class:`_SecularStates`). :meth:`overlaps` and
+    :meth:`expansion_rigidity` work from either, so the spectrum and
+    rigidity studies never form phi on the secular route. ``vectors``, phi
+    with one state per column, is formed there on first access; its readers
+    are :func:`track_sweep`, the scattering functions that expand in phi,
+    and ``states``, which gives one :class:`ResonanceState` per state.
     """
 
     energy: float
     values: np.ndarray
-    vectors: np.ndarray
     a_norm: np.ndarray
     ep_proximity: np.ndarray
+    basis: _DenseStates | _SecularStates
     track_id: np.ndarray | None = None
     ambiguous: np.ndarray | None = None
 
@@ -187,6 +211,42 @@ class SpectralSet:
     @property
     def rigidity_r(self):
         return 1.0 / self.a_norm
+
+    @property
+    def vectors(self):
+        return self.basis.vectors
+
+    def overlaps(self, other):
+        """|u_i^dag u'_j| of this set's unit states u and those of ``other``.
+
+        An (N, N) float array. Between two secular sets of one H_B and one
+        pair of contacts with the same bright/dark split it is the closed
+        form of :class:`_SecularStates`; otherwise the dense product of
+        both sets' ``vectors``.
+        """
+        return self.basis.overlaps(other.basis)
+
+    def expansion_rigidity(self, model, incoming=0):
+        """Spectral phase rigidity of the interior state, and the B residual.
+
+        The interior state fed from channel ``incoming`` of ``model`` (the
+        model this set was computed from) is the resonance expansion
+        psi = sum_lam c_lam phi_lam with c_lam proportional to
+        phi_lam[c_in] / (E - z_lam). Returns its complex rigidity
+        sum psi_k^2 / sum |psi_k|^2 and the
+        :func:`~opencavity.rigidity.b_antisymmetry_residual` of
+        B = phi^dag phi. Both are free of the states' signs. The ``zgeev``
+        route evaluates them by dense products, the secular route by its
+        closed form in O(N^2).
+
+        Raises
+        ------
+        DefectiveSpectrum, PoleOnAxis, OutsideBand, UndefinedValue
+            As :func:`~opencavity.scattering.coefficients_c`.
+        """
+        c = _expansion_coefficients(self, model, incoming,
+                                    self.basis.contacts(model)[incoming])
+        return self.basis.expansion_rigidity(c)
 
     @cached_property
     def states(self):
@@ -267,18 +327,23 @@ def heff_spectrum(model: CavityModel, energy) -> SpectralSet:
     """Biorthogonal spectrum of H_eff(E) at a real energy.
 
     From ``SECULAR_MIN_N`` sites up the eigenpairs come from the secular
-    equation of H_B plus the rank-2 self-energy, at O(N^2) cost plus one
-    real N x N matrix product; below it, or when any check of that route fails,
-    from :func:`biorthogonal_spectrum` of the assembled matrix. Both are
-    sorted and normalized alike; inside an exactly degenerate cluster the
-    secular route gives the contact-free members as real closed-cavity
-    combinations.
+    equation of H_B plus the rank-2 self-energy, at O(N^2) cost, and the
+    set keeps each state as its root's 2-vector x in the eigenbasis of H_B:
+    phi on the sites is formed only when ``vectors`` is read. Below that
+    size, or when any check of the secular route fails, the set is
+    :func:`biorthogonal_spectrum` of the assembled matrix, which forms phi
+    by ``zgeev``. Both are sorted and normalized alike; inside an exactly
+    degenerate cluster the secular route gives the contact-free members as
+    real closed-cavity combinations.
     """
     e = float(energy)
     if model.dimension >= SECULAR_MIN_N:
-        pairs = _secular_eigenvalues(model, e, vectors=True)
-        if pairs is not None:
-            return _biorthogonal_set(*pairs, e)
+        found = _secular_eigenvalues(model, e, vectors=True)
+        if found is not None:
+            values, states = found
+            return SpectralSet(energy=e, values=values, a_norm=states.a_norm,
+                               ep_proximity=states.ep_proximity,
+                               basis=states)
     return biorthogonal_spectrum(assemble_heff(model, e), e)
 
 
@@ -345,15 +410,15 @@ def _secular_eigenvalues(model, energy, vectors=False):
     rotations and the bright counts b <= 2, and one ``eigvals`` per size
     and b gives the first-order starts, the eigenvalues of W_c S W_c^T.
 
-    With ``vectors`` it returns the eigenpairs instead: the eigenvalues
-    sorted like :func:`~opencavity.linalg.eig_general`, and their unit
-    eigenvectors as the columns of an N x N matrix in site coordinates.
-    A combination without contact weight is its own eigenvector, a column
-    of U rotated within its cluster; it must pass the same backward-error
-    bound, since deflation only bounds its weight to second order. The
-    others are the checked y. Both are rotated back within each cluster,
-    by one stacked product per cluster size, and mapped to sites by one
-    real matrix product with U.
+    With ``vectors`` it returns the eigenvalues sorted like
+    :func:`~opencavity.linalg.eig_general` and their states as a
+    :class:`_SecularStates`: each bright root's x as step 4 forms it, over
+    the rotated contact rows of the poles that keep weight, with the sums
+    the closed forms read; the bright/dark split; and the cluster
+    rotations. A combination without contact weight is its own
+    eigenvector, a column of U rotated within its cluster; it must pass the
+    same backward-error bound, since deflation only bounds its weight to
+    second order. No N x N array is formed.
     """
     e_k, u = model.closed_modes
     sigma = model.self_energy_weights(energy)
@@ -384,8 +449,8 @@ def _secular_eigenvalues(model, energy, vectors=False):
                                  * np.swapaxes(w_c, 1, 2))
         b_of = np.count_nonzero(s * s > floor, axis=1)
         if vectors:
-            rotations.append((c, vt))
             dark = np.arange(m) >= b_of[:, None]
+            rotations.append((c, vt, dark))
             w_rot[c[dark]] = (vt @ w_c)[dark]
         for b in (1, 2):
             g = b_of == b
@@ -442,15 +507,10 @@ def _secular_eigenvalues(model, energy, vectors=False):
 
         roots = np.concatenate([z, e_k[dark]])
         if vectors:
-            # First the coefficients in the cluster-rotated eigenbasis of
-            # H_B, one column per root in sorted position; a dark root's is
-            # a unit vector.
-            order = np.lexsort((roots.imag, roots.real))
-            col = np.empty_like(order)
-            col[order] = np.arange(len(roots))
-            phi = np.zeros((len(roots), len(roots)), dtype=complex)
-            phi[dark, col[len(z):]] = 1.0
-
+            nb = len(z)
+            xs, vs = np.empty((nb, 2), complex), np.empty((nb, 2), complex)
+            y_norms, betas, gammas = (np.empty(nb), np.empty(nb, complex),
+                                      np.empty(nb))
         # 4. Backward error: x spans the null space of M = I - S G0(z),
         # and y = (z - p)^-1 (W x) is the eigenvector of root z.
         for i in range(0, len(z), _BLOCK):
@@ -461,6 +521,10 @@ def _secular_eigenvalues(model, energy, vectors=False):
             top = np.abs(m00) + np.abs(m01) >= np.abs(m10) + np.abs(m11)
             x = np.where(top, [-m01, m00], [m11, -m10]).T
             x[~x.any(axis=1)] = (1.0, 0.0)
+            if vectors:
+                blk = slice(i, i + _BLOCK)
+                # sum_k |w_k|^2 / |z - p_k|, which bounds the rounding of G0.
+                gammas[blk] = np.abs(y) @ (wsq[:, 0] + wsq[:, 2])
             y *= x @ w.T
             res = (y @ w * sigma) @ w.T - y * np.subtract.outer(zb, p)
             y_norm = np.linalg.norm(y, axis=1)
@@ -468,25 +532,25 @@ def _secular_eigenvalues(model, energy, vectors=False):
                     <= _BACKWARD_TOL * scale).all():
                 return None
             if vectors:
-                phi[np.ix_(bright, col[i:i + len(zb)])] = y.T / y_norm
+                xs[blk], y_norms[blk] = x, y_norm
+                vs[blk, 0] = g[:, 0] * x[:, 0] + g[:, 1] * x[:, 1]
+                vs[blk, 1] = g[:, 1] * x[:, 0] + g[:, 2] * x[:, 1]
+                betas[blk] = np.einsum("ij,ij->i", y, y)
     if not abs(roots.sum() - trace) <= _TRACE_TOL * scale * len(roots):
         return None
     if not vectors:
         return roots
-    # Each size's clusters rotate in one stacked product, in chunks of
-    # about 2 * _BLOCK rows, so the gathered rows stay small beside phi.
-    for c, vt in rotations:
-        step = -(-2 * _BLOCK // c.shape[1])
-        for i in range(0, len(c), step):
-            rows = c[i:i + step]
-            phi[rows] = np.swapaxes(vt[i:i + step], 1, 2) @ phi[rows]
-    # Then phi = u @ phi in place, by column blocks, as a real product: a
-    # C-ordered complex matrix viewed as float interleaves the real and
-    # imaginary part of every column.
-    flat = phi.view(float)
-    for i in range(0, flat.shape[1], 2 * _BLOCK):
-        flat[:, i:i + 2 * _BLOCK] = u @ flat[:, i:i + 2 * _BLOCK]
-    return roots[order], phi
+    order = np.lexsort((roots.imag, roots.real))
+    pos = np.empty_like(order)
+    pos[order] = np.arange(len(roots))
+    lit = order[order < nb]
+    states = _SecularStates(
+        values=roots[order], u=u, contacts_at=tuple(model.contact_indices),
+        rotations=rotations, bright=bright, dark=dark, p=p, w=w, z=z[lit],
+        x=xs[lit], v=vs[lit], y_norm=y_norms[lit], beta=betas[lit],
+        gamma=gammas[lit], w_dark=w_rot[dark], bright_pos=pos[lit],
+        dark_pos=pos[nb:])
+    return states.values, states
 
 
 def _canonical_sign(phis):
@@ -559,10 +623,17 @@ def biorthogonal_spectrum(heff, energy) -> SpectralSet:
 
 
 def _biorthogonal_set(values, raw, energy):
-    """SpectralSet of sorted eigenvalues and their unit eigenvectors.
+    """SpectralSet of sorted eigenvalues and their unit eigenvectors."""
+    phis, a_norm, prox = _normalized(values, raw)
+    return SpectralSet(energy=float(energy), values=values, a_norm=a_norm,
+                       ep_proximity=prox, basis=_DenseStates(phis))
 
-    The normalization of :func:`biorthogonal_spectrum`, shared by
-    :func:`heff_spectrum`'s secular route. ``raw`` is consumed: it is
+
+def _normalized(values, raw):
+    """Biorthogonal phi of unit eigenvectors, with a_norm and ep_proximity.
+
+    The normalization of :func:`biorthogonal_spectrum`, shared by the
+    secular route's on-request ``vectors``. ``raw`` is consumed: it is
     normalized in place, after a copy of only the degenerate clusters'
     columns that the bilinear Gram-Schmidt reads.
     """
@@ -601,9 +672,346 @@ def _biorthogonal_set(values, raw, energy):
     a_norm[defective] = math.inf
     # C order, so every product over it rounds as over a column stack of
     # the states' phi.
-    return SpectralSet(energy=float(energy), values=values,
-                       vectors=np.ascontiguousarray(phis), a_norm=a_norm,
-                       ep_proximity=prox)
+    return np.ascontiguousarray(phis), a_norm, prox
+
+
+def _dense_overlaps(phi, other):
+    """|u_i^dag u'_k| of the columns of two phi, each scaled to unit norm."""
+    q = np.conjugate(phi / np.linalg.norm(phi, axis=0))
+    return np.abs(q.T @ (other / np.linalg.norm(other, axis=0)))
+
+
+class _DenseStates:
+    """The ``zgeev`` route's states: phi on the sites, one per column.
+
+    Every quantity of a :class:`SpectralSet` is a dense product over phi.
+    """
+
+    def __init__(self, vectors):
+        vectors.flags.writeable = False
+        self.vectors = vectors
+
+    def overlaps(self, other):
+        return _dense_overlaps(self.vectors, other.vectors)
+
+    def contacts(self, model):
+        """phi_lam[c_C] of the states, one row per channel."""
+        return self.vectors[model.contact_indices]
+
+    def expansion_rigidity(self, c):
+        """Rigidity of sum c_lam phi_lam and the residual of phi^dag phi."""
+        phis = self.vectors
+        mod, theta = rho_direct(phis @ c)
+        overlap_b = np.conj(phis.T) @ phis
+        np.fill_diagonal(overlap_b, 0.0)
+        return (complex(mod * np.exp(-2j * theta)),
+                b_antisymmetry_residual(overlap_b))
+
+
+@dataclass(eq=False)
+class _SecularStates:
+    """The secular route's states, in the cluster-rotated eigenbasis of H_B.
+
+    The bright roots ``z`` are in sorted order, at ``bright_pos`` of
+    ``values``. Root i has the eigenvector y_i = (z_i - p)^-1 (W x_i) over
+    the poles p that keep contact weight, W (``w``) holding their rotated
+    contact rows. x_i is the null vector of I - S G0(z_i) as the
+    backward-error check forms it, v_i = G0(z_i) x_i are the contact
+    amplitudes of y_i, and the check also leaves ||y_i|| (``y_norm``),
+    y_i^T y_i (``beta``) and sum_k |w_k|^2 / |z_i - p_k| (``gamma``). A
+    dark state is a real unit vector of the rotated basis, with contact
+    amplitudes ``w_dark``, at ``dark_pos``; ``rotations`` holds, per
+    cluster size, the clusters' level indices, rotations and dark members.
+
+    State i is phi_i = y_i / s_i, s_i = sqrt(y_i^T y_i) (``scale``), except
+    inside a run of exactly degenerate bright roots: there, as on the
+    ``zgeev`` route, the states are bilinearly Gram-Schmidt-orthogonalized
+    combinations, and ``runs`` holds each run's members and coefficients.
+
+    The basis is real orthogonal, so every product of two states is that
+    of their coefficient vectors, and partial fractions reduce the
+    Hermitian product of two bright roots, of this set and of another of
+    the same H_B and contacts, to O(1) (Gu & Eisenstat, SIAM J. Matrix Anal.
+    Appl. 15, 1266 (1994)):
+
+        y_i^dag y'_k = (conj(v_i) . x'_k - conj(x_i) . v'_k)
+                       / (z'_k - conj(z_i)).
+
+    Its rounding is about eps (gamma_i + gamma'_k) |x_i| |x'_k| over the
+    denominator. Where that exceeds ``_CLOSED_FORM_TOL`` ||y_i|| ||y'_k||,
+    as for two nearly real roots close together, the product is summed
+    over the poles instead; the SVD orders equal singular values freely,
+    so that sum first maps the other set's bright cluster rows onto this
+    set's. phi on the sites, ``vectors``, is formed only on request, by
+    :func:`_site_columns`.
+    """
+
+    values: np.ndarray
+    u: np.ndarray
+    contacts_at: tuple
+    rotations: list
+    bright: np.ndarray
+    dark: np.ndarray
+    p: np.ndarray
+    w: np.ndarray
+    z: np.ndarray
+    x: np.ndarray
+    v: np.ndarray
+    y_norm: np.ndarray
+    beta: np.ndarray
+    gamma: np.ndarray
+    w_dark: np.ndarray
+    bright_pos: np.ndarray
+    dark_pos: np.ndarray
+
+    def __post_init__(self):
+        # The bilinear norm of the unit state, as the zgeev route measures
+        # it before any Gram-Schmidt; a dark state is real.
+        prox = np.ones(len(self.values))
+        prox[self.bright_pos] = (np.hypot(self.beta.real, self.beta.imag)
+                                 / self.y_norm ** 2)
+        defective = prox < DEFECTIVE_TOL
+        # Defective states keep their unit Hermitian norm.
+        self.scale = np.where(defective[self.bright_pos], self.y_norm,
+                              np.sqrt(self.beta))
+        # phi_i^dag phi_i of the bright states.
+        self.herm = (self.y_norm / np.abs(self.scale)) ** 2
+        self.runs = []
+        first, size = _degenerate_runs(self.values,
+                                       float(np.abs(self.values).max()))
+        for lo, hi, f, m in zip(np.searchsorted(self.bright_pos, first),
+                                np.searchsorted(self.bright_pos, first + size),
+                                first, size):
+            if hi - lo > 1 and (prox[f:f + m] > 1e-3).all():
+                self._orthogonalize(slice(lo, hi))
+        edges = set(range(0, len(self.z), _BLOCK)) | {len(self.z)}
+        for run, _ in self.runs:
+            edges -= set(range(run.start + 1, run.stop))
+        edges = sorted(edges)
+        # Blocks of bright roots that keep every run whole.
+        self.blocks = [slice(a, b) for a, b in zip(edges, edges[1:])]
+        self.ep_proximity = prox
+        self.a_norm = np.ones(len(self.values))
+        self.a_norm[self.bright_pos] = np.maximum(self.herm, 1.0)
+        self.a_norm[defective] = math.inf
+
+    def _orthogonalize(self, run):
+        """Bilinear Gram-Schmidt of the run's states, as on the zgeev route.
+
+        A member that collapses leaves the whole run as it is.
+        """
+        phi = self.rows(run) / self.scale[run, None]
+        gram = phi @ phi.T
+        done = []
+        for t in np.eye(len(gram), dtype=complex):
+            for q in done:
+                t = t - (q @ gram @ t) * q
+            tt = complex(t @ gram @ t)
+            if abs(tt) <= DEFECTIVE_TOL:
+                return
+            done.append(t / np.sqrt(tt))
+        t = np.column_stack(done)
+        self.runs.append((run, t))
+        self.herm[run] = np.einsum("ba,bc,ca->a", t.conj(),
+                                   phi.conj() @ phi.T, t).real
+
+    @cached_property
+    def vectors(self):
+        phis = _normalized(self.values, _site_columns(self))[0]
+        phis.flags.writeable = False
+        return phis
+
+    def rows(self, i):
+        """y_i of the bright roots ``i``, one row each, over the poles."""
+        y = 1.0 / np.subtract.outer(self.z[i], self.p)
+        y *= self.x[i] @ self.w.T
+        return y
+
+    def _products(self, other, align=()):
+        """phi_i^dag phi'_k of the bright states, as (slice of i, block).
+
+        ``align`` maps the rotated rows of ``other``'s clusters onto this
+        set's, for the products summed over the poles: (bright indices,
+        rotations) per cluster size and bright count.
+        """
+        left = np.concatenate([self.v.conj(), -self.x.conj()], axis=1)
+        right = np.concatenate([other.x, other.v], axis=1).T
+        eps = np.finfo(float).eps
+        b1 = np.linalg.norm(self.x, axis=1) / self.y_norm
+        b2 = np.linalg.norm(other.x, axis=1) / other.y_norm
+        a1, a2 = eps * self.gamma * b1, eps * other.gamma * b2
+        inv = 1.0 / other.scale
+        for blk in self.blocks:
+            i = blk.start
+            den = other.z - self.z[blk, None].conj()
+            direct = (np.multiply.outer(a1[blk], b2)
+                      + np.multiply.outer(b1[blk], a2)
+                      > _CLOSED_FORM_TOL * np.abs(den))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                prod = (left[blk] @ right) / den
+            if other is self:
+                r = np.arange(len(prod))
+                prod[r, r + i] = self.y_norm[blk] ** 2
+                direct[r, r + i] = False
+            rr, kk = np.nonzero(direct)
+            for j in range(0, len(rr), _BLOCK):
+                r, k = rr[j:j + _BLOCK], kk[j:j + _BLOCK]
+                y = other.rows(k)
+                for at, m in align:
+                    y[:, at] = np.einsum("pkb,kcb->pkc", y[:, at], m)
+                prod[r, k] = np.einsum("ij,ij->i", self.rows(r + i).conj(), y)
+            prod *= np.multiply.outer(1.0 / self.scale[blk].conj(), inv)
+            for run, t in other.runs:
+                prod[:, run] = prod[:, run] @ t
+            for run, t in self.runs:
+                if blk.start <= run.start < blk.stop:
+                    rows = slice(run.start - i, run.stop - i)
+                    prod[rows] = t.conj().T @ prod[rows]
+            yield blk, prod
+
+    def overlaps(self, other):
+        """|u_i^dag u'_k| of the unit states, by the closed form.
+
+        Unless ``other`` is a secular basis of the same H_B and contacts
+        with the same bright/dark split, the dense product of both phi.
+        """
+        if not (isinstance(other, _SecularStates)
+                and other.contacts_at == self.contacts_at
+                and (other.u is self.u or np.array_equal(other.u, self.u))
+                and np.array_equal(other.bright, self.bright)
+                and np.array_equal(other.dark, self.dark)):
+            return _dense_overlaps(self.vectors, other.vectors)
+        n = len(self.values)
+        ov = np.zeros((n, n))
+        # Two dark members of one cluster overlap by the product of their
+        # rotation rows; a dark level outside a cluster is its own state.
+        # The bright rows of a cluster span the same space in both sets,
+        # but in a basis of their own: the SVD orders equal singular values
+        # freely.
+        at, at_other = np.empty(n, dtype=int), np.empty(n, dtype=int)
+        at[self.dark], at_other[other.dark] = self.dark_pos, other.dark_pos
+        row = np.empty(n, dtype=int)
+        row[self.bright] = np.arange(len(self.bright))
+        single = np.ones(n, dtype=bool)
+        align = []
+        for (c, vt, dark), (_, vt_other, _) in zip(self.rotations,
+                                                   other.rotations):
+            single[c] = False
+            g = vt @ np.swapaxes(vt_other, 1, 2)
+            q, a, b = np.nonzero(dark[:, :, None] & dark[:, None, :])
+            ov[at[c[q, a]], at_other[c[q, b]]] = np.abs(g[q, a, b])
+            for b in (1, 2):
+                lit = np.count_nonzero(~dark, axis=1) == b
+                if lit.any():
+                    align.append((row[c[lit, :b]], g[lit, :b, :b]))
+        k = self.dark[single[self.dark]]
+        ov[at[k], at_other[k]] = 1.0
+        for blk, prod in self._products(other, align):
+            ov[np.ix_(self.bright_pos[blk], other.bright_pos)] = (
+                np.abs(prod) / np.sqrt(np.multiply.outer(self.herm[blk],
+                                                         other.herm)))
+        return ov
+
+    def contacts(self, model):
+        """phi_lam[c_C] in this basis's own signs, one row per channel."""
+        amp = self.v / self.scale[:, None]
+        for run, t in self.runs:
+            amp[run] = t.T @ amp[run]
+        out = np.empty((2, len(self.values)), dtype=complex)
+        out[:, self.bright_pos] = amp.T
+        out[:, self.dark_pos] = self.w_dark.T
+        return out
+
+    def expansion_rigidity(self, c):
+        """Rigidity of sum c_lam phi_lam and the residual of B, in O(N^2).
+
+        ``c`` shares this basis's signs. The states are bilinearly
+        orthonormal, so psi^T psi = sum c^2; psi^dag psi and the B of the
+        bright states come from the closed form, and a dark state is
+        orthogonal to every other state.
+        """
+        cb = c[self.bright_pos]
+        hermitian = float(np.sum(np.abs(c[self.dark_pos]) ** 2))
+        residual = 0.0
+        for blk, b in self._products(self):
+            hermitian += float((cb[blk].conj() @ (b @ cb)).real)
+            r = np.arange(len(b))
+            b[r, r + blk.start] = 0.0
+            # B is Hermitian: |B_ij + B_ji| = 2 |Re B_ij|.
+            residual = max(residual, float(
+                (2.0 * np.abs(b.real) / (1.0 + np.abs(b))).max()))
+        return complex(np.sum(c * c) / hermitian), residual
+
+
+def _site_columns(states):
+    """The secular states as unit columns on the sites, an N x N matrix.
+
+    First the coefficients in the cluster-rotated eigenbasis of H_B, one
+    column per state in sorted position; a dark state's is a unit vector.
+    Each size's clusters then rotate back in one stacked product, and one
+    real matrix product with U maps the columns to the sites.
+    """
+    n = len(states.values)
+    phi = np.zeros((n, n), dtype=complex)
+    phi[states.dark, states.dark_pos] = 1.0
+    for i in range(0, len(states.z), _BLOCK):
+        blk = slice(i, i + _BLOCK)
+        phi[np.ix_(states.bright, states.bright_pos[blk])] = (
+            states.rows(blk).T / states.y_norm[blk])
+    # Chunks of about 2 * _BLOCK rows keep the gathered rows small beside
+    # phi.
+    for c, vt, _ in states.rotations:
+        step = -(-2 * _BLOCK // c.shape[1])
+        for i in range(0, len(c), step):
+            rows = c[i:i + step]
+            phi[rows] = np.swapaxes(vt[i:i + step], 1, 2) @ phi[rows]
+    # phi = u @ phi in place, by column blocks, as a real product: a
+    # C-ordered complex matrix viewed as float interleaves the real and
+    # imaginary part of every column.
+    flat = phi.view(float)
+    for i in range(0, flat.shape[1], 2 * _BLOCK):
+        flat[:, i:i + 2 * _BLOCK] = states.u @ flat[:, i:i + 2 * _BLOCK]
+    return phi
+
+
+def _pole_distances(spectral, energy):
+    """E - z_lam of each state, once the expansion is known to exist.
+
+    Raises DefectiveSpectrum when some state is defective, else PoleOnAxis
+    when E lies within POLE_TOL of an eigenvalue.
+    """
+    if not np.isfinite(spectral.a_norm).all():
+        raise DefectiveSpectrum(
+            "spectrum contains a defective state; the resonance "
+            "expansion does not exist there"
+        )
+    d = energy - spectral.values
+    on_pole = np.flatnonzero(np.hypot(d.real, d.imag) < POLE_TOL)
+    if on_pole.size:
+        z = complex(spectral.values[on_pole[0]])
+        raise PoleOnAxis(
+            f"evaluation energy {energy!r} sits on the pole z = {z!r}"
+        )
+    return d
+
+
+def _expansion_coefficients(spectral, model, incoming, amplitudes):
+    """c_lam = a_in amplitudes_lam / (E - z_lam), normalized to sum |c|^2 = 1.
+
+    ``amplitudes`` are the states' phi_lam[c_in], in the signs the
+    coefficients are to share. Raises as
+    :func:`~opencavity.scattering.coefficients_c`.
+    """
+    e = spectral.energy
+    d = _pole_distances(spectral, e)
+    a_in = model.channel_amplitudes([e])[0, incoming]
+    if math.isnan(a_in):
+        raise OutsideBand(f"energy {e} outside the incoming channel's band")
+    c = a_in * amplitudes / d
+    nrm = math.sqrt(float(np.sum(np.abs(c) ** 2)))
+    if nrm == 0.0:
+        raise UndefinedValue("interior state vanishes at this energy")
+    return c / nrm
 
 
 def fixed_point_poles(model: CavityModel):
@@ -704,46 +1112,36 @@ def _track_steps(spectra):
     """Label a stream of SpectralSets by best-overlap matching, one at a time.
 
     Greedy matching between consecutive spectra on the overlap matrix
-    |P_prev^dag P_next|, P holding the states as unit columns: the largest
-    entry pairs first, and so on, with near-ties broken by eigenvalue
-    proximity (see :func:`_greedy_match`). A match whose winning overlap
-    exceeds the runner-up in its row of the full matrix by less than
-    ``_GAP_TOL`` is flagged ambiguous.
+    |P_prev^dag P_next| of :meth:`SpectralSet.overlaps`, P holding the
+    states as unit columns: the largest entry pairs first, and so on, with
+    near-ties broken by eigenvalue proximity (see :func:`_greedy_match`). A
+    match whose winning overlap exceeds the runner-up in its row of the
+    full matrix by less than ``_GAP_TOL`` is flagged ambiguous.
 
     Yields ``(labeled, row_of)`` per spectrum: the spectrum with its
     ``track_id`` and ``ambiguous`` set, and the position in the previous
     spectrum matched to each state, None for the first. Between steps only
-    the previous eigenvalues, the conjugated unit columns for the next
-    overlap and the composed track ids are kept, so no N x N matrix of a
-    spectrum outlives its step unless the caller keeps the spectrum.
+    the previous spectrum and the composed track ids are kept, so on the
+    secular route no N x N complex array is formed at all.
     """
     spectra = iter(spectra)
-    first = next(spectra, None)
-    if first is None:
+    prev = next(spectra, None)
+    if prev is None:
         return
-    n = len(first)
+    n = len(prev)
     track_id = np.arange(n)
-    z_prev = first.values.tolist()
-    q_prev = np.conjugate(first.vectors
-                          / np.linalg.norm(first.vectors, axis=0))
-    yield replace(first, track_id=track_id,
+    yield replace(prev, track_id=track_id,
                   ambiguous=np.zeros(n, dtype=bool)), None
-    # Each spectrum is released before the next one is computed.
-    del first
     for current in spectra:
         if len(current) != n:
             raise InvalidMatrix("spectra in a sweep must share their dimension")
-        p_next = current.vectors / np.linalg.norm(current.vectors, axis=0)
-        ov = q_prev.T @ p_next
-        # The previous columns go before |ov| is taken, one N x N array
-        # fewer at the step's peak.
-        q_prev = np.conjugate(p_next, out=p_next)
-        ov = np.abs(ov)
-        z_next = current.values.tolist()
-        row_of = _greedy_match(ov, z_prev, z_next)
+        ov = prev.overlaps(current)
+        row_of = _greedy_match(ov, prev.values.tolist(),
+                               current.values.tolist())
         ambiguous = _ambiguous_matches(ov, row_of, _GAP_TOL)
+        # Released before the next spectrum is computed.
         del ov
-        z_prev = z_next
+        prev = current
         track_id = track_id[row_of]
         yield replace(current, track_id=track_id, ambiguous=ambiguous), row_of
         del current
@@ -757,7 +1155,8 @@ def _track_spectra(spectra):
     keeping tracked vectors continuous even when the canonical per-spectrum
     sign jumps. The overlaps are taken before the sign step, since a flipped
     column only negates a row of the overlap product, exactly. ``spectra``
-    is read one at a time, so :func:`track_sweep` streams it.
+    is read one at a time, so :func:`track_sweep` streams it; the sign step
+    reads every spectrum's ``vectors``.
     """
     labeled = []
     for current, row_of in _track_steps(spectra):
@@ -766,7 +1165,7 @@ def _track_spectra(spectra):
                              current.vectors).real < 0.0
             vectors = np.negative(current.vectors, where=flip,
                                   out=current.vectors.copy())
-            current = replace(current, vectors=vectors)
+            current = replace(current, basis=_DenseStates(vectors))
         labeled.append(current)
     return tuple(labeled)
 
@@ -780,10 +1179,11 @@ def track_sweep(model_family, alphas, energy):
     consecutive spectra (ties broken by eigenvalue proximity; see the
     returned sets' ``ambiguous`` flags for matches that were too close to
     call). The spectra stream through the matching, but every labeled set
-    is kept, vectors included. The sign step that keeps matched vectors
-    continuous belongs to this function; the spectrum study, which reads
-    only widths and track ids, takes the same labels from the stream
-    without it and holds one eigenvector matrix at a time.
+    is kept, vectors included: the sign step that keeps matched vectors
+    continuous belongs to this function and reads phi, so it forms phi on
+    the secular route too. The spectrum study, which reads only widths and
+    track ids, takes the same labels from the stream without it, and there
+    the secular route forms no phi.
 
     Parameters
     ----------

@@ -39,7 +39,6 @@ from .model import CavityModel, LatticeSpec, LeadSpec, surface_green
 from .rigidity import build_report, rho_direct
 from .scattering import (
     _s_matrices,
-    coefficients_c,
     contact_green,
     s_matrix,
     wigner_delay,
@@ -529,10 +528,13 @@ def run_trapping_study(config: RunConfig) -> StudyResult:
     on the energy grid.
 
     The spectra stream through the matching of :func:`track_sweep` and
-    only their widths and track ids are kept, so no eigenvector matrix
-    outlives its coupling and memory does not grow with the coupling grid.
-    The sign step of :func:`track_sweep`, which changes only vectors, is
-    not taken.
+    only their widths and track ids are kept, so memory does not grow with
+    the coupling grid. The sign step of :func:`track_sweep`, which changes
+    only vectors, is not taken. On the secular route the matching reads the
+    closed-form overlaps of :meth:`~opencavity.spectrum.SpectralSet.overlaps`
+    and no phi is formed; below ``SECULAR_MIN_N`` sites ``zgeev`` forms one
+    phi per coupling, and none outlives its coupling. A real (dark) state's
+    width is written as +0.0.
     """
     alphas = config.alpha_grid.values()
     energies = config.e_grid.values()
@@ -544,7 +546,8 @@ def run_trapping_study(config: RunConfig) -> StudyResult:
     steps = _track_steps(heff_spectrum(base.with_alpha(a), e) for a in alphas)
     for row in rows:
         sp, _ = next(steps)
-        row[1 + sp.track_id] = -2.0 * sp.values.imag
+        # + 0.0 turns the -0.0 width of a real (dark) state into +0.0.
+        row[1 + sp.track_id] = -2.0 * sp.values.imag + 0.0
         # Released before the next spectrum is computed.
         del sp
     rows[:, n + 1] = [
@@ -565,8 +568,9 @@ def run_rigidity_study(config: RunConfig) -> StudyResult:
 
     ``rho_mod`` and ``rho_theta`` come from one contact-space resolvent
     over the grid, as in the crossover study; the other columns from the
-    spectrum and expansion coefficients per energy. Where the expansion
-    does not exist, only those four are NaN.
+    spectrum's :meth:`~opencavity.spectrum.SpectralSet.expansion_rigidity`
+    per energy, which forms no phi on the secular route. Where the
+    expansion does not exist, only those four are NaN.
     """
     model = config.build_model()
     energies = config.e_grid.values()
@@ -576,8 +580,7 @@ def run_rigidity_study(config: RunConfig) -> StudyResult:
     rows[:, 1], rows[:, 2] = rho_direct(x)
     for row, e, x_e in zip(rows, energies, x):
         try:
-            sp = heff_spectrum(model, e)
-            rig = build_report(sp, coefficients_c(sp, model), x_e)
+            rig = build_report(heff_spectrum(model, e), x_e, model)
         except (PoleOnAxis, DefectiveSpectrum, UndefinedValue):
             continue
         row[3:] = (rig.rho_spectral.real, rig.rho_spectral.imag,

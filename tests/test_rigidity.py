@@ -173,9 +173,11 @@ class TestBuildReport:
                 assert 0.0 <= r <= 1.0, label
 
     def test_report_via_build_report(self):
-        sol = solve_scattering(single_site_model(), -0.9)
-        rebuilt = build_report(sol.spectral, sol.c, sol.psi_interior)
+        model = single_site_model()
+        sol = solve_scattering(model, -0.9)
+        rebuilt = build_report(sol.spectral, sol.psi_interior, model)
         assert rebuilt.energy == sol.rigidity.energy
+        assert rebuilt.rho_spectral == sol.rigidity.rho_spectral
         npt.assert_allclose(
             rebuilt.rho_direct_mod, sol.rigidity.rho_direct_mod,
             rtol=0, atol=1e-15,

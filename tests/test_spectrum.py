@@ -29,6 +29,7 @@ from opencavity import (
 from opencavity.linalg import eig_general
 from opencavity.spectrum import (
     SECULAR_MIN_N,
+    _DenseStates,
     _ambiguous_matches,
     _closest_pair,
     _degenerate_runs,
@@ -517,8 +518,8 @@ def reference_track(spectra, gap_tol=1e-6):
             ambiguous[j] = gap < gap_tol
             work[i, :] = -np.inf
             work[:, j] = -np.inf
-        labeled.append(replace(current, vectors=phis, track_id=track_id,
-                               ambiguous=ambiguous))
+        labeled.append(replace(current, basis=_DenseStates(phis),
+                               track_id=track_id, ambiguous=ambiguous))
     return tuple(labeled), contested
 
 
@@ -552,8 +553,8 @@ def synthetic_sweeps():
                 z = rng.integers(-1, 2, n) + 1j * rng.integers(-1, 2, n)
                 sweep.append(SpectralSet(
                     energy=0.0, values=z.astype(complex),
-                    vectors=phis.astype(complex), a_norm=np.ones(n),
-                    ep_proximity=np.ones(n),
+                    a_norm=np.ones(n), ep_proximity=np.ones(n),
+                    basis=_DenseStates(phis.astype(complex)),
                 ))
             yield sweep
 

@@ -620,7 +620,7 @@ class TestStreamedTracking:
             assert any(sp.ambiguous.any() for sp in tracked)
         widths = np.empty((len(alphas), base.dimension))
         for row, sp in zip(widths, tracked):
-            row[sp.track_id] = -2.0 * sp.values.imag
+            row[sp.track_id] = -2.0 * sp.values.imag + 0.0
         rows = run_trapping_study(config).rows
         npt.assert_array_equal(rows[:, 0], alphas)
         assert rows[:, 1:-1].tobytes() == widths.tobytes()
@@ -640,6 +640,16 @@ class TestStreamedTracking:
         assert sum(s.ambiguous for sp in got for s in sp.states) == sum(
             int(f.sum()) for f in flags) > 0
         assert sum(len(sp) for sp in got[1:]) == 5 * base.dimension
+
+    def test_dark_widths_print_as_zero(self):
+        # The 13 dark members of the 15-fold level at 0 keep Im z = +0.0,
+        # so -2 Im z is -0.0; the CSV prints their widths as 0.
+        text = format_csv(run_trapping_study(parse_doc(spectrum_doc(
+            LATTICE_15, 6))))
+        fields = [f for line in text.splitlines()
+                  if not line.startswith("#") for f in line.split(",")]
+        assert "-0" not in fields
+        assert fields.count("0") >= 6 * 13
 
     def test_memory_does_not_grow_with_the_coupling_grid(self):
         def traced_peak(points):
