@@ -36,7 +36,8 @@ from .exceptions import (
     ValidationError,
     WriteError,
 )
-from .sweeps import STUDIES, export_csv, format_csv, parse_config, run_study
+from .sweeps import STUDIES, export_csv, format_csv, run_study
+from .sweeps import _build_config, _load_config
 
 __all__ = ["main"]
 
@@ -99,16 +100,8 @@ def main(argv=None):
         return 2
 
     try:
-        if args.grid_override:
-            try:
-                doc = json.loads(text)
-            except json.JSONDecodeError as err:
-                raise ParseError(err.msg, line=err.lineno, column=err.colno) from err
-            if not isinstance(doc, dict):
-                raise ValidationError("top level must be an object", field="")
-            doc = _apply_overrides(doc, args.grid_override)
-            text = json.dumps(doc)
-        config = parse_config(text, base_dir=os.path.dirname(args.config) or ".")
+        doc = _apply_overrides(_load_config(text), args.grid_override)
+        config = _build_config(doc, os.path.dirname(args.config) or ".")
         if config.study != args.study:
             raise ValidationError(
                 f"config is for study {config.study!r}, invoked as {args.study!r}",

@@ -113,6 +113,10 @@ _TRACE_TOL = 1e-14
 _CLOSED_FORM_TOL = 1e-13
 # Real-axis pole rejection distance of the resonance expansion.
 POLE_TOL = 1e-12
+# |v^T v| above which a degenerate run's members are bilinearly
+# Gram-Schmidt orthogonalized; shared, as the secular closed forms match
+# the on-request vectors only while both routes use the same value.
+_GRAM_SCHMIDT_PROX = 1e-3
 # Overlap margin below which a tracked match is flagged ambiguous.
 _GAP_TOL = 1e-6
 # Constants of find_exceptional_point; its docstring gives their roles.
@@ -123,10 +127,9 @@ _EP_MAX_HALVINGS = 4
 _EP_STEP_TOL = 1e-10
 _EP_FD_STEP = 1.5e-8
 _EP_RCOND = 1e-6
-_EP_SEPARATION = 1e-8
+_EP_COALESCED = 1e-12
 _EP_RANK = 1e-6
 _EP_ANGLE = 1e-2
-_EP_FLOOR = 1e-7
 # Damping, step tolerance and step limit of fixed_point_poles.
 _POLE_DAMPING = 0.5
 _POLE_TOL = 1e-10
@@ -171,7 +174,8 @@ class ResonanceState:
 
     @property
     def width(self):
-        return -2.0 * self.z.imag
+        # + 0.0 turns the -0.0 of a real (dark) state into 0.0.
+        return -2.0 * self.z.imag + 0.0
 
 
 @dataclass(frozen=True)
@@ -281,10 +285,10 @@ class EPReport:
     """Outcome of an exceptional-point search in a two-parameter family.
 
     ``path`` records one (p1, p2, separation, a_norm_max) entry per accepted
-    iterate: the start, every accepted Newton step, and every neighbour at
-    the rounding floor that lowered the separation. a_norm_max is the larger
-    Hermitian norm of the closest eigenvalue pair; its growth along the path
-    is the standard signature of an approach to an exceptional point.
+    iterate: the start and every accepted Newton step. a_norm_max is the
+    larger Hermitian norm of the closest eigenvalue pair; its growth along
+    the path is the standard signature of an approach to an exceptional
+    point.
     ``params`` is one of the path's points. ``outcome`` is ``"ep"`` (then
     ``success`` is true), ``"degenerate"`` for a coalescence that is not
     defective, or ``"not_found"``.
@@ -645,7 +649,7 @@ def _normalized(values, raw):
     clusters = []
     for first, size in zip(*_degenerate_runs(values, scale)):
         members = slice(first, first + size)
-        if (prox[members] > 1e-3).all():
+        if (prox[members] > _GRAM_SCHMIDT_PROX).all():
             # A copy, never a view: raw is normalized in place below.
             clusters.append((members, raw[:, members].T.copy()))
     # Defective states keep their unit Hermitian norm.
@@ -782,7 +786,7 @@ class _SecularStates:
         for lo, hi, f, m in zip(np.searchsorted(self.bright_pos, first),
                                 np.searchsorted(self.bright_pos, first + size),
                                 first, size):
-            if hi - lo > 1 and (prox[f:f + m] > 1e-3).all():
+            if hi - lo > 1 and (prox[f:f + m] > _GRAM_SCHMIDT_PROX).all():
                 self._orthogonalize(slice(lo, hi))
         edges = set(range(0, len(self.z), _BLOCK)) | {len(self.z)}
         for run, _ in self.runs:
@@ -1340,22 +1344,21 @@ def find_exceptional_point(family, start):
     than 1e-10 max(1, |p|), when the line search fails, or after 20 steps.
 
     The reported point is the iterate with the smallest separation of any
-    pair. Rounding splits a coalesced pair by about sqrt(eps) ||H||, so a
-    converged separation within 10x of the bound below is rounding noise:
-    the floating-point neighbours of the point, up to three spacings away
-    in each parameter, then draw it afresh until one meets the bound. The
-    point is an exceptional point (``success``) only when it carries a
-    defectiveness signature:
+    pair, and z* is that pair's mean. Rounding splits a coalesced pair by
+    about sqrt(eps) ||H||, so the separation cannot tell a converged search
+    from one that stopped short; the mean, accurate to about eps ||H||, can:
+    the smallest singular value of H* - z* I has a rounding floor of about
+    eps ||H*||. One SVD of H* - z* I therefore decides the outcome:
 
-    * the separation is at most 1e-8 ||H*||_inf;
-    * the second-smallest singular value of H* - z* I exceeds
-      1e-6 ||H*||_inf, so the merged eigenvalue has one Jordan block;
-    * the chirality angle of the pair, the distance from the relation
-      phi_1 = +-i phi_2, is below 1e-2.
-
-    The outcome is ``"ep"`` when all three hold, ``"degenerate"`` when the
-    separation is below the bound but the point is not defective (such as a
-    symmetry-protected crossing), and ``"not_found"`` otherwise.
+    * ``"not_found"`` when its smallest singular value exceeds
+      1e-12 ||H*||_inf, so no eigenvalue of H* sits at z*;
+    * ``"ep"`` (``success``) when it is within that bound and the point
+      is defective: the second-smallest singular value exceeds
+      1e-6 ||H*||_inf, so the merged eigenvalue has one Jordan block, and
+      the chirality angle of the pair, the distance from the relation
+      phi_1 = +-i phi_2, is below 1e-2;
+    * ``"degenerate"`` otherwise, a coalescence that is not defective
+      (such as a symmetry-protected crossing).
 
     Parameters
     ----------
@@ -1429,35 +1432,20 @@ def find_exceptional_point(family, start):
             break
 
     scale = float(np.abs(best.h).sum(axis=1).max())
-    threshold = _EP_SEPARATION * scale
-    if threshold < best.separation <= _EP_FLOOR * scale:
-        p = best.p
-        ring = range(-3, 4)
-        shifts = sorted(((a, b) for a in ring for b in ring),
-                        key=lambda v: v[0] ** 2 + v[1] ** 2)
-        for shift in shifts[1:]:
-            trial = _Iterate(family, p + np.multiply(shift, np.spacing(p)))
-            if trial.separation < best.separation:
-                best = trial
-                path.append(best.row())
-                if best.separation <= threshold:
-                    break
-        scale = float(np.abs(best.h).sum(axis=1).max())
-        threshold = _EP_SEPARATION * scale
     i, j = best.closest
     z_star = 0.5 * (best.es.values[i] + best.es.values[j])
     angle = float(_chirality_angle(family, best.p, p_start))
-    if best.separation > threshold:
+    sigma = np.linalg.svd(best.h - z_star * np.eye(len(best.h)),
+                          compute_uv=False)
+    if sigma[-1] > _EP_COALESCED * scale:
         outcome = "not_found"
-        reason = (f"separation {best.separation:.3e} stayed above threshold "
-                  f"{threshold:.3e}")
+        reason = (f"smallest singular value {sigma[-1]:.3e} of H* - z* I "
+                  f"stayed above {_EP_COALESCED * scale:.3e}")
     else:
-        sigma = np.linalg.svd(best.h - z_star * np.eye(len(best.h)),
-                              compute_uv=False)[-2]
-        defective = sigma > _EP_RANK * scale and angle < _EP_ANGLE
+        defective = sigma[-2] > _EP_RANK * scale and angle < _EP_ANGLE
         outcome = "ep" if defective else "degenerate"
         reason = (f"degenerate, not defective: second-smallest singular "
-                  f"value {sigma:.3e}, chirality angle {angle:.3e}")
+                  f"value {sigma[-2]:.3e}, chirality angle {angle:.3e}")
     report = EPReport(
         params=tuple(float(x) for x in best.p),
         z_star=complex(z_star),

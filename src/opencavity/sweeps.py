@@ -311,12 +311,22 @@ def parse_config(text, base_dir="."):
         Geometry that parses but cannot be built (masked contact,
         disconnected cavity).
     """
+    return _build_config(_load_config(text), base_dir)
+
+
+def _load_config(text):
+    """Step 1 of :func:`parse_config`: the document's JSON object."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise ParseError(err.msg, line=err.lineno, column=err.colno) from err
     if not isinstance(doc, dict):
         raise ValidationError("top level must be an object", field="")
+    return doc
+
+
+def _build_config(doc, base_dir):
+    """Step 2 of :func:`parse_config`: the validated RunConfig."""
     _expect_keys(doc, {"version", "study", "model", "e_grid", "alpha_grid", "out"}, "")
 
     version = doc.get("version")
@@ -637,8 +647,9 @@ def run_ep_study(config: RunConfig):
     """Search for an exceptional point in the two lead couplings.
 
     The two coupling_w values vary (by magnitude) at fixed alpha; H_eff is
-    assembled at the center of the energy grid. Returns the per-evaluation
-    search path as the study rows together with the full report.
+    assembled at the center of the energy grid. Returns the search path
+    (the start and every accepted Newton step) as the study rows, together
+    with the full report.
 
     Returns
     -------

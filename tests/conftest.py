@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from opencavity import CavityModel, LatticeSpec, LeadSpec
+from opencavity import CavityModel, LatticeSpec, LeadSpec, assemble_heff
 
 # Notch mask: a 3x2 block removed from the bottom edge, 44 sites kept.
 NOTCH_MASK = tuple(
@@ -24,6 +24,24 @@ def square4():
         (LeadSpec((0, 0), 1.0), LeadSpec((3, 3), 1.0)),
         1.0,
     )
+
+
+def fano_family():
+    """Three-site L-shaped chain whose lead couplings reach a true EP."""
+    lat = LatticeSpec(2, 2, mask=((1, 0), (1, 1)))
+
+    def family(p):
+        model = CavityModel(
+            lat,
+            (
+                LeadSpec((0, 0), abs(float(p[0]))),
+                LeadSpec((1, 0), abs(float(p[1]))),
+            ),
+            1.0,
+        )
+        return assemble_heff(model, 0.0)
+
+    return family
 
 
 def reference_models():

@@ -37,27 +37,9 @@ from opencavity import (
 )
 from opencavity.cli import main
 
-from conftest import reference_models, single_site_model
+from conftest import fano_family, reference_models, single_site_model
 
 TRAP_CHAIN_N = 8
-
-
-def fano_family():
-    """Three-site L-shaped chain whose lead couplings reach a true EP."""
-    lat = LatticeSpec(2, 2, mask=((1, 0), (1, 1)))
-
-    def family(p):
-        model = CavityModel(
-            lat,
-            (
-                LeadSpec((0, 0), abs(float(p[0]))),
-                LeadSpec((1, 0), abs(float(p[1]))),
-            ),
-            1.0,
-        )
-        return assemble_heff(model, 0.0)
-
-    return family
 
 
 def trap_chain(alpha):

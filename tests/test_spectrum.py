@@ -38,7 +38,13 @@ from opencavity.spectrum import (
     _tracked_pair,
 )
 
-from conftest import energies, open_cavities, single_site_model, square4
+from conftest import (
+    energies,
+    fano_family,
+    open_cavities,
+    single_site_model,
+    square4,
+)
 
 
 def ep_family_1param(p):
@@ -358,6 +364,20 @@ def test_cluster_orthogonalized_from_the_solver_columns():
         assert size == 3 and (sp.ep_proximity[first:first + size] > 1e-3).all()
         for j in range(first, first + size):
             assert bits(sp.vectors[:, j], complex) == bits(ref[j][0], complex)
+
+
+def test_dark_state_width_is_positive_zero():
+    # The lattice's dark states are real eigenvalues; -2 Im z alone would
+    # give them a width of -0.0.
+    model = CavityModel(
+        LatticeSpec(15, 15),
+        (LeadSpec((0, 3), 1.0), LeadSpec((14, 9), 1.0)),
+        0.9,
+    )
+    dark = [s for s in heff_spectrum(model, 0.3).states if s.z.imag == 0.0]
+    assert dark
+    for state in dark:
+        assert math.copysign(1.0, state.width) == 1.0
 
 
 class TestFixedPointPoles:
@@ -748,6 +768,12 @@ def test_reported_ep_passes_dense_oracle(case):
         assert report.outcome in ("degenerate", "not_found")
         return
     assert kind != "hermitian"
+    assert_dense_ep(family, report)
+
+
+def assert_dense_ep(family, report):
+    """The report is an exceptional point by an independent zgeev: its
+    closest pair has merged and the two eigenvectors are parallel."""
     assert report.outcome == "ep"
     h = family(np.array(report.params))
     z, v = np.linalg.eig(h)
@@ -758,6 +784,57 @@ def test_reported_ep_passes_dense_oracle(case):
         np.linalg.norm(v[:, i]) * np.linalg.norm(v[:, j]))
     assert overlap >= 0.99
     assert report.angle < 1e-2
+
+
+def fano_starts():
+    """200 starts within +-0.5 of (1.2, 1.6) on the three-site L."""
+    rng = np.random.default_rng(0)
+    return np.array([1.2, 1.6]) + rng.uniform(-0.5, 0.5, (200, 2))
+
+
+def search_report(family, start):
+    try:
+        return find_exceptional_point(family, start)[3]
+    except ExceptionalPointNotFound as err:
+        return err.report
+
+
+class TestCoalescenceBySingularValues:
+    """The smallest singular value of H* - z* I, not the separation,
+    decides whether a search reached a coalescence.
+
+    Rounding splits a merged pair by about sqrt(eps) ||H||, which a
+    separation bound of 1e-8 ||H*|| cannot tell from a search that stopped
+    short; the pair's mean is accurate to about eps ||H||.
+    """
+
+    # Starts of fano_starts() that converge onto an exceptional point with
+    # a separation above 1e-8 ||H*||.
+    ROUNDING_SPLIT = (19, 21, 27, 43, 63, 71, 87, 165)
+
+    def test_rounding_split_starts_report_ep(self):
+        family = fano_family()
+        starts = fano_starts()
+        assert tuple(starts[19]) == (1.6340435159562496, 1.4577951967090703)
+        for k in self.ROUNDING_SPLIT:
+            report = search_report(family, starts[k])
+            h = family(np.array(report.params))
+            assert report.separation > 1e-8 * np.abs(h).sum(axis=1).max()
+            assert_dense_ep(family, report)
+
+    def test_ep_exactly_when_one_jordan_block_with_chirality(self):
+        family = fano_family()
+        outcomes = []
+        for start in fano_starts():
+            report = search_report(family, start)
+            h = family(np.array(report.params))
+            scale = np.abs(h).sum(axis=1).max()
+            sigma = np.linalg.svd(h - report.z_star * np.eye(len(h)),
+                                  compute_uv=False)
+            defective = sigma[-2] > 1e-6 * scale and report.angle < 1e-2
+            assert (report.outcome == "ep") == defective
+            outcomes.append(report.outcome)
+        assert outcomes.count("ep") == 172
 
 
 class TestClosestPair:
