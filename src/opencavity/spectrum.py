@@ -23,26 +23,23 @@ states be compared across parameter sweeps. Exactly defective states (bilinear
 norm below 1e-12) are kept with a unit Hermitian norm, r = 0 and A = inf; they
 are reported, never silently repaired.
 
-H_eff(E) is H_B plus a rank-2 term, so from ``SECULAR_MIN_N`` sites up both
-the eigenvalues (:func:`heff_eigenvalues`, the crossover study's widths) and
-the biorthogonal set (:func:`heff_spectrum`, the spectrum and rigidity
-studies) come from the secular equation of H_B plus the rank-2 self-energy,
-after one ``eigh`` of H_B per geometry, in O(N^2) per energy. The degenerate
-levels of H_B, which lattice symmetries make common, are deflated in stacked
-LAPACK calls, one per cluster size and bright count rather than one per
-level. Every root and every eigenvector passes a backward-error check, and
-the route falls back to ``zgeev`` of the assembled matrix when a check fails;
-smaller cavities go to ``zgeev`` directly, which is faster there.
+H_eff(E) is H_B plus a rank-2 term, so the biorthogonal set
+(:func:`heff_spectrum`, the spectrum and rigidity studies) comes from the
+secular equation of H_B plus the rank-2 self-energy, after one ``eigh`` of
+H_B per geometry, in O(N^2) per energy; so do the eigenvalues alone
+(:func:`heff_eigenvalues`, the crossover study's widths) from
+``SECULAR_MIN_N`` sites up. Every root and every eigenvector passes a
+backward-error check, and the route falls back to ``zgeev`` of the
+assembled matrix when a check fails.
 
 The secular route keeps each state as the 2-vector x of its root in the
 eigenbasis of H_B, and the per-state norms, the overlaps of two spectra and
 the resonance expansion's rigidity are O(N^2) sums over them; phi on the
-sites, an N x N matrix, is formed only on request. It is then normalized
-through the same column operations as ``zgeev``'s, so the two routes differ
-only in rounding and in the basis of an exactly degenerate cluster: the
-secular route gives the contact-free (dark) members of such a cluster as
-real closed-cavity combinations, with r = 1, where ``zgeev`` returns an
-arbitrary complex basis.
+sites, an N x N matrix, is formed only on request. The contact-free (dark)
+members of a degenerate level of H_B, which lattice symmetries make
+common, are real closed-cavity combinations with r = 1, where ``zgeev``
+returns an arbitrary complex basis; elsewhere the routes differ in
+rounding.
 """
 
 from __future__ import annotations
@@ -82,14 +79,10 @@ __all__ = [
 # Bilinear norms below this are treated as exactly defective.
 DEFECTIVE_TOL = 1e-12
 
-# Sites from which heff_eigenvalues and heff_spectrum take the secular
-# route. Measured for eigenvalues with BLAS at 1 thread over 10 couplings
-# in 0.1..4: the secular route took 2.3 ms against zgeev's 1.9 ms at
-# N = 53, 3.5 against 5.4 ms at N = 80, and 16 against 66 ms at N = 230.
-# Spectral sets cross over near N = 30 (full rectangles, E = 0.3, same
-# BLAS, alpha = 0.3, 0.9, 2): the secular set, which forms no phi, took
-# 1.4 against zgeev's 1.5 ms at N = 30, 2.1 against 3.2 at 48, 3.3 against
-# 10 at 80 and 5.5 against 73 at 225.
+# Sites from which heff_eigenvalues takes the secular route. Measured with
+# BLAS at 1 thread over 10 couplings in 0.1..4: the secular route took
+# 2.3 ms against eigvals' 1.9 ms at N = 53, 3.5 against 5.4 ms at N = 80,
+# and 16 against 66 ms at N = 230.
 SECULAR_MIN_N = 80
 # Roots per block of the Aberth iteration; the block's temporaries are
 # block x N, never N x N.
@@ -114,8 +107,7 @@ _CLOSED_FORM_TOL = 1e-13
 # Real-axis pole rejection distance of the resonance expansion.
 POLE_TOL = 1e-12
 # |v^T v| above which a degenerate run's members are bilinearly
-# Gram-Schmidt orthogonalized; shared, as the secular closed forms match
-# the on-request vectors only while both routes use the same value.
+# Gram-Schmidt orthogonalized.
 _GRAM_SCHMIDT_PROX = 1e-3
 # Overlap margin below which a tracked match is flagged ambiguous.
 _GAP_TOL = 1e-6
@@ -189,9 +181,9 @@ class SpectralSet:
     ``ambiguous`` are None until :func:`track_sweep` sets them. Every array
     is read-only.
 
-    ``basis`` holds the states themselves: the dense phi of the ``zgeev``
-    route (:class:`_DenseStates`), or the secular route's (z, x) pairs in
-    the eigenbasis of H_B (:class:`_SecularStates`). :meth:`overlaps` and
+    ``basis`` holds the states themselves: the secular route's (z, x) pairs
+    in the eigenbasis of H_B (:class:`_SecularStates`), or the dense phi of
+    its ``zgeev`` fallback (:class:`_DenseStates`). :meth:`overlaps` and
     :meth:`expansion_rigidity` work from either, so the spectrum and
     rigidity studies never form phi on the secular route. ``vectors``, phi
     with one state per column, is formed there on first access; its readers
@@ -330,25 +322,20 @@ def heff_eigenvalues(model: CavityModel, energy) -> np.ndarray:
 def heff_spectrum(model: CavityModel, energy) -> SpectralSet:
     """Biorthogonal spectrum of H_eff(E) at a real energy.
 
-    From ``SECULAR_MIN_N`` sites up the eigenpairs come from the secular
-    equation of H_B plus the rank-2 self-energy, at O(N^2) cost, and the
-    set keeps each state as its root's 2-vector x in the eigenbasis of H_B:
-    phi on the sites is formed only when ``vectors`` is read. Below that
-    size, or when any check of the secular route fails, the set is
-    :func:`biorthogonal_spectrum` of the assembled matrix, which forms phi
-    by ``zgeev``. Both are sorted and normalized alike; inside an exactly
-    degenerate cluster the secular route gives the contact-free members as
-    real closed-cavity combinations.
+    The eigenpairs come from the secular equation of H_B plus the rank-2
+    self-energy, at O(N^2) cost, and the set keeps each state as its root's
+    2-vector x in the eigenbasis of H_B: phi on the sites is formed only
+    when ``vectors`` is read. When a check of the secular route fails, the
+    set is :func:`biorthogonal_spectrum` of the assembled matrix (``zgeev``),
+    sorted and normalized alike.
     """
     e = float(energy)
-    if model.dimension >= SECULAR_MIN_N:
-        found = _secular_eigenvalues(model, e, vectors=True)
-        if found is not None:
-            values, states = found
-            return SpectralSet(energy=e, values=values, a_norm=states.a_norm,
-                               ep_proximity=states.ep_proximity,
-                               basis=states)
-    return biorthogonal_spectrum(assemble_heff(model, e), e)
+    found = _secular_eigenvalues(model, e, vectors=True)
+    if found is None:
+        return biorthogonal_spectrum(assemble_heff(model, e), e)
+    values, states = found
+    return SpectralSet(energy=e, values=values, a_norm=states.a_norm,
+                       ep_proximity=states.ep_proximity, basis=states)
 
 
 def _pole_sums(z, p, wsq):
@@ -395,8 +382,9 @@ def _secular_eigenvalues(model, energy, vectors=False):
     In the eigenbasis of H_B = U diag(e) U^T, H_eff is diag(e) + W S W^T,
     with W = U_c^T the N x 2 contact rows and S = diag(sigma_L, sigma_R).
     After deflation (Bunch, Nielsen & Sorensen, Numer. Math. 31, 31 (1978))
-    the combinations without contact weight keep their e_k exactly, and the
-    other eigenvalues are the zeros of the monic polynomial
+    the combinations whose first-order residual is within the backward-error
+    bound keep their e_k, and the other eigenvalues are the zeros of the
+    monic polynomial
 
         P(z) = prod_k (z - p_k) f(z),   f = det(I - S G0(z)),
         G0(z) = sum_k w_k w_k^T / (z - p_k),
@@ -404,38 +392,32 @@ def _secular_eigenvalues(model, energy, vectors=False):
     over the poles p_k that keep weight. :func:`_aberth` finds all of them
     at once from first-order perturbation theory. Every root must then pass
     a backward-error check, ||(diag p + W S W^T - z) y|| / ||y|| <= 1e-12
-    scale with y its eigenvector, and all N must sum to tr H_B + sigma_L +
-    sigma_R. The trace alone proves nothing: the starts already sum to it
-    exactly, so iterates that never moved would pass. Returns None when a
-    check fails.
-
-    The deflation runs on stacked LAPACK calls, grouped, not per cluster:
-    one SVD of the sigma-weighted contact rows per cluster size gives the
-    rotations and the bright counts b <= 2, and one ``eigvals`` per size
-    and b gives the first-order starts, the eigenvalues of W_c S W_c^T.
+    scale with y its eigenvector, and all N must sum to the trace of H_eff
+    less the deflated levels' first-order shifts. The trace alone proves
+    nothing: the starts already sum to it exactly, so iterates that never
+    moved would pass. Returns None when a check fails.
 
     With ``vectors`` it returns the eigenvalues sorted like
     :func:`~opencavity.linalg.eig_general` and their states as a
     :class:`_SecularStates`: each bright root's x as step 4 forms it, over
     the rotated contact rows of the poles that keep weight, with the sums
     the closed forms read; the bright/dark split; and the cluster
-    rotations. A combination without contact weight is its own
-    eigenvector, a column of U rotated within its cluster; it must pass the
-    same backward-error bound, since deflation only bounds its weight to
-    second order. No N x N array is formed.
+    rotations. A deflated combination is its own eigenvector, a column of U
+    rotated within its cluster. No N x N array is formed.
     """
     e_k, u = model.closed_modes
     sigma = model.self_energy_weights(energy)
-    trace = e_k.sum() + sigma.sum()
     w_all = u[model.contact_indices, :].T
     scale = max(1.0, float(np.abs(e_k).max() + np.abs(sigma).sum()))
-    # A combination moves its pole by at most sum_C |sigma_C| w_C^2. Below
-    # the rounding of the pole it is deflated: its start would sit on the
-    # pole and the iteration would divide by zero.
-    floor = np.finfo(float).eps * scale
+    # A combination of contact weights w has the first-order residual
+    # ||S w|| <= sqrt(max |sigma| w^T |S| w). Within the backward-error
+    # bound it is deflated (Dongarra & Sorensen, SIAM J. Sci. Stat.
+    # Comput. 8, s139 (1987)): its unit vector is then an eigenvector.
+    s_max, floor = np.abs(sigma).max(), (_BACKWARD_TOL * scale) ** 2
 
-    # 1-2. Deflation and first-order starts, batched over the clusters of
-    # one size m, then of one bright count b. The first b combinations of
+    # 1-2. Deflation and first-order starts in stacked LAPACK calls, over
+    # the clusters of one size m, then of one bright count b <= 2: one SVD
+    # per size, one eigvals per size and b. The first b combinations of
     # a cluster keep weight; ``lit`` marks them by index. By index too, z0
     # holds the starts and w_rot the contact weights after the rotation.
     n = len(e_k)
@@ -451,7 +433,7 @@ def _secular_eigenvalues(model, energy, vectors=False):
         # the sigma-weighted rows, so a detached channel adds none.
         _, s, vt = np.linalg.svd(np.sqrt(np.abs(sigma))[:, None]
                                  * np.swapaxes(w_c, 1, 2))
-        b_of = np.count_nonzero(s * s > floor, axis=1)
+        b_of = np.count_nonzero(s_max * s * s > floor, axis=1)
         if vectors:
             dark = np.arange(m) >= b_of[:, None]
             rotations.append((c, vt, dark))
@@ -479,30 +461,31 @@ def _secular_eigenvalues(model, energy, vectors=False):
     # The Aberth sums and blocks run over the clusters' bright members in
     # index order, then over the single levels that keep weight.
     k = np.flatnonzero(~clustered)
-    k_lit = (w_all[k] ** 2) @ np.abs(sigma) > floor
+    k_lit = s_max * ((w_all[k] ** 2) @ np.abs(sigma)) > floor
     z0[k[k_lit]] = e_k[k[k_lit]] + w_all[k[k_lit]] ** 2 @ sigma
     bright = np.concatenate([np.flatnonzero(lit), k[k_lit]])
     dark = np.concatenate([np.flatnonzero(clustered & ~lit), k[~k_lit]])
     p, w, z = e_k[bright], w_rot[bright], z0[bright]
-    # The residual of a dark combination is S times its contact weights.
-    if vectors and not (np.abs(w_rot[dark]) @ np.abs(sigma)
-                        <= _BACKWARD_TOL * scale).all():
-        return None
+    # The trace of H_eff less the first-order shifts of the deflated levels.
+    trace = e_k.sum() + np.sum(w ** 2 @ sigma)
 
     # 3. Aberth iteration on P(z); P'/P is f'/f + sum_k 1/(z - p_k), and
     # G0' = -sum_k w_k w_k^T / (z - p_k)^2.
     wsq = np.stack([w[:, 0] ** 2, w[:, 0] * w[:, 1], w[:, 1] ** 2], axis=1)
     s_l, s_r = sigma
 
-    def newton(zb):
-        r, g = _pole_sums(zb, p, wsq)
-        r_sum = r.sum(axis=1)
-        dg = np.multiply(r, r, out=r) @ wsq
+    def secular(g, dg):
+        """f = det(I - S G0) and minus its derivative along dG0 (as g, dg)."""
         a = 1.0 - s_l * g[:, 0]
         d = 1.0 - s_r * g[:, 2]
         f = a * d - s_l * s_r * g[:, 1] ** 2
-        df = (s_l * dg[:, 0] * d + s_r * dg[:, 2] * a
-              + 2.0 * s_l * s_r * g[:, 1] * dg[:, 1])
+        return f, (s_l * dg[:, 0] * d + s_r * dg[:, 2] * a
+                   + 2.0 * s_l * s_r * g[:, 1] * dg[:, 1])
+
+    def newton(zb):
+        r, g = _pole_sums(zb, p, wsq)
+        r_sum = r.sum(axis=1)
+        f, df = secular(g, np.multiply(r, r, out=r) @ wsq)
         return f / (f * r_sum + df)
 
     with np.errstate(all="ignore"):
@@ -512,34 +495,50 @@ def _secular_eigenvalues(model, energy, vectors=False):
         roots = np.concatenate([z, e_k[dark]])
         if vectors:
             nb = len(z)
-            xs, vs = np.empty((nb, 2), complex), np.empty((nb, 2), complex)
-            y_norms, betas, gammas = (np.empty(nb), np.empty(nb, complex),
-                                      np.empty(nb))
+            xs, vs = np.empty((2, nb, 2), complex)
+            y_norms, gammas = np.empty((2, nb))
+            betas, near_r = np.empty((2, nb), complex)
+            nears = np.empty(nb, dtype=int)
         # 4. Backward error: x spans the null space of M = I - S G0(z),
-        # and y = (z - p)^-1 (W x) is the eigenvector of root z.
+        # and y = r (W x) is the eigenvector of root z, r = 1 / (z - p).
         for i in range(0, len(z), _BLOCK):
-            zb = z[i:i + _BLOCK]
-            y, g = _pole_sums(zb, p, wsq)
-            m00, m01 = 1.0 - s_l * g[:, 0], -s_l * g[:, 1]
-            m10, m11 = -s_r * g[:, 1], 1.0 - s_r * g[:, 2]
-            top = np.abs(m00) + np.abs(m01) >= np.abs(m10) + np.abs(m11)
-            x = np.where(top, [-m01, m00], [m11, -m10]).T
-            x[~x.any(axis=1)] = (1.0, 0.0)
+            blk = slice(i, i + _BLOCK)
+            d = np.subtract.outer(z[blk], p)
+            r, near = 1.0 / d, np.full(len(d), -1)
+            while True:
+                g = r @ wsq
+                m00, m01 = 1.0 - s_l * g[:, 0], -s_l * g[:, 1]
+                m10, m11 = -s_r * g[:, 1], 1.0 - s_r * g[:, 2]
+                top = np.abs(m00) + np.abs(m01) >= np.abs(m10) + np.abs(m11)
+                x = np.where(top, [-m01, m00], [m11, -m10]).T
+                x[~x.any(axis=1)] = (1.0, 0.0)
+                y = r * (x @ w.T)
+                res = (y @ w * sigma) @ w.T - y * d
+                y_norm = np.linalg.norm(y, axis=1)
+                b = np.flatnonzero(~(np.linalg.norm(res, axis=1) / y_norm
+                                     <= _BACKWARD_TOL * scale))
+                if not b.size:
+                    break
+                if (near >= 0).any():
+                    return None
+                # A root nearer a pole p_j than the rounding of z loses
+                # z - p_j. With G0 = R + q / (z - p_j), f is linear in
+                # 1 / (z - p_j) and vanishes at f / df of R along q; the
+                # check runs again with r there, while the residual keeps
+                # the float z - p_j.
+                near[b] = np.abs(d[b]).argmin(axis=1)
+                r[b, near[b]] = 0.0
+                f, df = secular(r[b] @ wsq, wsq[near[b]])
+                r[b, near[b]] = f / df
             if vectors:
-                blk = slice(i, i + _BLOCK)
-                # sum_k |w_k|^2 / |z - p_k|, which bounds the rounding of G0.
-                gammas[blk] = np.abs(y) @ (wsq[:, 0] + wsq[:, 2])
-            y *= x @ w.T
-            res = (y @ w * sigma) @ w.T - y * np.subtract.outer(zb, p)
-            y_norm = np.linalg.norm(y, axis=1)
-            if not (np.linalg.norm(res, axis=1) / y_norm
-                    <= _BACKWARD_TOL * scale).all():
-                return None
-            if vectors:
+                # sum_k |w_k|^2 / |z - p_k|, which bounds the rounding of
+                # G0; inf with a near pole, whose offset z lacks.
+                gammas[blk] = np.abs(r) @ (wsq[:, 0] + wsq[:, 2])
+                gammas[blk][near >= 0] = np.inf
                 xs[blk], y_norms[blk] = x, y_norm
-                vs[blk, 0] = g[:, 0] * x[:, 0] + g[:, 1] * x[:, 1]
-                vs[blk, 1] = g[:, 1] * x[:, 0] + g[:, 2] * x[:, 1]
+                vs[blk] = g[:, :2] * x[:, :1] + g[:, 1:] * x[:, 1:]
                 betas[blk] = np.einsum("ij,ij->i", y, y)
+                nears[blk], near_r[blk] = near, r[np.arange(len(r)), near]
     if not abs(roots.sum() - trace) <= _TRACE_TOL * scale * len(roots):
         return None
     if not vectors:
@@ -552,8 +551,8 @@ def _secular_eigenvalues(model, energy, vectors=False):
         values=roots[order], u=u, contacts_at=tuple(model.contact_indices),
         rotations=rotations, bright=bright, dark=dark, p=p, w=w, z=z[lit],
         x=xs[lit], v=vs[lit], y_norm=y_norms[lit], beta=betas[lit],
-        gamma=gammas[lit], w_dark=w_rot[dark], bright_pos=pos[lit],
-        dark_pos=pos[nb:])
+        gamma=gammas[lit], near=nears[lit], near_r=near_r[lit],
+        w_dark=w_rot[dark], bright_pos=pos[lit], dark_pos=pos[nb:])
     return states.values, states
 
 
@@ -627,20 +626,7 @@ def biorthogonal_spectrum(heff, energy) -> SpectralSet:
 
 
 def _biorthogonal_set(values, raw, energy):
-    """SpectralSet of sorted eigenvalues and their unit eigenvectors."""
-    phis, a_norm, prox = _normalized(values, raw)
-    return SpectralSet(energy=float(energy), values=values, a_norm=a_norm,
-                       ep_proximity=prox, basis=_DenseStates(phis))
-
-
-def _normalized(values, raw):
-    """Biorthogonal phi of unit eigenvectors, with a_norm and ep_proximity.
-
-    The normalization of :func:`biorthogonal_spectrum`, shared by the
-    secular route's on-request ``vectors``. ``raw`` is consumed: it is
-    normalized in place, after a copy of only the degenerate clusters'
-    columns that the bilinear Gram-Schmidt reads.
-    """
+    """SpectralSet of sorted eigenvalues, normalizing ``raw`` in place."""
     scale = float(np.abs(values).max())
     bilinear = np.einsum("ij,ij->j", raw, raw)
     # hypot rounds like the scalar abs(complex); see _closest_pair.
@@ -676,7 +662,9 @@ def _normalized(values, raw):
     a_norm[defective] = math.inf
     # C order, so every product over it rounds as over a column stack of
     # the states' phi.
-    return np.ascontiguousarray(phis), a_norm, prox
+    return SpectralSet(energy=float(energy), values=values, a_norm=a_norm,
+                       ep_proximity=prox,
+                       basis=_DenseStates(np.ascontiguousarray(phis)))
 
 
 def _dense_overlaps(phi, other):
@@ -726,6 +714,9 @@ class _SecularStates:
     dark state is a real unit vector of the rotated basis, with contact
     amplitudes ``w_dark``, at ``dark_pos``; ``rotations`` holds, per
     cluster size, the clusters' level indices, rotations and dark members.
+    A root nearer a pole p_j than the rounding of z keeps the check's
+    1 / (z_i - p_j) apart: j is ``near[i]`` (else -1), the value
+    ``near_r[i]``, and its ``gamma`` is inf.
 
     State i is phi_i = y_i / s_i, s_i = sqrt(y_i^T y_i) (``scale``), except
     inside a run of exactly degenerate bright roots: there, as on the
@@ -764,6 +755,8 @@ class _SecularStates:
     y_norm: np.ndarray
     beta: np.ndarray
     gamma: np.ndarray
+    near: np.ndarray
+    near_r: np.ndarray
     w_dark: np.ndarray
     bright_pos: np.ndarray
     dark_pos: np.ndarray
@@ -821,13 +814,17 @@ class _SecularStates:
 
     @cached_property
     def vectors(self):
-        phis = _normalized(self.values, _site_columns(self))[0]
-        phis.flags.writeable = False
+        phis = _site_columns(self)
+        for run, t in self.runs:
+            phis[:, self.bright_pos[run]] = phis[:, self.bright_pos[run]] @ t
+        _canonical_sign(phis).flags.writeable = False
         return phis
 
     def rows(self, i):
         """y_i of the bright roots ``i``, one row each, over the poles."""
         y = 1.0 / np.subtract.outer(self.z[i], self.p)
+        row = np.flatnonzero(self.near[i] >= 0)
+        y[row, self.near[i][row]] = self.near_r[i][row]
         y *= self.x[i] @ self.w.T
         return y
 
@@ -948,12 +945,13 @@ class _SecularStates:
 
 
 def _site_columns(states):
-    """The secular states as unit columns on the sites, an N x N matrix.
+    """The secular states y_i / s_i on the sites, an N x N matrix.
 
-    First the coefficients in the cluster-rotated eigenbasis of H_B, one
-    column per state in sorted position; a dark state's is a unit vector.
-    Each size's clusters then rotate back in one stacked product, and one
-    real matrix product with U maps the columns to the sites.
+    Its degenerate runs are not yet orthogonalized. First the coefficients
+    in the cluster-rotated eigenbasis of H_B, one column per state in
+    sorted position; a dark state's is a unit vector. Each size's clusters
+    then rotate back in one stacked product, and one real matrix product
+    with U maps the columns to the sites.
     """
     n = len(states.values)
     phi = np.zeros((n, n), dtype=complex)
@@ -961,7 +959,7 @@ def _site_columns(states):
     for i in range(0, len(states.z), _BLOCK):
         blk = slice(i, i + _BLOCK)
         phi[np.ix_(states.bright, states.bright_pos[blk])] = (
-            states.rows(blk).T / states.y_norm[blk])
+            states.rows(blk).T / states.scale[blk])
     # Chunks of about 2 * _BLOCK rows keep the gathered rows small beside
     # phi.
     for c, vt, _ in states.rotations:

@@ -540,11 +540,11 @@ def run_trapping_study(config: RunConfig) -> StudyResult:
     The spectra stream through the matching of :func:`track_sweep` and
     only their widths and track ids are kept, so memory does not grow with
     the coupling grid. The sign step of :func:`track_sweep`, which changes
-    only vectors, is not taken. On the secular route the matching reads the
-    closed-form overlaps of :meth:`~opencavity.spectrum.SpectralSet.overlaps`
-    and no phi is formed; below ``SECULAR_MIN_N`` sites ``zgeev`` forms one
-    phi per coupling, and none outlives its coupling. A real (dark) state's
-    width is written as +0.0.
+    only vectors, is not taken. The matching reads the closed-form overlaps
+    of :meth:`~opencavity.spectrum.SpectralSet.overlaps` and forms no phi;
+    a coupling whose secular check fails falls back to ``zgeev``, whose phi
+    does not outlive its coupling. A real (dark) state's width is written
+    as +0.0.
     """
     alphas = config.alpha_grid.values()
     energies = config.e_grid.values()

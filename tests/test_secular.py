@@ -1,17 +1,17 @@
 """Secular-equation eigenpairs of H_eff against LAPACK zgeev.
 
 The route ``_secular_eigenvalues`` either returns all N eigenvalues (with
-``vectors``, all N eigenpairs) or None; these tests call it directly, below
-the size at which ``heff_eigenvalues`` and ``heff_spectrum`` select it, and
-compare with ``zgeev`` of the assembled matrix root for root and state for
-state. Its root finder, the Aberth kernel ``_aberth``, is also tested on
-its own, on polynomials with known roots.
+``vectors``, all N eigenpairs) or None; these tests call it directly, also
+below the size from which ``heff_eigenvalues`` selects it, and compare
+with ``zgeev`` of the assembled matrix root for root and state for state.
+Its root finder, the Aberth kernel ``_aberth``, is also tested on its own,
+on polynomials with known roots.
 """
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from opencavity import (
@@ -37,6 +37,7 @@ from opencavity.spectrum import (
     _biorthogonal_set,
     _degenerate_runs,
     _secular_eigenvalues,
+    _SecularStates,
     _site_columns,
 )
 from opencavity.sweeps import (
@@ -48,7 +49,7 @@ from opencavity.sweeps import (
     run_crossover_study,
 )
 
-from conftest import energies, open_cavities
+from conftest import connected_part, energies, open_cavities
 
 
 def root_distance(z, ref):
@@ -60,7 +61,10 @@ def root_distance(z, ref):
 def secular_pairs(model, energy):
     """The secular route's sorted roots and unit eigenvectors on the sites."""
     found = _secular_eigenvalues(model, energy, vectors=True)
-    return None if found is None else (found[0], _site_columns(found[1]))
+    if found is None:
+        return None
+    phi = _site_columns(found[1])
+    return found[0], phi / np.linalg.norm(phi, axis=0)
 
 
 def assert_eigenpairs(h, pairs):
@@ -172,13 +176,100 @@ def test_eigenpairs_match_zgeev_on_random_cavities():
     assert sum(accepted) >= 0.75 * len(accepted)
 
 
+@st.composite
+def symmetric_lattices(draw):
+    """A full rectangle, or a square with the square's symmetry, 4-79 sites.
+
+    The symmetric masks remove whole orbits of the square's eight
+    symmetries, so H_B keeps degenerate levels. Two leads on drawn sites,
+    both open.
+    """
+    if draw(st.booleans()):
+        nx = draw(st.integers(1, 9))
+        ny = draw(st.integers(-(-4 // nx), 79 // nx))
+        bits = [[True] * ny for _ in range(nx)]
+    else:
+        nx = ny = draw(st.integers(3, 9))
+        bits = [[True] * ny for _ in range(nx)]
+        for a, b in draw(st.lists(st.tuples(st.integers(0, nx - 1),
+                                            st.integers(0, nx - 1)),
+                                  max_size=4)):
+            for i, j in ((a, b), (b, a)):
+                for ix, iy in ((i, j), (nx - 1 - i, j), (i, nx - 1 - j),
+                               (nx - 1 - i, nx - 1 - j)):
+                    bits[ix][iy] = False
+        assume(any(map(any, bits)))
+    mask, sites = connected_part(bits, nx, ny)
+    assume(mask == bits and 4 <= len(sites) <= 79)
+    couplings = st.floats(0.05, 2.0)
+    leads = tuple(LeadSpec(sites[draw(st.integers(0, len(sites) - 1))],
+                           draw(couplings)) for _ in range(2))
+    return CavityModel(LatticeSpec(nx, ny, mask=mask), leads,
+                       draw(st.floats(0.05, 4.0)))
+
+
+def real_basis_r_min(h):
+    """Smallest r of zgeev's states with a real basis for every real span.
+
+    States whose eigenvalues lie within 1e-12 of each other (relative)
+    and whose span is real get r = 1, the value of every state of a real
+    orthonormal basis; the span is real when [Re V, Im V] of their vectors
+    V has rank m, its singular value m + 1 at rounding. Returns r_min and
+    its tolerance: 1e-12, or eps ||H|| over the smallest gap between two
+    eigenvalues that are not tied, the rounding of a state that close to
+    another. r_min is None when some tied states' span is not real.
+    """
+    ref = biorthogonal_spectrum(h, 0.0)
+    z, r = ref.values, ref.rigidity_r.copy()
+    scale = max(1.0, np.abs(z).max())
+    d = np.abs(np.subtract.outer(z, z))
+    tied = d <= 1e-12 * scale
+    for members in {tuple(np.flatnonzero(row)) for row in tied}:
+        if len(members) > 1:
+            v = ref.vectors[:, members]
+            s = np.linalg.svd(np.hstack([v.real, v.imag]), compute_uv=False)
+            if s[len(members)] > 1e-8 * s[0]:
+                return None, None
+            r[list(members)] = 1.0
+    gap = d[~tied].min(initial=np.inf)
+    return r.min(), max(1e-12, np.finfo(float).eps * scale / gap)
+
+
+def test_minimum_rigidity_is_that_of_a_real_basis():
+    # Below SECULAR_MIN_N too, heff_spectrum gives the dark members of a
+    # degenerate level as real states with r = 1, where zgeev's complex
+    # basis of the same level reads r down to 0.08 on the 6 x 6 lattice.
+    seen, complex_basis = [], []
+
+    @settings(derandomize=True, deadline=None, max_examples=200,
+              database=None)
+    @given(model=symmetric_lattices(), e=energies)
+    def check(model, e):
+        h = assemble_heff(model, e)
+        want, tol = real_basis_r_min(h)
+        assume(want is not None)
+        sp = heff_spectrum(model, e)
+        seen.append(isinstance(sp.basis, _SecularStates))
+        complex_basis.append(abs(biorthogonal_spectrum(h, e).rigidity_r.min()
+                                 - want) > tol)
+        assert abs(sp.rigidity_r.min() - want) <= tol
+
+    check()
+    assert len(seen) >= 150
+    # No draw falls back to zgeev.
+    assert all(seen)
+    # The draws must hold levels where zgeev's basis misreads r_min: 48 of
+    # the 200 do.
+    assert sum(complex_basis) >= 30
+
+
 # Where the benchmark's ep-2x2 search converges: the three-site L of a 2 x 2
 # square, leads on (0, 0) and (1, 0), alpha = 1, E = 0.
 EP_2X2 = (1.7538270359705528, 1.2553525663825442)
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e-9, 1e-7])
-def test_exceptional_point_falls_back_to_zgeev(monkeypatch, offset):
+def test_exceptional_point_falls_back_to_zgeev(offset):
     w_l, w_r = (w * (1.0 + offset) for w in EP_2X2)
     model = CavityModel(LatticeSpec(2, 2, mask=[[1, 0], [1, 1]]),
                         (LeadSpec((0, 0), w_l), LeadSpec((1, 0), w_r)), 1.0)
@@ -186,22 +277,46 @@ def test_exceptional_point_falls_back_to_zgeev(monkeypatch, offset):
     # The pair separates like the square root of the offset.
     assert spectrum._closest_pair(np.linalg.eigvals(h))[1] < 1e-2
     assert _secular_eigenvalues(model, 0.0, vectors=True) is None
-    monkeypatch.setattr(spectrum, "SECULAR_MIN_N", 1)
     assert_same_set(heff_spectrum(model, 0.0), biorthogonal_spectrum(h, 0.0))
 
 
-def test_weakly_coupled_level_is_not_taken_for_dark():
-    # A disordered chain with both leads on its first site. One level keeps
-    # contact weight 8.8e-9: its shift w^2 sigma is below the rounding of
-    # its pole, so the eigenvalues deflate it, but its closed-cavity vector
-    # leaves a residual w sigma far above the backward-error bound.
+def weak_chain():
+    """A disordered chain with both leads on its first site.
+
+    One level keeps contact weight 8.8e-9 at E = -1.2: its shift w^2 sigma
+    is below the rounding of its pole, but its first-order residual
+    |w| |sigma| is far above the backward-error bound.
+    """
     onsite = 3.0 * np.random.default_rng(3).uniform(-1.0, 1.0, (20, 1))
-    model = CavityModel(LatticeSpec(20, 1, onsite=onsite.tolist()),
-                        (LeadSpec((0, 0), 1.0), LeadSpec((0, 0), 1.0)), 1.0)
-    z = _secular_eigenvalues(model, -1.2)
-    h = assemble_heff(model, -1.2)
-    assert root_distance(z, np.linalg.eigvals(h)) <= 1e-10 * np.linalg.norm(h, 2)
-    assert _secular_eigenvalues(model, -1.2, vectors=True) is None
+    return CavityModel(LatticeSpec(20, 1, onsite=onsite.tolist()),
+                       (LeadSpec((0, 0), 1.0), LeadSpec((0, 0), 1.0)), 1.0)
+
+
+def test_weakly_coupled_level_is_not_taken_for_dark():
+    # Deflated, the level's closed-cavity vector would leave a residual
+    # w sigma of 8.8e-9; kept bright, its root sits within the rounding of
+    # the pole, and its offset from the pole comes from the secular
+    # equation.
+    model = weak_chain()
+    e_k, u = model.closed_modes
+    w = u[list(model.contact_indices)].T
+    sigma = model.self_energy_weights(-1.2)
+    scale = np.abs(e_k).max() + np.abs(sigma).sum()
+    k = np.abs(w[:, 0]).argmin()
+    assert w[k] ** 2 @ np.abs(sigma) <= np.finfo(float).eps * scale
+    assert np.abs(w[k]) @ np.abs(sigma) > 1e-12 * scale
+    z = assert_matches_zgeev(model, -1.2)
+    states = _secular_eigenvalues(model, -1.2, vectors=True)[1]
+    lost = np.flatnonzero(states.near >= 0)
+    assert len(lost) == 1
+    assert states.bright[states.near[lost]] == k
+    assert np.abs(z - e_k[k]).min() < 1e-15
+    # Its pairs are summed over the poles, and agree with the dense phi.
+    sps = [heff_spectrum(model.with_alpha(a), -1.2) for a in (0.9, 1.0)]
+    npt.assert_allclose(sps[0].overlaps(sps[1]),
+                        spectrum._dense_overlaps(sps[0].vectors,
+                                                 sps[1].vectors),
+                        rtol=0, atol=1e-12)
 
 
 def test_dark_cluster_gets_real_rigid_states(monkeypatch):
@@ -438,40 +553,44 @@ def irregular_cavity():
     return mask.tolist(), ((0, 8), (13, 3))
 
 
-def test_size_selects_the_route(monkeypatch):
+def test_one_spectrum_route_at_every_size(monkeypatch):
     small = square(6, ((0, 0), (5, 5)), 0.8)
     assert small.dimension < spectrum.SECULAR_MIN_N
-    npt.assert_array_equal(heff_eigenvalues(small, 0.2),
-                           np.linalg.eigvals(assemble_heff(small, 0.2)))
-    assert_same_set(heff_spectrum(small, 0.2),
-                    biorthogonal_spectrum(assemble_heff(small, 0.2), 0.2))
-
+    h = assemble_heff(small, 0.2)
+    ref_values = np.linalg.eigvals(h)
+    ref_set = biorthogonal_spectrum(h, 0.2)
     mask, (c_l, c_r) = irregular_cavity()
     large = CavityModel(LatticeSpec(14, 13, mask=mask),
                         (LeadSpec(c_l, 1.0), LeadSpec(c_r, 1.0)), 0.8)
     assert large.dimension >= spectrum.SECULAR_MIN_N
     reference = np.linalg.eigvals(assemble_heff(large, 0.2))
-    ref_set = biorthogonal_spectrum(assemble_heff(large, 0.2), 0.2)
 
     def refuse(*args):
         raise AssertionError("the secular route assembles no H_eff")
 
+    # heff_spectrum takes the secular route below SECULAR_MIN_N sites, and
+    # on the chain whose level has a shift below the rounding of its pole
+    # but a first-order residual above the backward-error bound.
     monkeypatch.setattr(spectrum, "assemble_heff", refuse)
-    z = heff_eigenvalues(large, 0.2)
-    assert root_distance(z, reference) <= 1e-12 * np.abs(reference).max()
-    got = heff_spectrum(large, 0.2)
+    got = heff_spectrum(small, 0.2)
+    assert isinstance(got.basis, _SecularStates)
     npt.assert_allclose(got.values, ref_set.values, rtol=0, atol=1e-12)
     single = single_states(ref_set.values)
-    npt.assert_allclose(np.array([s.a_norm for s in got.states])[single],
-                        np.array([s.a_norm for s in ref_set.states])[single],
+    npt.assert_allclose(got.a_norm[single], ref_set.a_norm[single],
                         rtol=1e-10)
+    assert isinstance(heff_spectrum(weak_chain(), -1.2).basis, _SecularStates)
+    # heff_eigenvalues takes it from SECULAR_MIN_N sites up only.
+    z = heff_eigenvalues(large, 0.2)
+    assert root_distance(z, reference) <= 1e-12 * np.abs(reference).max()
+    monkeypatch.undo()
+    monkeypatch.setattr(spectrum, "_secular_eigenvalues", refuse)
+    npt.assert_array_equal(heff_eigenvalues(small, 0.2), ref_values)
 
     # A failed check falls back to zgeev, bit for bit.
-    monkeypatch.undo()
     monkeypatch.setattr(spectrum, "_secular_eigenvalues",
                         lambda *args, **kwargs: None)
     npt.assert_array_equal(heff_eigenvalues(large, 0.2), reference)
-    assert_same_set(heff_spectrum(large, 0.2), ref_set)
+    assert_same_set(heff_spectrum(small, 0.2), ref_set)
 
 
 def test_crossover_matches_eigvals_reference(monkeypatch):

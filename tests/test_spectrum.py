@@ -28,7 +28,6 @@ from opencavity import (
 )
 from opencavity.linalg import eig_general
 from opencavity.spectrum import (
-    SECULAR_MIN_N,
     _DenseStates,
     _ambiguous_matches,
     _closest_pair,
@@ -195,7 +194,6 @@ class TestBiorthogonalSpectrum:
             (LeadSpec((0, 2), 1.0), LeadSpec((8, 5), 1.0)),
             0.9,
         )
-        assert m.dimension >= SECULAR_MIN_N
         assert _secular_eigenvalues(m, 0.3, vectors=True) is not None
         assert_record(heff_spectrum(m, 0.3))
 

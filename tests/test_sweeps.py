@@ -548,7 +548,6 @@ class TestStudyRunners:
         }
         config = parse_doc(doc)
         model = config.build_model()
-        assert model.dimension >= spectrum.SECULAR_MIN_N
         run_study(config)
         assert built == []
         # The patch is live: asking for the states builds them.
@@ -582,13 +581,13 @@ def spectrum_doc(model, points):
 
 
 # The full 15 x 15 lattice, whose symmetry gives degenerate clusters and
-# near-tied matches; it takes the secular route.
+# near-tied matches.
 LATTICE_15 = {
     "nx": 15, "ny": 15, "alpha": 0.9,
     "leads": [{"contact": [0, 3], "coupling_w": 1.0},
               {"contact": [14, 9], "coupling_w": 1.0}],
 }
-# The 44-site notched cavity, below SECULAR_MIN_N: the zgeev route.
+# The 44-site notched cavity, with neither.
 NOTCH = {
     "nx": 10, "ny": 5, "alpha": 0.9, "mask": [list(r) for r in NOTCH_MASK],
     "leads": [{"contact": [0, 2], "coupling_w": 1.0},
@@ -599,21 +598,20 @@ NOTCH = {
 class TestStreamedTracking:
     """The spectrum study tracks through the stream behind track_sweep."""
 
-    @pytest.mark.parametrize("model, secular", [(LATTICE_15, True),
-                                                (NOTCH, False)],
+    @pytest.mark.parametrize("model, symmetric", [(LATTICE_15, True),
+                                                  (NOTCH, False)],
                              ids=["lattice-15x15", "notch-10x5"])
-    def test_rows_equal_track_sweep(self, model, secular):
+    def test_rows_equal_track_sweep(self, model, symmetric):
         config = parse_doc(spectrum_doc(model, 6))
         base = config.build_model()
         alphas, e = config.alpha_grid.values(), config.e_grid.center
-        assert (base.dimension >= spectrum.SECULAR_MIN_N) == secular
         tracked = spectrum.track_sweep(base.with_alpha, alphas, e)
-        if secular:
-            assert all(
-                spectrum._secular_eigenvalues(base.with_alpha(a), e,
-                                              vectors=True) is not None
-                for a in alphas
-            )
+        assert all(
+            spectrum._secular_eigenvalues(base.with_alpha(a), e,
+                                          vectors=True) is not None
+            for a in alphas
+        )
+        if symmetric:
             # The data must hold what makes tracking hard.
             assert any(len(spectrum._degenerate_runs(sp.values, 1.0)[0])
                        for sp in tracked)
