@@ -60,16 +60,13 @@ from .rigidity import (
 )
 from .scattering import (
     ScatteringSolution,
-    TwoLevelProfile,
     coefficients_c,
     contact_green,
     s_matrix,
     solve_scattering,
     transmission_direct,
     transmission_spectral,
-    two_level_profile,
     wigner_delay,
-    width_vs_coupling,
 )
 from .sweeps import (
     STUDIES,

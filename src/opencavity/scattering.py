@@ -47,7 +47,6 @@ from .spectrum import (
 )
 
 __all__ = [
-    "TwoLevelProfile",
     "ScatteringSolution",
     "coefficients_c",
     "solve_scattering",
@@ -56,8 +55,6 @@ __all__ = [
     "transmission_direct",
     "s_matrix",
     "wigner_delay",
-    "width_vs_coupling",
-    "two_level_profile",
 ]
 
 # Relative distance to a closed-cavity eigenvalue, in units of
@@ -65,23 +62,6 @@ __all__ = [
 # summing it: the sums' rounding grows like eps / |E - e_k|, to at most
 # 2.4e-11 relative to LU at this distance on the tests' reference models.
 RESOLVENT_GAP = 1e-6
-
-
-@dataclass(frozen=True)
-class TwoLevelProfile:
-    """Closed-form transmission of two interfering resonances.
-
-    The profile t(E) = -2i Gamma / D - (Gamma / D)^2 with
-    D = E - e0 + i Gamma / 2 describes a pair of modes that share one decay
-    channel pattern: a degenerate complex pole of second order. |t| vanishes
-    exactly at E = e0 and peaks symmetrically at E = e0 +- Gamma / 2 with
-    height 2.
-    """
-
-    e0: float
-    gamma: float
-    grid: np.ndarray
-    t_values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -403,43 +383,3 @@ def solve_scattering(model, energy, incoming=0):
         spectral=spectral,
     )
 
-
-def width_vs_coupling(spectral, model):
-    """Per-state width against its channel-coupling bound, at the spectrum's E.
-
-    For each state the pair (gamma, product) holds the width
-    gamma = -2 Im z and the right-hand side of the width sum rule,
-    product = 2 pi sum_C a_C(E)^2 |phi[c_C]|^2 = gamma * A. The two agree
-    in the isolated regime (A -> 1) and separate in the overlapping regime,
-    where gamma stays strictly below the product.
-
-    Returns
-    -------
-    tuple of (float, float)
-        One pair per state, spectrum order. The product is nan for a
-        defective state, whose biorthogonal norm does not exist.
-    """
-    a = model.channel_amplitudes(spectral.energy)
-    contact = spectral.vectors[model.contact_indices]
-    product = 2.0 * math.pi * (a**2 @ np.abs(contact) ** 2)
-    product[~np.isfinite(spectral.a_norm)] = math.nan
-    return tuple(zip((-2.0 * spectral.values.imag).tolist(), product.tolist()))
-
-
-def two_level_profile(e0, gamma, energies):
-    """Closed-form transmission of two modes sharing one decay channel.
-
-    t(E) = -2i Gamma / D - (Gamma / D)^2 with D = E - e0 + i Gamma / 2.
-    |t| vanishes exactly at E = e0 (perfect antiresonance) and reaches 2 at
-    E = e0 +- Gamma / 2.
-
-    Returns
-    -------
-    TwoLevelProfile
-    """
-    e0 = float(e0)
-    gamma = float(gamma)
-    grid = np.asarray(energies, dtype=float)
-    d = grid - e0 + 0.5j * gamma
-    t = -2j * gamma / d - (gamma / d) ** 2
-    return TwoLevelProfile(e0=e0, gamma=gamma, grid=grid, t_values=t)

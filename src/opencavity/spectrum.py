@@ -27,10 +27,9 @@ H_eff(E) is H_B plus a rank-2 term, so the biorthogonal set
 (:func:`heff_spectrum`, the spectrum and rigidity studies) comes from the
 secular equation of H_B plus the rank-2 self-energy, after one ``eigh`` of
 H_B per geometry, in O(N^2) per energy; so do the eigenvalues alone
-(:func:`heff_eigenvalues`, the crossover study's widths) from
-``SECULAR_MIN_N`` sites up. Every root and every eigenvector passes a
-backward-error check, and the route falls back to ``zgeev`` of the
-assembled matrix when a check fails.
+(:func:`heff_eigenvalues`, the crossover study's widths). Every root and
+every eigenvector passes a backward-error check, and the route falls back
+to ``zgeev`` of the assembled matrix when a check fails.
 
 The secular route keeps each state as the 2-vector x of its root in the
 eigenbasis of H_B, and the per-state norms, the overlaps of two spectra and
@@ -79,11 +78,6 @@ __all__ = [
 # Bilinear norms below this are treated as exactly defective.
 DEFECTIVE_TOL = 1e-12
 
-# Sites from which heff_eigenvalues takes the secular route. Measured with
-# BLAS at 1 thread over 10 couplings in 0.1..4: the secular route took
-# 2.3 ms against eigvals' 1.9 ms at N = 53, 3.5 against 5.4 ms at N = 80,
-# and 16 against 66 ms at N = 230.
-SECULAR_MIN_N = 80
 # Roots per block of the Aberth iteration; the block's temporaries are
 # block x N, never N x N.
 _BLOCK = 32
@@ -307,15 +301,14 @@ def assemble_heff(model: CavityModel, energy) -> np.ndarray:
 def heff_eigenvalues(model: CavityModel, energy) -> np.ndarray:
     """Eigenvalues of H_eff(E) at a real energy, in no particular order.
 
-    From ``SECULAR_MIN_N`` sites up they are the roots of the secular
-    equation of H_B plus the rank-2 self-energy, at O(N^2) cost; below it,
-    or when that route's checks fail, they come from ``np.linalg.eigvals``
-    of the assembled matrix.
+    They are the roots of the secular equation of H_B plus the rank-2
+    self-energy, at O(N^2) cost, the values :func:`heff_spectrum` gives;
+    when that route's checks fail, they come from ``np.linalg.eigvals`` of
+    the assembled matrix.
     """
-    if model.dimension >= SECULAR_MIN_N:
-        z = _secular_eigenvalues(model, energy)
-        if z is not None:
-            return z
+    z = _secular_eigenvalues(model, energy)
+    if z is not None:
+        return z
     return np.linalg.eigvals(assemble_heff(model, energy))
 
 
@@ -582,6 +575,31 @@ def _degenerate_runs(values, scale):
     return edges[::2], edges[1::2] - edges[::2] + 1
 
 
+def _degenerate_sets(values, scale):
+    """Members, ascending, of every exactly degenerate set of sorted values.
+
+    Values sort by real part, so a degenerate set lies inside one run of
+    real parts (:func:`_degenerate_runs`), though other values of the run
+    may sort between its members. Two values within 1e-12 * max(scale, 1)
+    of each other are tied, ties chain, and a value tied to none forms no
+    set.
+    """
+    tol = 1e-12 * max(scale, 1.0)
+    sets = []
+    for first, size in zip(*_degenerate_runs(values.real, scale)):
+        run = values[first:first + size]
+        d = np.subtract.outer(run, run)
+        # Each member is labelled by the first member of its set.
+        label = np.arange(size)
+        for i, j in zip(*np.nonzero(np.triu(np.hypot(d.real, d.imag) <= tol,
+                                            1))):
+            lo, hi = sorted((label[i], label[j]))
+            label[label == hi] = lo
+        sets += [first + np.flatnonzero(label == k)
+                 for k in np.flatnonzero(np.bincount(label) > 1)]
+    return sets
+
+
 def biorthogonal_spectrum(heff, energy) -> SpectralSet:
     """Diagonalize a complex symmetric H_eff and normalize biorthogonally.
 
@@ -633,10 +651,9 @@ def _biorthogonal_set(values, raw, energy):
     prox = np.hypot(bilinear.real, bilinear.imag)
     defective = prox < DEFECTIVE_TOL
     clusters = []
-    for first, size in zip(*_degenerate_runs(values, scale)):
-        members = slice(first, first + size)
+    for members in _degenerate_sets(values, scale):
         if (prox[members] > _GRAM_SCHMIDT_PROX).all():
-            # A copy, never a view: raw is normalized in place below.
+            # A copy, read before raw is normalized in place below.
             clusters.append((members, raw[:, members].T.copy()))
     # Defective states keep their unit Hermitian norm.
     phis = np.divide(raw, np.sqrt(np.where(defective, 1.0, bilinear)),
@@ -721,7 +738,8 @@ class _SecularStates:
     State i is phi_i = y_i / s_i, s_i = sqrt(y_i^T y_i) (``scale``), except
     inside a run of exactly degenerate bright roots: there, as on the
     ``zgeev`` route, the states are bilinearly Gram-Schmidt-orthogonalized
-    combinations, and ``runs`` holds each run's members and coefficients.
+    combinations, and ``runs`` holds each run's members (ascending bright
+    indices, which other roots may sort between) and coefficients.
 
     The basis is real orthogonal, so every product of two states is that
     of their coefficient vectors, and partial fractions reduce the
@@ -774,16 +792,17 @@ class _SecularStates:
         # phi_i^dag phi_i of the bright states.
         self.herm = (self.y_norm / np.abs(self.scale)) ** 2
         self.runs = []
-        first, size = _degenerate_runs(self.values,
-                                       float(np.abs(self.values).max()))
-        for lo, hi, f, m in zip(np.searchsorted(self.bright_pos, first),
-                                np.searchsorted(self.bright_pos, first + size),
-                                first, size):
-            if hi - lo > 1 and (prox[f:f + m] > _GRAM_SCHMIDT_PROX).all():
-                self._orthogonalize(slice(lo, hi))
+        row = np.full(len(self.values), -1)
+        row[self.bright_pos] = np.arange(len(self.z))
+        for members in _degenerate_sets(self.values,
+                                        float(np.abs(self.values).max())):
+            run = row[members]
+            run = run[run >= 0]
+            if len(run) > 1 and (prox[members] > _GRAM_SCHMIDT_PROX).all():
+                self._orthogonalize(run)
         edges = set(range(0, len(self.z), _BLOCK)) | {len(self.z)}
         for run, _ in self.runs:
-            edges -= set(range(run.start + 1, run.stop))
+            edges -= set(range(run[0] + 1, run[-1] + 1))
         edges = sorted(edges)
         # Blocks of bright roots that keep every run whole.
         self.blocks = [slice(a, b) for a, b in zip(edges, edges[1:])]
@@ -865,9 +884,8 @@ class _SecularStates:
             for run, t in other.runs:
                 prod[:, run] = prod[:, run] @ t
             for run, t in self.runs:
-                if blk.start <= run.start < blk.stop:
-                    rows = slice(run.start - i, run.stop - i)
-                    prod[rows] = t.conj().T @ prod[rows]
+                if blk.start <= run[0] < blk.stop:
+                    prod[run - i] = t.conj().T @ prod[run - i]
             yield blk, prod
 
     def overlaps(self, other):

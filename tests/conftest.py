@@ -26,6 +26,17 @@ def square4():
     )
 
 
+def two_level_t(e0, gamma, energies):
+    """Closed-form transmission of two modes sharing one decay channel.
+
+    t(E) = -2i Gamma / D - (Gamma / D)^2 with D = E - e0 + i Gamma / 2: a
+    second-order pole that vanishes at E = e0 and peaks at 2 at
+    E = e0 +- Gamma / 2.
+    """
+    d = np.asarray(energies, dtype=float) - e0 + 0.5j * gamma
+    return -2j * gamma / d - (gamma / d) ** 2
+
+
 def fano_family():
     """Three-site L-shaped chain whose lead couplings reach a true EP."""
     lat = LatticeSpec(2, 2, mask=((1, 0), (1, 1)))

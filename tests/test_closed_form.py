@@ -200,7 +200,7 @@ def test_closed_forms_follow_the_gram_schmidt_of_a_degenerate_run(
                         (LeadSpec((0, 6), 1.0), LeadSpec((14, 9), 1.0)), 4.0)
     assert check_against_dense(model, (1.9, 4.0), 0.3, DirectPairs(monkeypatch))
     sps = [heff_spectrum(model.with_alpha(a), 0.3) for a in (1.9, 4.0)]
-    assert [run.stop - run.start for run, _ in sps[1].basis.runs] == [2]
+    assert [len(run) for run, _ in sps[1].basis.runs] == [2]
     # Followed, the run agrees far inside the eps / gap bound.
     npt.assert_allclose(sps[0].overlaps(sps[1]),
                         _dense_overlaps(sps[0].vectors, sps[1].vectors),

@@ -19,14 +19,12 @@ from opencavity import (
     solve_scattering,
     transmission_direct,
     transmission_spectral,
-    two_level_profile,
-    width_vs_coupling,
     wigner_delay,
 )
 
 from opencavity.scattering import RESOLVENT_GAP
 
-from conftest import single_site_model, square4
+from conftest import single_site_model, square4, two_level_t
 
 
 def single_site_t_exact(e, w2=0.25):
@@ -275,17 +273,25 @@ class TestWignerDelay:
         assert abs(total - levels) <= 2e-3
 
 
+def width_products(spectral, model):
+    """2 pi sum_C a_C^2 |phi[c_C]|^2 per state, at the spectrum's energy."""
+    a = model.channel_amplitudes(spectral.energy)
+    contact = spectral.vectors[model.contact_indices]
+    return 2.0 * math.pi * (a**2 @ np.abs(contact) ** 2)
+
+
 class TestWidthVsCoupling:
+    # The width sum rule: gamma A = 2 pi sum_C a_C^2 |phi[c_C]|^2, so
+    # gamma = -2 Im z stays below the product, with equality at A = 1.
     def test_identity_exact(self):
         from conftest import reference_models
 
         for label, model, grid in reference_models():
             e = float(grid[11])
             sp = biorthogonal_spectrum(assemble_heff(model, e), e)
-            pairs = width_vs_coupling(sp, model)
-            for (gamma, product), s in zip(pairs, sp.states):
+            for s, product in zip(sp.states, width_products(sp, model)):
                 npt.assert_allclose(
-                    gamma * s.a_norm, product, rtol=1e-12, atol=1e-13,
+                    s.width * s.a_norm, product, rtol=1e-12, atol=1e-13,
                     err_msg=label,
                 )
 
@@ -296,53 +302,35 @@ class TestWidthVsCoupling:
             1.0,
         )
         sp = biorthogonal_spectrum(assemble_heff(m, 0.37), 0.37)
-        for gamma, product in width_vs_coupling(sp, m):
-            assert gamma <= product + 1e-12
+        gamma = -2.0 * sp.values.imag
+        assert (gamma <= width_products(sp, m) + 1e-12).all()
 
     def test_isolated_regime_equality(self):
         m = single_site_model(alpha=0.01)
         sp = biorthogonal_spectrum(assemble_heff(m, 0.0), 0.0)
-        ((gamma, product),) = width_vs_coupling(sp, m)
-        npt.assert_allclose(gamma, product, rtol=1e-3, atol=0)
-
-    def test_defective_state_nan(self):
-        m = defective_model()
-        sp = biorthogonal_spectrum(assemble_heff(m, 0.0), 0.0)
-        for gamma, product in width_vs_coupling(sp, m):
-            assert math.isnan(product)
-            assert gamma > 0.0
+        (product,) = width_products(sp, m)
+        npt.assert_allclose(-2.0 * sp.values[0].imag, product, rtol=1e-3,
+                            atol=0)
 
 
 class TestTwoLevelProfile:
     def test_exact_zero_at_center(self):
-        prof = two_level_profile(0.3, 0.8, np.array([0.3]))
-        assert prof.t_values[0] == 0.0
+        assert two_level_t(0.3, 0.8, np.array([0.3]))[0] == 0.0
 
     def test_value_at_half_width(self):
-        prof = two_level_profile(0.0, 1.0, np.array([0.5]))
-        npt.assert_allclose(prof.t_values[0], -2.0 + 0.0j, rtol=0, atol=1e-15)
+        npt.assert_allclose(two_level_t(0.0, 1.0, np.array([0.5]))[0],
+                            -2.0 + 0.0j, rtol=0, atol=1e-15)
 
     def test_peak_height_two(self):
         gamma = 0.6
         e0 = -0.2
         grid = np.array([e0 - gamma / 2.0, e0 + gamma / 2.0])
-        prof = two_level_profile(e0, gamma, grid)
-        npt.assert_allclose(np.abs(prof.t_values), [2.0, 2.0], rtol=0,
-                            atol=1e-15)
+        npt.assert_allclose(np.abs(two_level_t(e0, gamma, grid)), [2.0, 2.0],
+                            rtol=0, atol=1e-15)
 
     def test_modulus_symmetric_about_center(self):
-        prof = two_level_profile(0.1, 0.7, 0.1 + np.linspace(-2, 2, 81))
-        npt.assert_allclose(
-            np.abs(prof.t_values), np.abs(prof.t_values[::-1]), rtol=0,
-            atol=1e-14,
-        )
-
-    def test_record_echoes_inputs(self):
-        grid = np.linspace(-1, 1, 11)
-        prof = two_level_profile(0.2, 0.5, grid)
-        assert prof.e0 == 0.2
-        assert prof.gamma == 0.5
-        npt.assert_array_equal(prof.grid, grid)
+        t = two_level_t(0.1, 0.7, 0.1 + np.linspace(-2, 2, 81))
+        npt.assert_allclose(np.abs(t), np.abs(t[::-1]), rtol=0, atol=1e-14)
 
 
 class TestSolveScattering:

@@ -1,9 +1,9 @@
 """Secular-equation eigenpairs of H_eff against LAPACK zgeev.
 
 The route ``_secular_eigenvalues`` either returns all N eigenvalues (with
-``vectors``, all N eigenpairs) or None; these tests call it directly, also
-below the size from which ``heff_eigenvalues`` selects it, and compare
-with ``zgeev`` of the assembled matrix root for root and state for state.
+``vectors``, all N eigenpairs) or None; these tests call it directly and
+compare with ``zgeev`` of the assembled matrix root for root and state for
+state.
 Its root finder, the Aberth kernel ``_aberth``, is also tested on its own,
 on polynomials with known roots.
 """
@@ -36,6 +36,7 @@ from opencavity import spectrum
 from opencavity.spectrum import (
     _biorthogonal_set,
     _degenerate_runs,
+    _degenerate_sets,
     _secular_eigenvalues,
     _SecularStates,
     _site_columns,
@@ -45,8 +46,10 @@ from opencavity.sweeps import (
     AlphaGrid,
     EnergyGrid,
     RunConfig,
+    _median,
     count_peaks,
     run_crossover_study,
+    run_trapping_study,
 )
 
 from conftest import connected_part, energies, open_cavities
@@ -103,9 +106,8 @@ def assert_same_set(got, want):
 def single_states(values):
     """Mask of the states outside exactly degenerate clusters."""
     single = np.ones(len(values), dtype=bool)
-    for first, size in zip(*_degenerate_runs(values,
-                                             float(np.abs(values).max()))):
-        single[first:first + size] = False
+    for members in _degenerate_sets(values, float(np.abs(values).max())):
+        single[members] = False
     return single
 
 
@@ -236,7 +238,7 @@ def real_basis_r_min(h):
 
 
 def test_minimum_rigidity_is_that_of_a_real_basis():
-    # Below SECULAR_MIN_N too, heff_spectrum gives the dark members of a
+    # On small lattices too, heff_spectrum gives the dark members of a
     # degenerate level as real states with r = 1, where zgeev's complex
     # basis of the same level reads r down to 0.08 on the 6 x 6 lattice.
     seen, complex_basis = [], []
@@ -467,6 +469,47 @@ def test_degenerate_runs_of_empty_and_single_inputs():
                    np.array([1.0 - 2.0j])):
         first, size = _degenerate_runs(values, 1.0)
         assert first.size == size.size == 0
+        assert _degenerate_sets(values, 1.0) == []
+
+
+def sets_reference(values, scale):
+    """Connected components of |z_i - z_j| <= tol, by search over all pairs."""
+    tol = 1e-12 * max(scale, 1.0)
+    left, sets = set(range(len(values))), []
+    while left:
+        found, todo = set(), [min(left)]
+        while todo:
+            i = todo.pop()
+            found.add(i)
+            todo += [j for j in left - found if abs(values[i] - values[j]) <= tol]
+            left -= found
+        if len(found) > 1:
+            sets.append(sorted(found))
+    return sets
+
+
+def test_degenerate_sets_match_pairwise_reference():
+    # Some values get a copy 0.5i off, which sorts right after them and so
+    # between two tied values.
+    interleaved = []
+
+    @settings(derandomize=True, deadline=None, max_examples=300,
+              database=None)
+    @given(tied_values(), st.data())
+    def check(case, data):
+        values, scale = case
+        copied = data.draw(st.lists(st.booleans(), min_size=len(values),
+                                    max_size=len(values)))
+        values = np.sort_complex(np.concatenate(
+            [values, values[np.array(copied, dtype=bool)] + 0.5j]))
+        got = [m.tolist() for m in _degenerate_sets(values, scale)]
+        assert got == sets_reference(values, scale)
+        interleaved.append(any(m[-1] - m[0] >= len(m) for m in got))
+
+    check()
+    # The draws must hold sets that other values sort between: 30 of the
+    # 300 do.
+    assert sum(interleaved) >= 20
 
 
 def test_grouped_deflation_covers_every_group(monkeypatch):
@@ -475,7 +518,6 @@ def test_grouped_deflation_covers_every_group(monkeypatch):
     # so the levels keep 0, 1 or 2 bright combinations, and many two-bright
     # levels shift twice by the same amount.
     model, energy = square(9, ((0, 4), (4, 0)), 1.0), 0.3
-    assert model.dimension >= spectrum.SECULAR_MIN_N
     e_k, u = model.closed_modes
     w_all = u[list(model.contact_indices)].T
     first, size = _degenerate_runs(e_k, float(np.abs(e_k).max()))
@@ -555,22 +597,21 @@ def irregular_cavity():
 
 def test_one_spectrum_route_at_every_size(monkeypatch):
     small = square(6, ((0, 0), (5, 5)), 0.8)
-    assert small.dimension < spectrum.SECULAR_MIN_N
     h = assemble_heff(small, 0.2)
     ref_values = np.linalg.eigvals(h)
     ref_set = biorthogonal_spectrum(h, 0.2)
     mask, (c_l, c_r) = irregular_cavity()
     large = CavityModel(LatticeSpec(14, 13, mask=mask),
                         (LeadSpec(c_l, 1.0), LeadSpec(c_r, 1.0)), 0.8)
-    assert large.dimension >= spectrum.SECULAR_MIN_N
     reference = np.linalg.eigvals(assemble_heff(large, 0.2))
 
     def refuse(*args):
         raise AssertionError("the secular route assembles no H_eff")
 
-    # heff_spectrum takes the secular route below SECULAR_MIN_N sites, and
-    # on the chain whose level has a shift below the rounding of its pole
-    # but a first-order residual above the backward-error bound.
+    # heff_spectrum and heff_eigenvalues take the secular route on the
+    # 36-site lattice as on the 155-site cavity, and heff_spectrum also on
+    # the chain whose level has a shift below the rounding of its pole but
+    # a first-order residual above the backward-error bound.
     monkeypatch.setattr(spectrum, "assemble_heff", refuse)
     got = heff_spectrum(small, 0.2)
     assert isinstance(got.basis, _SecularStates)
@@ -579,18 +620,48 @@ def test_one_spectrum_route_at_every_size(monkeypatch):
     npt.assert_allclose(got.a_norm[single], ref_set.a_norm[single],
                         rtol=1e-10)
     assert isinstance(heff_spectrum(weak_chain(), -1.2).basis, _SecularStates)
-    # heff_eigenvalues takes it from SECULAR_MIN_N sites up only.
-    z = heff_eigenvalues(large, 0.2)
-    assert root_distance(z, reference) <= 1e-12 * np.abs(reference).max()
+    for model, ref in ((small, ref_values), (large, reference)):
+        z = heff_eigenvalues(model, 0.2)
+        assert root_distance(z, ref) <= 1e-12 * np.abs(ref).max()
+    # The eigenvalues alone are the spectrum's, bit for bit.
+    npt.assert_array_equal(np.sort_complex(heff_eigenvalues(small, 0.2)),
+                           np.sort_complex(got.values))
     monkeypatch.undo()
-    monkeypatch.setattr(spectrum, "_secular_eigenvalues", refuse)
-    npt.assert_array_equal(heff_eigenvalues(small, 0.2), ref_values)
 
     # A failed check falls back to zgeev, bit for bit.
     monkeypatch.setattr(spectrum, "_secular_eigenvalues",
                         lambda *args, **kwargs: None)
+    npt.assert_array_equal(heff_eigenvalues(small, 0.2), ref_values)
     npt.assert_array_equal(heff_eigenvalues(large, 0.2), reference)
     assert_same_set(heff_spectrum(small, 0.2), ref_set)
+
+
+def test_crossover_widths_are_the_spectrum_study_widths(monkeypatch):
+    # On a 6 x 6 masked cavity the crossover's widths are the spectrum
+    # study's, bit for bit, at every coupling: both come from the secular
+    # route.
+    mask = np.ones((6, 6), dtype=int)
+    mask[2:4, 1:3] = 0
+    mask[0, 5] = 0
+    config = RunConfig(
+        study="crossover",
+        lattice=LatticeSpec(6, 6, mask=mask.tolist()),
+        leads=(LeadSpec((0, 1), 1.0), LeadSpec((5, 4), 0.7)),
+        alpha=0.8,
+        e_grid=EnergyGrid(-1.85, 1.87, 20),
+        alpha_grid=AlphaGrid(0.1, 4.0, 10, "log"),
+    )
+
+    def refuse(*args):
+        raise AssertionError("every coupling takes the secular route")
+
+    monkeypatch.setattr(spectrum, "assemble_heff", refuse)
+    crossover = run_crossover_study(config).rows
+    spectrum_rows = run_trapping_study(config).rows
+    npt.assert_array_equal(crossover[:, 0], spectrum_rows[:, 0])
+    widths = spectrum_rows[:, 1:-1]
+    npt.assert_array_equal(crossover[:, 3], widths.max(axis=1))
+    npt.assert_array_equal(crossover[:, 4], [_median(w) for w in widths])
 
 
 def test_crossover_matches_eigvals_reference(monkeypatch):
@@ -604,7 +675,7 @@ def test_crossover_matches_eigvals_reference(monkeypatch):
         alpha_grid=AlphaGrid(0.1, 4.0, 10, "log"),
     )
     base = config.build_model()
-    assert base.dimension >= max(140, spectrum.SECULAR_MIN_N)
+    assert base.dimension >= 140
     energies = config.e_grid.values()
     e_c = config.e_grid.center
     reference = []

@@ -31,7 +31,7 @@ from opencavity.spectrum import (
     _DenseStates,
     _ambiguous_matches,
     _closest_pair,
-    _degenerate_runs,
+    _degenerate_sets,
     _secular_eigenvalues,
     _track_spectra,
     _tracked_pair,
@@ -269,8 +269,8 @@ def test_biorthogonal_set_invariants(model, e):
     # combination of the cluster's eigenvectors instead.
     scale = float(np.abs(sp.values).max())
     single = np.ones(len(sp), dtype=bool)
-    for first, size in zip(*_degenerate_runs(sp.values, scale)):
-        single[first:first + size] = False
+    for members in _degenerate_sets(sp.values, scale):
+        single[members] = False
     npt.assert_allclose(
         a_norm[ok & single] * prox[ok & single], 1.0, rtol=0, atol=1e-12
     )
@@ -298,13 +298,15 @@ def reference_biorthogonal(heff):
         c = phi[int(np.argmax(np.abs(phi)))]
         return -phi if c.real < 0.0 or (c.real == 0.0 and c.imag < 0.0) else phi
 
+    # A state joins every earlier cluster it lies within tol of, so ties
+    # chain however the sort interleaves them.
     tol = 1e-12 * max(float(np.abs(es.values).max()), 1.0)
-    clusters = [[0]]
-    for i in range(1, n):
-        if abs(es.values[i] - es.values[i - 1]) <= tol:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
+    clusters = []
+    for i in range(n):
+        joined = [c for c in clusters
+                  if any(abs(es.values[i] - es.values[j]) <= tol for j in c)]
+        clusters = ([c for c in clusters if c not in joined]
+                    + [sorted(sum(joined, [])) + [i]])
     phis = [
         raw[i] if abs(bilinear[i]) < 1e-12 else raw[i] / np.sqrt(bilinear[i])
         for i in range(n)
@@ -357,11 +359,31 @@ def test_cluster_orthogonalized_from_the_solver_columns():
         assert eig_general(h).vectors.flags.f_contiguous
         sp = biorthogonal_spectrum(h, e)
         ref = reference_biorthogonal(h)
-        (first,), (size,) = _degenerate_runs(sp.values,
-                                             float(np.abs(sp.values).max()))
-        assert size == 3 and (sp.ep_proximity[first:first + size] > 1e-3).all()
-        for j in range(first, first + size):
+        (members,) = _degenerate_sets(sp.values,
+                                      float(np.abs(sp.values).max()))
+        assert len(members) == 3 and (sp.ep_proximity[members] > 1e-3).all()
+        for j in members:
             assert bits(sp.vectors[:, j], complex) == bits(ref[j][0], complex)
+
+
+def test_interleaved_degenerate_states_are_orthogonalized():
+    # On the 4 x 4 lattice with these leads the two states at E = 0 sort
+    # to positions 6 and 8, around a bright state whose real part is
+    # 4.8e-18: the pair is one degenerate set all the same, and its
+    # members come out bilinearly orthogonal (0.38 when only neighbours in
+    # the sort were grouped).
+    model = CavityModel(LatticeSpec(4, 4),
+                        (LeadSpec((1, 1), 2.0), LeadSpec((0, 1), 1.5)), 0.05)
+    h = assemble_heff(model, 0.0)
+    sp = biorthogonal_spectrum(h, 0.0)
+    scale = float(np.abs(sp.values).max())
+    assert [m.tolist() for m in _degenerate_sets(sp.values, scale)] == [[6, 8]]
+    gram = sp.vectors.T @ sp.vectors
+    np.fill_diagonal(gram, 0.0)
+    assert np.abs(gram).max() <= 1e-12
+    for s, (phi, a_norm, _) in zip(sp.states, reference_biorthogonal(h)):
+        npt.assert_allclose(s.phi, phi, rtol=0, atol=1e-14)
+        npt.assert_allclose(s.a_norm, a_norm, rtol=1e-14)
 
 
 def test_dark_state_width_is_positive_zero():

@@ -613,7 +613,7 @@ class TestStreamedTracking:
         )
         if symmetric:
             # The data must hold what makes tracking hard.
-            assert any(len(spectrum._degenerate_runs(sp.values, 1.0)[0])
+            assert any(spectrum._degenerate_sets(sp.values, 1.0)
                        for sp in tracked)
             assert any(sp.ambiguous.any() for sp in tracked)
         widths = np.empty((len(alphas), base.dimension))
