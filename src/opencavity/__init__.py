@@ -31,7 +31,7 @@ from .exceptions import (
     ValidationError,
     WriteError,
 )
-from .linalg import EigenSystem, eig_general, minimize_simplex, solve_linear
+from .linalg import eig_general, minimize_simplex, solve_linear
 from .model import (
     CavityModel,
     LatticeSpec,

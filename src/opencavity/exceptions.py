@@ -41,13 +41,14 @@ class SingularMatrix(OpenCavityError):
 
 
 class InvalidGeometry(OpenCavityError):
-    """Lattice or lead description is unusable (bad sizes, disconnected mask,
-    contact outside the interior, coinciding contacts)."""
+    """Lattice or lead description is unusable (bad sizes or parameters, a
+    mask that keeps no site or splits the cavity, a contact on no site).
+    Both leads may share one contact."""
 
 
 class OutsideBand(OpenCavityError):
-    """Energy lies outside the open interval (-2, 2) where propagating lead
-    states exist."""
+    """Energy lies outside a lead's band |E| < 2t (t the lead's hopping),
+    where its propagating states exist."""
 
 
 class UndefinedValue(OpenCavityError):
@@ -67,8 +68,9 @@ class DefectiveSpectrum(OpenCavityError):
 
 class ExceptionalPointNotFound(OpenCavityError):
     """Exceptional-point search ended without an exceptional point: the
-    separation stayed above the threshold, or the coalescence it reached is
-    not defective. Carries the report, whose ``outcome`` says which."""
+    smallest singular value of H* - z* I stayed above 1e-12 ||H*||_inf, so
+    no eigenvalue sits at z*, or the coalescence it reached is not
+    defective. Carries the report, whose ``outcome`` says which."""
 
     def __init__(self, message, report=None):
         super().__init__(message)

@@ -24,33 +24,13 @@ exactly when the entries permit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .exceptions import ConvergenceFailure, InvalidMatrix, SingularMatrix
 
-__all__ = ["EigenSystem", "eig_general", "solve_linear", "minimize_simplex"]
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Spectral decomposition of a general complex matrix.
-
-    Attributes
-    ----------
-    values : (n,) complex ndarray
-        Eigenvalues sorted by real part, ties broken by imaginary part.
-    vectors : (n, n) complex ndarray
-        Right eigenvectors as columns, unit Euclidean norm, ordered like
-        ``values``. No left eigenvectors are computed: for the complex
-        symmetric H_eff they are the transposes of the right ones, and
-        |v^T v| of a unit column is its eigenpair condition number.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
+__all__ = ["eig_general", "solve_linear", "minimize_simplex"]
 
 
 def _check_square(m) -> np.ndarray:
@@ -91,7 +71,7 @@ def _eig2(a: np.ndarray):
     return values, vectors
 
 
-def eig_general(m) -> EigenSystem:
+def eig_general(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a general complex square matrix.
 
     Parameters
@@ -101,9 +81,12 @@ def eig_general(m) -> EigenSystem:
 
     Returns
     -------
-    EigenSystem
-        Values sorted ascending by real part (ties by imaginary part) and
-        unit right eigenvectors.
+    (values, vectors)
+        The (n,) eigenvalues, sorted ascending by real part (ties by
+        imaginary part), and the (n, n) unit right eigenvectors as columns
+        in the same order. No left eigenvectors are computed: for the
+        complex symmetric H_eff they are the transposes of the right ones,
+        and |v^T v| of a unit column is its eigenpair condition number.
 
     Raises
     ------
@@ -117,10 +100,7 @@ def eig_general(m) -> EigenSystem:
     if n == 0:
         raise InvalidMatrix("empty matrix")
     if n == 1:
-        return EigenSystem(
-            values=a[0, :1].copy(),
-            vectors=np.ones((1, 1), dtype=complex),
-        )
+        return a[0, :1].copy(), np.ones((1, 1), dtype=complex)
     if n == 2:
         values, vectors = _eig2(a)
     else:
@@ -129,7 +109,7 @@ def eig_general(m) -> EigenSystem:
         except np.linalg.LinAlgError as err:
             raise ConvergenceFailure(f"eigensolver did not converge: {err}") from err
     order = np.lexsort((values.imag, values.real))
-    return EigenSystem(values=values[order], vectors=vectors[:, order])
+    return values[order], vectors[:, order]
 
 
 def solve_linear(m, rhs) -> np.ndarray:

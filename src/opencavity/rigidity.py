@@ -138,9 +138,8 @@ def build_report(spectral_set, psi, model, incoming=0):
     their real parts; both come from
     :meth:`~opencavity.spectrum.SpectralSet.expansion_rigidity`, so they do
     not depend on the states' signs, and on the secular route they are
-    O(N^2) closed forms that form no phi. Raises UndefinedValue if either
-    state is zero, and whatever the expansion raises where it does not
-    exist.
+    O(N^2) closed forms that form no phi. Raises UndefinedValue if ``psi``
+    is zero, and whatever the expansion raises where it does not exist.
     """
     mod, theta = rho_direct(psi)
     rho_spectral, residual = spectral_set.expansion_rigidity(model, incoming)

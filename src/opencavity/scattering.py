@@ -92,7 +92,7 @@ def coefficients_c(spectral, model, incoming=0):
 
     The interior state excited through the incoming channel expands as
     psi = sum_lam c_lam phi_lam with c_lam proportional to
-    a_in phi_lam[c_in] / (E - z_lam) at the spectrum's energy E; the
+    phi_lam[c_in] / (E - z_lam) at the spectrum's energy E; the
     returned coefficients are normalized to sum |c|^2 = 1, and the interior
     state is ``spectral.vectors @ c``. They share the signs of
     ``spectral.vectors``, so on the secular route this forms phi; the
@@ -112,8 +112,6 @@ def coefficients_c(spectral, model, incoming=0):
         E coincides with an eigenvalue to within 1e-12.
     DefectiveSpectrum
         The spectrum contains a defective state.
-    UndefinedValue
-        All coefficients vanish (the incoming contact is dark at E).
     OutsideBand
         E is past the incoming lead's band edge; the other band does not enter.
     """
@@ -360,7 +358,7 @@ def solve_scattering(model, energy, incoming=0):
 
     Raises
     ------
-    PoleOnAxis, DefectiveSpectrum, UndefinedValue
+    PoleOnAxis, DefectiveSpectrum
         Propagated from the expansion, before any direct-route work.
     OutsideBand, SingularMatrix
         As for a scalar :func:`s_matrix`.

@@ -55,7 +55,6 @@ from .exceptions import (
     InvalidMatrix,
     OutsideBand,
     PoleOnAxis,
-    UndefinedValue,
 )
 from .linalg import eig_general
 from .model import CavityModel
@@ -136,8 +135,8 @@ class ResonanceState:
     a_norm : float
         Hermitian norm phi^dag phi, at least 1; inf when defective.
     rigidity_r : float
-        Per-state phase rigidity, stored as 1/a_norm so the pair is an exact
-        reciprocal pair; in (0, 1], exactly 0 when defective.
+        Per-state phase rigidity 1/a_norm; in (0, 1], exactly 0 when
+        defective.
     ep_proximity : float
         |v^T v| of the unit eigenvector, the eigenpair condition number.
         Equal to rigidity_r up to rounding, except for defective states,
@@ -153,10 +152,13 @@ class ResonanceState:
     z: complex
     phi: np.ndarray
     a_norm: float
-    rigidity_r: float
     ep_proximity: float
     track_id: int | None = None
     ambiguous: bool = False
+
+    @property
+    def rigidity_r(self):
+        return 1.0 / self.a_norm
 
     @property
     def width(self):
@@ -231,7 +233,7 @@ class SpectralSet:
 
         Raises
         ------
-        DefectiveSpectrum, PoleOnAxis, OutsideBand, UndefinedValue
+        DefectiveSpectrum, PoleOnAxis, OutsideBand
             As :func:`~opencavity.scattering.coefficients_c`.
         """
         c = _expansion_coefficients(self, model, incoming,
@@ -246,7 +248,6 @@ class SpectralSet:
             self.values.tolist(),
             self.vectors.T,
             self.a_norm.tolist(),
-            self.rigidity_r.tolist(),
             self.ep_proximity.tolist(),
             [None] * n if self.track_id is None else self.track_id.tolist(),
             [False] * n if self.ambiguous is None else self.ambiguous.tolist(),
@@ -285,8 +286,11 @@ class EPReport:
     separation: float
     angle: float
     path: tuple
-    success: bool
     outcome: str
+
+    @property
+    def success(self):
+        return self.outcome == "ep"
 
 
 def assemble_heff(model: CavityModel, energy) -> np.ndarray:
@@ -639,8 +643,7 @@ def biorthogonal_spectrum(heff, energy) -> SpectralSet:
         raise InvalidMatrix(
             f"heff must be complex symmetric (max |H - H^T| = {asym:.3e})"
         )
-    es = eig_general(h)
-    return _biorthogonal_set(es.values, es.vectors, energy)
+    return _biorthogonal_set(*eig_general(h), energy)
 
 
 def _biorthogonal_set(values, raw, energy):
@@ -1016,22 +1019,21 @@ def _pole_distances(spectral, energy):
 
 
 def _expansion_coefficients(spectral, model, incoming, amplitudes):
-    """c_lam = a_in amplitudes_lam / (E - z_lam), normalized to sum |c|^2 = 1.
+    """c_lam = amplitudes_lam / (E - z_lam), normalized to sum |c|^2 = 1.
 
     ``amplitudes`` are the states' phi_lam[c_in], in the signs the
-    coefficients are to share. Raises as
-    :func:`~opencavity.scattering.coefficients_c`.
+    coefficients are to share. The channel amplitude a_in >= 0 is a common
+    scale that the normalization cancels, so it is left out: the expansion
+    is that of G(E) e_c_in, which exists on a detached lead (a_in = 0) too.
+    The coefficients never all vanish, since sum_lam phi_lam[c_in]^2 = 1.
+    Raises as :func:`~opencavity.scattering.coefficients_c`.
     """
     e = spectral.energy
     d = _pole_distances(spectral, e)
-    a_in = model.channel_amplitudes([e])[0, incoming]
-    if math.isnan(a_in):
+    if math.isnan(model.channel_amplitudes([e])[0, incoming]):
         raise OutsideBand(f"energy {e} outside the incoming channel's band")
-    c = a_in * amplitudes / d
-    nrm = math.sqrt(float(np.sum(np.abs(c) ** 2)))
-    if nrm == 0.0:
-        raise UndefinedValue("interior state vanishes at this energy")
-    return c / nrm
+    c = amplitudes / d
+    return c / math.sqrt(float(np.sum(np.abs(c) ** 2)))
 
 
 def fixed_point_poles(model: CavityModel):
@@ -1058,11 +1060,10 @@ def fixed_point_poles(model: CavityModel):
         converged = False
         it = 0
         for it in range(1, _POLE_MAX_ITER + 1):
-            es = eig_general(assemble_heff(model, e))
-            overlaps = np.abs(np.conj(prev) @ es.vectors)
-            j = int(np.argmax(overlaps))
-            z = complex(es.values[j])
-            prev = es.vectors[:, j]
+            values, vectors = eig_general(assemble_heff(model, e))
+            j = int(np.argmax(np.abs(np.conj(prev) @ vectors)))
+            z = complex(values[j])
+            prev = vectors[:, j]
             e_next = (1.0 - _POLE_DAMPING) * e + _POLE_DAMPING * z.real
             if abs(e_next - e) < _POLE_TOL:
                 e = e_next
@@ -1252,20 +1253,19 @@ def _pair_a_norm(vectors, i, j):
     return worst
 
 
-def _chirality_angle(family, p_star, p_start):
+def _chirality_angle(family, best, p_start):
     """Distance of the coalescing pair from the phi_1 = +-i phi_2 relation.
 
-    Evaluated at the optimum when the pair is still separable there,
+    Evaluated at the optimum ``best`` (an :class:`_Iterate`, whose
+    eigenpairs are reused) when the pair is still separable there,
     otherwise at points backed off toward the search start (along (1, 1)
     from a start at the optimum) until the bilinear norms allow
     normalization.
     """
-    away = p_start - p_star if (p_start != p_star).any() else np.ones(2)
+    away = p_start - best.p if (p_start != best.p).any() else np.ones(2)
     for backoff in (0.0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2):
-        p = p_star + backoff * away
-        es = eig_general(np.asarray(family(p), dtype=complex))
-        (i, j), _ = _closest_pair(es.values)
-        pair = es.vectors[:, [i, j]]
+        at = _Iterate(family, best.p + backoff * away) if backoff else best
+        pair = at.vectors[:, list(at.closest)]
         vv = np.array([complex(v @ v) for v in pair.T])
         if (np.abs(vv) >= 1e-9).all():
             p1, p2 = _canonical_sign(pair / np.sqrt(vv)).T
@@ -1278,7 +1278,7 @@ def _chirality_angle(family, p_star, p_start):
 
 def _eigenvalues(h):
     """Eigenvalues without vectors: the closed form for 2x2, else zgeev."""
-    return eig_general(h).values if len(h) == 2 else np.linalg.eigvals(h)
+    return eig_general(h)[0] if len(h) == 2 else np.linalg.eigvals(h)
 
 
 def _tracked_pair(values, pair):
@@ -1328,15 +1328,15 @@ class _Iterate:
     def __init__(self, family, p):
         self.p = p
         self.h = np.asarray(family(p), dtype=complex)
-        self.es = eig_general(self.h)
-        if len(self.es.values) < 2:
+        self.values, self.vectors = eig_general(self.h)
+        if len(self.values) < 2:
             raise InvalidMatrix("family matrices need dimension >= 2")
-        self.closest, self.separation = _closest_pair(self.es.values)
+        self.closest, self.separation = _closest_pair(self.values)
 
     def row(self):
         """Path entry (p1, p2, separation, a_norm_max)."""
         return (float(self.p[0]), float(self.p[1]), self.separation,
-                _pair_a_norm(self.es.vectors, *self.closest))
+                _pair_a_norm(self.vectors, *self.closest))
 
 
 def find_exceptional_point(family, start):
@@ -1401,7 +1401,7 @@ def find_exceptional_point(family, start):
         raise InvalidMatrix("start must hold exactly two parameters")
     it = best = _Iterate(family, p_start)
     path = [it.row()]
-    z = it.es.values
+    z = it.values
     index = np.stack(np.triu_indices(len(z), 1), axis=1)
     pairs = z[index]
     for _ in range(_EP_MAX_STEPS):
@@ -1434,7 +1434,7 @@ def find_exceptional_point(family, start):
             # pair out of the new values.
             m_dp = m + dm @ dp
             root = 0.5 * np.sqrt(g + dg @ dp)
-            pair = _tracked_pair(trial.es.values, (m_dp + root, m_dp - root))
+            pair = _tracked_pair(trial.values, (m_dp + root, m_dp - root))
             if abs(_pair_moments(pair)[0]) < abs(g):
                 break
             dp = 0.5 * dp
@@ -1449,8 +1449,8 @@ def find_exceptional_point(family, start):
 
     scale = float(np.abs(best.h).sum(axis=1).max())
     i, j = best.closest
-    z_star = 0.5 * (best.es.values[i] + best.es.values[j])
-    angle = float(_chirality_angle(family, best.p, p_start))
+    z_star = 0.5 * (best.values[i] + best.values[j])
+    angle = float(_chirality_angle(family, best, p_start))
     sigma = np.linalg.svd(best.h - z_star * np.eye(len(best.h)),
                           compute_uv=False)
     if sigma[-1] > _EP_COALESCED * scale:
@@ -1468,7 +1468,6 @@ def find_exceptional_point(family, start):
         separation=best.separation,
         angle=angle,
         path=tuple(path),
-        success=outcome == "ep",
         outcome=outcome,
     )
     if not report.success:

@@ -112,6 +112,20 @@ class TestCoefficients:
         with pytest.raises(DefectiveSpectrum):
             coefficients_c(sp, m)
 
+    def test_outside_the_incoming_band(self):
+        # Past the incoming lead's band edge |E| = 2 no wave comes in, and
+        # both the coefficients and the expansion's rigidity are refused.
+        m = CavityModel(
+            LatticeSpec(3, 1),
+            (LeadSpec((0, 0), 1.0), LeadSpec((2, 0), 1.0)),
+            0.5,
+        )
+        sp = biorthogonal_spectrum(assemble_heff(m, 2.5), 2.5)
+        with pytest.raises(OutsideBand):
+            coefficients_c(sp, m)
+        with pytest.raises(OutsideBand):
+            sp.expansion_rigidity(m)
+
     def test_interior_wave_superposition(self):
         m = CavityModel(
             LatticeSpec(3, 1),

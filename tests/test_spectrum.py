@@ -289,9 +289,9 @@ def reference_biorthogonal(heff):
     The per-state loops :func:`biorthogonal_spectrum` replaces with column
     operations: the same rules, with every dot product taken per vector.
     """
-    es = eig_general(heff)
-    n = len(es.values)
-    raw = [es.vectors[:, i] for i in range(n)]
+    values, vectors = eig_general(heff)
+    n = len(values)
+    raw = [vectors[:, i] for i in range(n)]
     bilinear = [complex(v @ v) for v in raw]
 
     def canonical(phi):
@@ -300,11 +300,11 @@ def reference_biorthogonal(heff):
 
     # A state joins every earlier cluster it lies within tol of, so ties
     # chain however the sort interleaves them.
-    tol = 1e-12 * max(float(np.abs(es.values).max()), 1.0)
+    tol = 1e-12 * max(float(np.abs(values).max()), 1.0)
     clusters = []
     for i in range(n):
         joined = [c for c in clusters
-                  if any(abs(es.values[i] - es.values[j]) <= tol for j in c)]
+                  if any(abs(values[i] - values[j]) <= tol for j in c)]
         clusters = ([c for c in clusters if c not in joined]
                     + [sorted(sum(joined, [])) + [i]])
     phis = [
@@ -356,7 +356,7 @@ def test_cluster_orthogonalized_from_the_solver_columns():
     # major: a cluster's columns, transposed, are contiguous already.
     for e in (0.0, 0.37, 1.0):
         h = assemble_heff(square4(), e)
-        assert eig_general(h).vectors.flags.f_contiguous
+        assert eig_general(h)[1].flags.f_contiguous
         sp = biorthogonal_spectrum(h, e)
         ref = reference_biorthogonal(h)
         (members,) = _degenerate_sets(sp.values,
@@ -498,6 +498,16 @@ class TestTrackSweep:
 
     def test_empty_sweep(self):
         assert track_sweep(lambda a: None, [], 0.0) == ()
+
+    def test_family_of_changing_size_rejected(self):
+        def family(a):
+            return CavityModel(
+                LatticeSpec(2 if a < 1.0 else 3, 1),
+                (LeadSpec((0, 0), 1.0), LeadSpec((1, 0), 1.0)), a,
+            )
+
+        with pytest.raises(InvalidMatrix, match="share their dimension"):
+            track_sweep(family, [0.5, 1.5], 0.3)
 
     def test_deterministic(self):
         lat = LatticeSpec(3, 1)

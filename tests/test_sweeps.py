@@ -64,6 +64,10 @@ def parse_doc(doc):
     return parse_config(json.dumps(doc))
 
 
+# Marks an entry that test_rejected_field removes from the document.
+DROP = object()
+
+
 class TestGrids:
     def test_energy_grid_values(self):
         g = EnergyGrid(min=-1.0, max=1.0, points=5)
@@ -280,6 +284,46 @@ class TestParseConfig:
         assert str(mask_path) not in echo
         assert parse_config(echo) == cfg
 
+    @pytest.mark.parametrize("path, value, field", [
+        (("model", "alpha"), DROP, "model.alpha"),
+        (("model", "hopping"), 0.0, "model.hopping"),
+        (("model", "nx"), DROP, "model.nx"),
+        (("model", "nx"), 3.0, "model.nx"),
+        (("e_grid", "points"), 0, "e_grid.points"),
+        (("model", "mask"), "short.mask", "model.mask"),
+        (("model", "mask"), "digits.mask", "model.mask"),
+        (("model", "mask"), 5, "model.mask"),
+        ((), [1], ""),
+        (("model",), DROP, "model"),
+        (("model", "leads", 0), 5, "model.leads[0]"),
+        (("model", "leads", 1, "contact"), [2], "model.leads[1].contact"),
+        (("e_grid",), DROP, "e_grid"),
+        (("alpha_grid",), [1], "alpha_grid"),
+        (("alpha_grid",), {"min": 0.1, "max": 1.0, "points": 3, "scale": 1},
+         "alpha_grid.scale"),
+        (("out",), 3, "out"),
+    ])
+    def test_rejected_field(self, tmp_path, path, value, field):
+        # One entry of a valid document is replaced (or dropped); the
+        # error names that entry's field.
+        (tmp_path / "short.mask").write_text("1 1\n", encoding="utf-8")
+        (tmp_path / "digits.mask").write_text("1\n2\n1\n", encoding="utf-8")
+        doc = config_doc()
+        if not path:
+            doc = value
+        else:
+            *parents, key = path
+            section = doc
+            for k in parents:
+                section = section[k]
+            if value is DROP:
+                del section[key]
+            else:
+                section[key] = value
+        with pytest.raises(ValidationError) as exc:
+            parse_config(json.dumps(doc), base_dir=str(tmp_path))
+        assert exc.value.field == field
+
 
 class TestCountPeaks:
     def test_single_peak(self):
@@ -389,6 +433,22 @@ class TestStudyRunners:
         # The bilinear sum is a positive real: theta prints 0, not -0.
         assert row[2] == 0.0 and math.copysign(1.0, row[2]) == 1.0
         assert np.isnan(row[3:]).all()
+
+    def test_rigidity_with_a_detached_incoming_lead(self):
+        # coupling_w = 0 detaches lead L, so its channel amplitude is 0.
+        # The expansion is that of G(E) e_c, the resolvent's state, and
+        # every spectral column is finite, with |rho_spec| = rho_mod.
+        doc = config_doc(study="rigidity",
+                         e_grid={"min": -1.5, "max": 1.3, "points": 4})
+        doc["model"] = {
+            "nx": 4, "ny": 3, "alpha": 1.0,
+            "leads": [{"contact": [0, 1], "coupling_w": 0.0},
+                      {"contact": [3, 1], "coupling_w": 1.0}],
+        }
+        rows = run_rigidity_study(parse_doc(doc)).rows
+        assert np.isfinite(rows).all()
+        npt.assert_allclose(np.hypot(rows[:, 3], rows[:, 4]), rows[:, 1],
+                            rtol=0, atol=1e-14)
 
     def test_delay_columns(self):
         res = run_delay_study(parse_doc(config_doc(study="delay")))
@@ -569,6 +629,22 @@ def run_study_ep():
     }
     doc["e_grid"] = {"min": -1.0, "max": 1.0, "points": 3}
     return run_study(parse_doc(doc))
+
+
+def test_ep_search_solves_each_matrix_once(monkeypatch):
+    # Every matrix the search diagonalizes with vectors is a distinct one:
+    # the chirality angle at the optimum reuses that iterate's eigenpairs.
+    solved = []
+    eig_general = spectrum.eig_general
+
+    def recording(m):
+        solved.append(np.asarray(m, dtype=complex).tobytes())
+        return eig_general(m)
+
+    monkeypatch.setattr(spectrum, "eig_general", recording)
+    result, report = run_study_ep()
+    assert report.success and len(result.rows) > 1
+    assert solved and len(set(solved)) == len(solved)
 
 
 def spectrum_doc(model, points):
