@@ -48,7 +48,6 @@ from .spectrum import (
     biorthogonal_spectrum,
     find_exceptional_point,
     fixed_point_poles,
-    heff_eigenvalues,
     heff_spectrum,
     track_sweep,
 )

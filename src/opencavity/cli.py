@@ -71,7 +71,7 @@ def _apply_overrides(doc, overrides):
             )
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             value = raw
         keys = path.split(".")
         node = doc
@@ -95,7 +95,7 @@ def main(argv=None):
     try:
         with open(args.config, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"opencavity: cannot read config: {err}", file=sys.stderr)
         return 2
 

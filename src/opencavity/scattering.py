@@ -123,6 +123,10 @@ def coefficients_c(spectral, model, incoming=0):
 def transmission_spectral(spectral, model):
     """Transmission amplitude L -> R by the resonance expansion, at its E.
 
+    Each state enters through phi_lam[c_R] phi_lam[c_L], which is free of
+    its sign, so the contact rows come from the set's basis: on the secular
+    route no phi on the sites is formed.
+
     Returns
     -------
     complex
@@ -137,7 +141,7 @@ def transmission_spectral(spectral, model):
     e = spectral.energy
     d = _pole_distances(spectral, e)
     a = model.channel_amplitudes(e)
-    phi_l, phi_r = spectral.vectors[model.contact_indices]
+    phi_l, phi_r = spectral.basis.contacts(model)
     return -2j * math.pi * a[0] * a[1] * np.sum(phi_r * phi_l / d)
 
 

@@ -24,12 +24,12 @@ norm below 1e-12) are kept with a unit Hermitian norm, r = 0 and A = inf; they
 are reported, never silently repaired.
 
 H_eff(E) is H_B plus a rank-2 term, so the biorthogonal set
-(:func:`heff_spectrum`, the spectrum and rigidity studies) comes from the
-secular equation of H_B plus the rank-2 self-energy, after one ``eigh`` of
-H_B per geometry, in O(N^2) per energy; so do the eigenvalues alone
-(:func:`heff_eigenvalues`, the crossover study's widths). Every root and
-every eigenvector passes a backward-error check, and the route falls back
-to ``zgeev`` of the assembled matrix when a check fails.
+(:func:`heff_spectrum`, the package's one eigen-solve of H_eff, behind the
+spectrum, rigidity and crossover studies) comes from the secular equation
+of H_B plus the rank-2 self-energy, after one ``eigh`` of H_B per geometry,
+in O(N^2) per energy. Every root and every eigenvector passes a
+backward-error check, and the route falls back to ``zgeev`` of the
+assembled matrix (:func:`biorthogonal_spectrum`) when a check fails.
 
 The secular route keeps each state as the 2-vector x of its root in the
 eigenbasis of H_B, and the per-state norms, the overlaps of two spectra and
@@ -66,7 +66,6 @@ __all__ = [
     "PoleResult",
     "EPReport",
     "assemble_heff",
-    "heff_eigenvalues",
     "heff_spectrum",
     "biorthogonal_spectrum",
     "fixed_point_poles",
@@ -180,11 +179,15 @@ class SpectralSet:
     ``basis`` holds the states themselves: the secular route's (z, x) pairs
     in the eigenbasis of H_B (:class:`_SecularStates`), or the dense phi of
     its ``zgeev`` fallback (:class:`_DenseStates`). :meth:`overlaps` and
-    :meth:`expansion_rigidity` work from either, so the spectrum and
-    rigidity studies never form phi on the secular route. ``vectors``, phi
-    with one state per column, is formed there on first access; its readers
-    are :func:`track_sweep`, the scattering functions that expand in phi,
-    and ``states``, which gives one :class:`ResonanceState` per state.
+    :meth:`expansion_rigidity` work from either, and so does
+    :func:`~opencavity.scattering.transmission_spectral`, so the spectrum,
+    rigidity and crossover studies never form phi on the secular route.
+    ``vectors``, phi with one state per column, is formed there on first
+    access; its readers are :func:`track_sweep`,
+    :func:`~opencavity.scattering.coefficients_c` and
+    :func:`~opencavity.scattering.solve_scattering`, whose interior state
+    is phi c, and ``states``, which gives one :class:`ResonanceState` per
+    state.
     """
 
     energy: float
@@ -302,20 +305,6 @@ def assemble_heff(model: CavityModel, energy) -> np.ndarray:
     return h
 
 
-def heff_eigenvalues(model: CavityModel, energy) -> np.ndarray:
-    """Eigenvalues of H_eff(E) at a real energy, in no particular order.
-
-    They are the roots of the secular equation of H_B plus the rank-2
-    self-energy, at O(N^2) cost, the values :func:`heff_spectrum` gives;
-    when that route's checks fail, they come from ``np.linalg.eigvals`` of
-    the assembled matrix.
-    """
-    z = _secular_eigenvalues(model, energy)
-    if z is not None:
-        return z
-    return np.linalg.eigvals(assemble_heff(model, energy))
-
-
 def heff_spectrum(model: CavityModel, energy) -> SpectralSet:
     """Biorthogonal spectrum of H_eff(E) at a real energy.
 
@@ -327,11 +316,10 @@ def heff_spectrum(model: CavityModel, energy) -> SpectralSet:
     sorted and normalized alike.
     """
     e = float(energy)
-    found = _secular_eigenvalues(model, e, vectors=True)
-    if found is None:
+    states = _secular_eigenvalues(model, e)
+    if states is None:
         return biorthogonal_spectrum(assemble_heff(model, e), e)
-    values, states = found
-    return SpectralSet(energy=e, values=values, a_norm=states.a_norm,
+    return SpectralSet(energy=e, values=states.values, a_norm=states.a_norm,
                        ep_proximity=states.ep_proximity, basis=states)
 
 
@@ -373,8 +361,8 @@ def _aberth(z, newton, scale):
     return None if active.size else z
 
 
-def _secular_eigenvalues(model, energy, vectors=False):
-    """Eigenvalues of H_eff(E) as roots of its secular equation, or None.
+def _secular_eigenvalues(model, energy):
+    """Eigenpairs of H_eff(E) from the roots of its secular equation, or None.
 
     In the eigenbasis of H_B = U diag(e) U^T, H_eff is diag(e) + W S W^T,
     with W = U_c^T the N x 2 contact rows and S = diag(sigma_L, sigma_R).
@@ -394,13 +382,13 @@ def _secular_eigenvalues(model, energy, vectors=False):
     nothing: the starts already sum to it exactly, so iterates that never
     moved would pass. Returns None when a check fails.
 
-    With ``vectors`` it returns the eigenvalues sorted like
-    :func:`~opencavity.linalg.eig_general` and their states as a
-    :class:`_SecularStates`: each bright root's x as step 4 forms it, over
-    the rotated contact rows of the poles that keep weight, with the sums
-    the closed forms read; the bright/dark split; and the cluster
-    rotations. A deflated combination is its own eigenvector, a column of U
-    rotated within its cluster. No N x N array is formed.
+    Otherwise it returns the states as a :class:`_SecularStates`, with the
+    eigenvalues sorted like :func:`~opencavity.linalg.eig_general`: each
+    bright root's x as step 4 forms it, over the rotated contact rows of
+    the poles that keep weight, with the sums the closed forms read; the
+    bright/dark split; and the cluster rotations. A deflated combination is
+    its own eigenvector, a column of U rotated within its cluster. No N x N
+    array is formed.
     """
     e_k, u = model.closed_modes
     sigma = model.self_energy_weights(energy)
@@ -431,10 +419,9 @@ def _secular_eigenvalues(model, energy, vectors=False):
         _, s, vt = np.linalg.svd(np.sqrt(np.abs(sigma))[:, None]
                                  * np.swapaxes(w_c, 1, 2))
         b_of = np.count_nonzero(s_max * s * s > floor, axis=1)
-        if vectors:
-            dark = np.arange(m) >= b_of[:, None]
-            rotations.append((c, vt, dark))
-            w_rot[c[dark]] = (vt @ w_c)[dark]
+        dark = np.arange(m) >= b_of[:, None]
+        rotations.append((c, vt, dark))
+        w_rot[c[dark]] = (vt @ w_c)[dark]
         for b in (1, 2):
             g = b_of == b
             if not g.any():
@@ -490,15 +477,14 @@ def _secular_eigenvalues(model, energy, vectors=False):
             return None
 
         roots = np.concatenate([z, e_k[dark]])
-        if vectors:
-            nb = len(z)
-            xs, vs = np.empty((2, nb, 2), complex)
-            y_norms, gammas = np.empty((2, nb))
-            betas, near_r = np.empty((2, nb), complex)
-            nears = np.empty(nb, dtype=int)
+        nb = len(z)
+        xs, vs = np.empty((2, nb, 2), complex)
+        y_norms, gammas = np.empty((2, nb))
+        betas, near_r = np.empty((2, nb), complex)
+        nears = np.empty(nb, dtype=int)
         # 4. Backward error: x spans the null space of M = I - S G0(z),
         # and y = r (W x) is the eigenvector of root z, r = 1 / (z - p).
-        for i in range(0, len(z), _BLOCK):
+        for i in range(0, nb, _BLOCK):
             blk = slice(i, i + _BLOCK)
             d = np.subtract.outer(z[blk], p)
             r, near = 1.0 / d, np.full(len(d), -1)
@@ -527,30 +513,26 @@ def _secular_eigenvalues(model, energy, vectors=False):
                 r[b, near[b]] = 0.0
                 f, df = secular(r[b] @ wsq, wsq[near[b]])
                 r[b, near[b]] = f / df
-            if vectors:
-                # sum_k |w_k|^2 / |z - p_k|, which bounds the rounding of
-                # G0; inf with a near pole, whose offset z lacks.
-                gammas[blk] = np.abs(r) @ (wsq[:, 0] + wsq[:, 2])
-                gammas[blk][near >= 0] = np.inf
-                xs[blk], y_norms[blk] = x, y_norm
-                vs[blk] = g[:, :2] * x[:, :1] + g[:, 1:] * x[:, 1:]
-                betas[blk] = np.einsum("ij,ij->i", y, y)
-                nears[blk], near_r[blk] = near, r[np.arange(len(r)), near]
+            # sum_k |w_k|^2 / |z - p_k|, which bounds the rounding of G0;
+            # inf with a near pole, whose offset z lacks.
+            gammas[blk] = np.abs(r) @ (wsq[:, 0] + wsq[:, 2])
+            gammas[blk][near >= 0] = np.inf
+            xs[blk], y_norms[blk] = x, y_norm
+            vs[blk] = g[:, :2] * x[:, :1] + g[:, 1:] * x[:, 1:]
+            betas[blk] = np.einsum("ij,ij->i", y, y)
+            nears[blk], near_r[blk] = near, r[np.arange(len(r)), near]
     if not abs(roots.sum() - trace) <= _TRACE_TOL * scale * len(roots):
         return None
-    if not vectors:
-        return roots
     order = np.lexsort((roots.imag, roots.real))
     pos = np.empty_like(order)
     pos[order] = np.arange(len(roots))
     lit = order[order < nb]
-    states = _SecularStates(
+    return _SecularStates(
         values=roots[order], u=u, contacts_at=tuple(model.contact_indices),
         rotations=rotations, bright=bright, dark=dark, p=p, w=w, z=z[lit],
         x=xs[lit], v=vs[lit], y_norm=y_norms[lit], beta=betas[lit],
         gamma=gammas[lit], near=nears[lit], near_r=near_r[lit],
         w_dark=w_rot[dark], bright_pos=pos[lit], dark_pos=pos[nb:])
-    return states.values, states
 
 
 def _canonical_sign(phis):

@@ -46,7 +46,6 @@ from .scattering import (
 from .spectrum import (
     _track_steps,
     find_exceptional_point,
-    heff_eigenvalues,
     heff_spectrum,
 )
 
@@ -246,7 +245,7 @@ def _parse_mask(value, nx, ny, base_dir):
         try:
             with open(path, encoding="utf-8") as fh:
                 raw = [ln.split() for ln in fh if ln.strip()]
-        except OSError as err:
+        except (OSError, UnicodeDecodeError) as err:
             raise ValidationError(
                 f"cannot read mask file: {err}", field="model.mask"
             ) from err
@@ -320,6 +319,8 @@ def _load_config(text):
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise ParseError(err.msg, line=err.lineno, column=err.colno) from err
+    except RecursionError as err:
+        raise ParseError("nesting exceeds the recursion limit") from err
     if not isinstance(doc, dict):
         raise ValidationError("top level must be an object", field="")
     return doc
@@ -688,9 +689,10 @@ def run_crossover_study(config: RunConfig) -> StudyResult:
     center, and the count of |t| peaks above the floor. The rigidity is
     evaluated on the direct interior solution, which exists even where the
     resonance expansion is defective. One contact-space resolvent per
-    coupling gives both |t| and the interior state; the widths come from
-    :func:`~opencavity.spectrum.heff_eigenvalues`. An aggregate over an
-    energy grid on which every point failed is NaN.
+    coupling gives both |t| and the interior state; the widths are -2 Im z
+    of :func:`~opencavity.spectrum.heff_spectrum`, the spectrum study's,
+    and with them its fallback to ``zgeev`` when a secular check fails. An
+    aggregate over an energy grid on which every point failed is NaN.
     """
     energies = config.e_grid.values()
     e_c = config.e_grid.center
@@ -700,7 +702,7 @@ def run_crossover_study(config: RunConfig) -> StudyResult:
         model = base.with_alpha(a)
         g, x = contact_green(model, energies)
         abs_t = np.abs(_s_matrices(model, energies, False, g)[:, 1, 0])
-        widths = -2.0 * heff_eigenvalues(model, e_c).imag
+        widths = -2.0 * heff_spectrum(model, e_c).values.imag
         return (
             a, _nan_reduce(np.nanmean, abs_t**2),
             _nan_reduce(np.nanmin, rho_direct(x)[0]),

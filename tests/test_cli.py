@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from opencavity import CavityModel
@@ -253,6 +254,42 @@ class TestFailureExitCodes:
         err = capsys.readouterr().err
         assert "parse error" in err
         assert "line 2" in err
+
+    def test_non_utf8_config(self, tmp_path, capsys):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(base_doc()).encode())
+        assert main(["transmit", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("opencavity: cannot read config:")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_non_utf8_mask_file(self, tmp_path, capsys):
+        (tmp_path / "cavity.mask").write_bytes(b"1\n\xff\n1\n")
+        doc = base_doc()
+        doc["model"]["mask"] = "cavity.mask"
+        cfg = write_config(tmp_path, doc)
+        assert main(["transmit", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "opencavity: invalid config at model.mask: cannot read mask file")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_nesting_past_the_recursion_limit(self, tmp_path, capsys):
+        deep = "[" * 200_000
+        path = tmp_path / "deep.json"
+        path.write_text(deep, encoding="utf-8")
+        assert main(["transmit", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("opencavity: config parse error:")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        # An override value that nests as deep stays a string, like any
+        # other value that is not JSON, and fails validation as one.
+        cfg = write_config(tmp_path, base_doc())
+        assert main(["transmit", "--config", cfg,
+                     "--grid-override", f"e_grid.points={deep}"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("opencavity: invalid config at e_grid.points: "
+                       "expected an integer\n")
 
     def test_invalid_config(self, tmp_path, capsys):
         doc = base_doc()
@@ -562,3 +599,20 @@ def test_crossover_imports_no_numpy_ma(tmp_path):
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.split() == ["0", "False"]
+
+
+def test_crossover_eigensolver_failure_exits_three(tmp_path, capsys,
+                                                   monkeypatch):
+    # The widths fall back to biorthogonal_spectrum, whose eigensolver
+    # reports a LAPACK failure as ConvergenceFailure: exit 3, one line.
+    def fail(*args):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr("opencavity.spectrum._secular_eigenvalues",
+                        lambda *args: None)
+    monkeypatch.setattr(np.linalg, "eig", fail)
+    cfg = write_config(tmp_path, study_docs()["crossover"])
+    assert main(["crossover", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("opencavity: ConvergenceFailure:")
+    assert err.count("\n") == 1

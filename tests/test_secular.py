@@ -1,9 +1,8 @@
 """Secular-equation eigenpairs of H_eff against LAPACK zgeev.
 
-The route ``_secular_eigenvalues`` either returns all N eigenvalues (with
-``vectors``, all N eigenpairs) or None; these tests call it directly and
-compare with ``zgeev`` of the assembled matrix root for root and state for
-state.
+The route ``_secular_eigenvalues`` either returns all N eigenpairs, as a
+``_SecularStates``, or None; these tests call it directly and compare with
+``zgeev`` of the assembled matrix root for root and state for state.
 Its root finder, the Aberth kernel ``_aberth``, is also tested on its own,
 on polynomials with known roots.
 """
@@ -25,7 +24,6 @@ from opencavity import (
     b_antisymmetry_residual,
     biorthogonal_spectrum,
     contact_green,
-    heff_eigenvalues,
     heff_spectrum,
     s_matrix,
     track_sweep,
@@ -63,11 +61,11 @@ def root_distance(z, ref):
 
 def secular_pairs(model, energy):
     """The secular route's sorted roots and unit eigenvectors on the sites."""
-    found = _secular_eigenvalues(model, energy, vectors=True)
-    if found is None:
+    states = _secular_eigenvalues(model, energy)
+    if states is None:
         return None
-    phi = _site_columns(found[1])
-    return found[0], phi / np.linalg.norm(phi, axis=0)
+    phi = _site_columns(states)
+    return states.values, phi / np.linalg.norm(phi, axis=0)
 
 
 def assert_eigenpairs(h, pairs):
@@ -83,14 +81,12 @@ def assert_eigenpairs(h, pairs):
 
 def assert_matches_zgeev(model, energy):
     h = assemble_heff(model, energy)
-    z = _secular_eigenvalues(model, energy)
-    assert z is not None
+    pairs = secular_pairs(model, energy)
+    assert_eigenpairs(h, pairs)
+    z = pairs[0]
     assert z.shape == (model.dimension,)
     tol = 1e-10 * max(1.0, np.linalg.norm(h, 2))
     assert root_distance(z, np.linalg.eigvals(h)) <= tol
-    pairs = secular_pairs(model, energy)
-    assert_eigenpairs(h, pairs)
-    npt.assert_array_equal(pairs[0], np.sort_complex(z))
     return z
 
 
@@ -124,11 +120,11 @@ def test_secular_matches_zgeev_on_random_cavities():
     @given(model=open_cavities(full=st.booleans()), e=energies)
     def check(model, e):
         h = assemble_heff(model, e)
-        z = _secular_eigenvalues(model, e)
-        accepted.append(z is not None)
-        if z is not None:
+        states = _secular_eigenvalues(model, e)
+        accepted.append(states is not None)
+        if states is not None:
             tol = 1e-10 * max(1.0, np.linalg.norm(h, 2))
-            assert root_distance(z, np.linalg.eigvals(h)) <= tol
+            assert root_distance(states.values, np.linalg.eigvals(h)) <= tol
 
     check()
     assert len(accepted) >= 100
@@ -278,7 +274,7 @@ def test_exceptional_point_falls_back_to_zgeev(offset):
     h = assemble_heff(model, 0.0)
     # The pair separates like the square root of the offset.
     assert spectrum._closest_pair(np.linalg.eigvals(h))[1] < 1e-2
-    assert _secular_eigenvalues(model, 0.0, vectors=True) is None
+    assert _secular_eigenvalues(model, 0.0) is None
     assert_same_set(heff_spectrum(model, 0.0), biorthogonal_spectrum(h, 0.0))
 
 
@@ -308,7 +304,7 @@ def test_weakly_coupled_level_is_not_taken_for_dark():
     assert w[k] ** 2 @ np.abs(sigma) <= np.finfo(float).eps * scale
     assert np.abs(w[k]) @ np.abs(sigma) > 1e-12 * scale
     z = assert_matches_zgeev(model, -1.2)
-    states = _secular_eigenvalues(model, -1.2, vectors=True)[1]
+    states = _secular_eigenvalues(model, -1.2)
     lost = np.flatnonzero(states.near >= 0)
     assert len(lost) == 1
     assert states.bright[states.near[lost]] == k
@@ -361,6 +357,27 @@ def test_dark_cluster_gets_real_rigid_states(monkeypatch):
     zgeev_count = ambiguous(track_sweep(model.with_alpha, alphas, 0.3))
     monkeypatch.undo()
     assert ambiguous(track_sweep(model.with_alpha, alphas, 0.3)) <= zgeev_count
+
+
+@pytest.mark.parametrize("model,energy", [
+    (square(15, ((0, 3), (14, 9)), 0.9), 0.3),
+    (square(9, ((0, 4), (4, 0)), 1.0), 0.3),
+    (square(6, ((0, 0), (5, 5)), 0.8), 0.2),
+    (weak_chain(), -1.2),
+], ids=["dark-cluster-15x15", "mirror-9x9", "corners-6x6", "weak-chain"])
+def test_spectral_transmission_forms_no_phi(monkeypatch, model, energy):
+    # The expansion reads only the states' contact rows, from the secular
+    # basis itself, and agrees with the direct route as before.
+    sp = heff_spectrum(model, energy)
+    assert isinstance(sp.basis, _SecularStates)
+    assert np.abs(energy - sp.values).min() > 1e-6
+
+    def refuse(*args):
+        raise AssertionError("transmission_spectral formed phi")
+
+    monkeypatch.setattr(spectrum, "_site_columns", refuse)
+    t_spec = transmission_spectral(sp, model)
+    assert abs(t_spec - transmission_direct(model, energy)) <= 1e-11
 
 
 def test_coincident_first_order_starts_are_separated():
@@ -527,9 +544,8 @@ def test_grouped_deflation_covers_every_group(monkeypatch):
     assert set(bright) == {0, 1, 2}
 
     z = assert_matches_zgeev(model, energy)
-    npt.assert_array_equal(heff_eigenvalues(model, energy), z)
     sp = heff_spectrum(model, energy)
-    npt.assert_array_equal(sp.values, np.sort_complex(z))
+    npt.assert_array_equal(sp.values, z)
     # The dark members keep their closed-cavity values: real, rigid states.
     dark = sp.values.imag == 0.0
     unlit = np.abs(w_all[single_states(e_k)]).max(axis=1) < 1e-12
@@ -564,7 +580,7 @@ def test_one_svd_per_cluster_size(monkeypatch):
 @pytest.mark.parametrize("alpha,w", [(0.0, (1.0, 1.0)), (1.0, (0.0, 0.0))])
 def test_uncoupled_cavity_gives_closed_modes_exactly(alpha, w):
     model = square(4, ((0, 2), (3, 2)), alpha, w)
-    z = _secular_eigenvalues(model, 0.3)
+    z = _secular_eigenvalues(model, 0.3).values
     npt.assert_array_equal(np.sort(z.real), model.closed_modes[0])
     npt.assert_array_equal(z.imag, 0.0)
 
@@ -603,15 +619,16 @@ def test_one_spectrum_route_at_every_size(monkeypatch):
     mask, (c_l, c_r) = irregular_cavity()
     large = CavityModel(LatticeSpec(14, 13, mask=mask),
                         (LeadSpec(c_l, 1.0), LeadSpec(c_r, 1.0)), 0.8)
-    reference = np.linalg.eigvals(assemble_heff(large, 0.2))
+    h_large = assemble_heff(large, 0.2)
+    reference = np.linalg.eigvals(h_large)
 
     def refuse(*args):
         raise AssertionError("the secular route assembles no H_eff")
 
-    # heff_spectrum and heff_eigenvalues take the secular route on the
-    # 36-site lattice as on the 155-site cavity, and heff_spectrum also on
-    # the chain whose level has a shift below the rounding of its pole but
-    # a first-order residual above the backward-error bound.
+    # heff_spectrum takes the secular route on the 36-site lattice as on
+    # the 155-site cavity, and also on the chain whose level has a shift
+    # below the rounding of its pole but a first-order residual above the
+    # backward-error bound.
     monkeypatch.setattr(spectrum, "assemble_heff", refuse)
     got = heff_spectrum(small, 0.2)
     assert isinstance(got.basis, _SecularStates)
@@ -621,29 +638,23 @@ def test_one_spectrum_route_at_every_size(monkeypatch):
                         rtol=1e-10)
     assert isinstance(heff_spectrum(weak_chain(), -1.2).basis, _SecularStates)
     for model, ref in ((small, ref_values), (large, reference)):
-        z = heff_eigenvalues(model, 0.2)
+        z = heff_spectrum(model, 0.2).values
         assert root_distance(z, ref) <= 1e-12 * np.abs(ref).max()
-    # The eigenvalues alone are the spectrum's, bit for bit.
-    npt.assert_array_equal(np.sort_complex(heff_eigenvalues(small, 0.2)),
-                           np.sort_complex(got.values))
     monkeypatch.undo()
 
     # A failed check falls back to zgeev, bit for bit.
     monkeypatch.setattr(spectrum, "_secular_eigenvalues",
                         lambda *args, **kwargs: None)
-    npt.assert_array_equal(heff_eigenvalues(small, 0.2), ref_values)
-    npt.assert_array_equal(heff_eigenvalues(large, 0.2), reference)
+    npt.assert_array_equal(heff_spectrum(large, 0.2).values,
+                           biorthogonal_spectrum(h_large, 0.2).values)
     assert_same_set(heff_spectrum(small, 0.2), ref_set)
 
 
-def test_crossover_widths_are_the_spectrum_study_widths(monkeypatch):
-    # On a 6 x 6 masked cavity the crossover's widths are the spectrum
-    # study's, bit for bit, at every coupling: both come from the secular
-    # route.
+def masked_6x6_crossover():
     mask = np.ones((6, 6), dtype=int)
     mask[2:4, 1:3] = 0
     mask[0, 5] = 0
-    config = RunConfig(
+    return RunConfig(
         study="crossover",
         lattice=LatticeSpec(6, 6, mask=mask.tolist()),
         leads=(LeadSpec((0, 1), 1.0), LeadSpec((5, 4), 0.7)),
@@ -652,16 +663,35 @@ def test_crossover_widths_are_the_spectrum_study_widths(monkeypatch):
         alpha_grid=AlphaGrid(0.1, 4.0, 10, "log"),
     )
 
-    def refuse(*args):
-        raise AssertionError("every coupling takes the secular route")
 
-    monkeypatch.setattr(spectrum, "assemble_heff", refuse)
+def assert_crossover_widths_are_spectrum_widths(config):
     crossover = run_crossover_study(config).rows
     spectrum_rows = run_trapping_study(config).rows
     npt.assert_array_equal(crossover[:, 0], spectrum_rows[:, 0])
     widths = spectrum_rows[:, 1:-1]
     npt.assert_array_equal(crossover[:, 3], widths.max(axis=1))
     npt.assert_array_equal(crossover[:, 4], [_median(w) for w in widths])
+
+
+def test_crossover_widths_are_the_spectrum_study_widths(monkeypatch):
+    # On a 6 x 6 masked cavity the crossover's widths are the spectrum
+    # study's, bit for bit, at every coupling: both come from the secular
+    # route.
+    def refuse(*args):
+        raise AssertionError("every coupling takes the secular route")
+
+    monkeypatch.setattr(spectrum, "assemble_heff", refuse)
+    assert_crossover_widths_are_spectrum_widths(masked_6x6_crossover())
+
+
+def test_crossover_widths_on_the_fallback(monkeypatch):
+    # When every secular check fails, both studies fall back to the same
+    # zgeev of the assembled matrix, and the widths still agree bit for bit.
+    calls = []
+    monkeypatch.setattr(spectrum, "_secular_eigenvalues",
+                        lambda *args: calls.append(args))
+    assert_crossover_widths_are_spectrum_widths(masked_6x6_crossover())
+    assert len(calls) == 2 * 10
 
 
 def test_crossover_matches_eigvals_reference(monkeypatch):

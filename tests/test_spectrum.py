@@ -194,7 +194,7 @@ class TestBiorthogonalSpectrum:
             (LeadSpec((0, 2), 1.0), LeadSpec((8, 5), 1.0)),
             0.9,
         )
-        assert _secular_eigenvalues(m, 0.3, vectors=True) is not None
+        assert _secular_eigenvalues(m, 0.3) is not None
         assert_record(heff_spectrum(m, 0.3))
 
     def test_record_of_track_sweep(self):
