@@ -36,7 +36,7 @@ tracked = track_sweep(dimer, alphas, 0.0)
 print("dimer, one open channel (critical alpha = sqrt 2 = 1.414...)")
 print("alpha    gamma_a      gamma_b      2/alpha^2")
 for a, sp in zip(alphas, tracked):
-    ga, gb = sorted(s.width for s in sp.states)
+    ga, gb = np.sort(sp.widths)
     print(f"{a:4.1f}   {ga:10.6f}   {gb:10.6f}   {2 / a**2:10.6f}")
 print("Below the critical coupling both widths grow together; above it one")
 print("state keeps broadening while the other narrows toward 2/alpha^2.")
@@ -58,7 +58,7 @@ def chain(alpha):
 
 print(f"{N}-site chain, two channels, alpha = 2")
 sp = biorthogonal_spectrum(assemble_heff(chain(2.0), 0.0), 0.0)
-widths = np.sort([s.width for s in sp.states])[::-1]
+widths = np.sort(sp.widths)[::-1]
 total = widths.sum()
 for k, g in enumerate(widths):
     bar = "#" * max(1, int(40 * g / widths[0]))

@@ -43,10 +43,10 @@ model = CavityModel(
     2.0,
 )
 sp = biorthogonal_spectrum(assemble_heff(model, 0.0), 0.0)
-narrow = sorted(sp.states, key=lambda s: s.width)[:3]
+narrow = np.argsort(sp.widths, kind="stable")[:3]
 print(f"{N}-site chain, alpha = 2; narrowest resonances:")
-for s in narrow:
-    print(f"  E = {s.z.real:8.4f}   gamma = {s.width:.4f}")
+for j in narrow:
+    print(f"  E = {sp.values[j].real:8.4f}   gamma = {sp.widths[j]:.4f}")
 print()
 print("      E        tau")
 for e in np.linspace(0.0, 1.9, 20):

@@ -42,7 +42,6 @@ from .model import (
 from .spectrum import (
     EPReport,
     PoleResult,
-    ResonanceState,
     SpectralSet,
     assemble_heff,
     biorthogonal_spectrum,

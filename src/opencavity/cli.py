@@ -4,9 +4,10 @@ One parser; its positional argument names the study. Every study reads a
 JSON config file, optionally patched with ``--grid-override`` assignments,
 and writes CSV to ``--out``, the config's ``out`` path, or stdout.
 
-Exit codes: 0 success, 2 unusable config (parse, validation or geometry),
-3 runtime failure (including an exceptional-point search whose outcome is
-"degenerate" or "not_found"), 4 output could not be written.
+Exit codes: 0 success, 2 unusable config (parse, validation or geometry,
+or too large to allocate while it is built), 3 runtime failure (including
+an exceptional-point search whose outcome is "degenerate" or "not_found",
+and an array too large to allocate), 4 output could not be written.
 
 Importing this module calls ``gc.freeze()`` once, after the package and
 numpy are loaded. A CLI call is a short process whose imports leave about
@@ -116,6 +117,10 @@ def main(argv=None):
         at = f" at {field}" if field else ""
         print(f"opencavity: invalid config{at}: {err}", file=sys.stderr)
         return 2
+    except MemoryError as err:
+        print(f"opencavity: invalid config: out of memory: {err}",
+              file=sys.stderr)
+        return 2
 
     report = None
     out_path = args.out or config.out
@@ -130,7 +135,7 @@ def main(argv=None):
     except WriteError as err:
         print(f"opencavity: {err}", file=sys.stderr)
         return 4
-    except OpenCavityError as err:
+    except (OpenCavityError, MemoryError) as err:
         print(f"opencavity: {type(err).__name__}: {err}", file=sys.stderr)
         return 3
 

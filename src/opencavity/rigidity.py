@@ -49,9 +49,8 @@ class RigidityReport:
     complex rigidity of its resonance expansion, the same number by the
     spectral route; ``b_antisymmetry_residual`` measures how far the real
     parts of distinct states at the same energy are from orthogonal (see
-    :func:`b_antisymmetry_residual`); ``per_state_r`` collects (track_id,
-    r_lam) pairs with r_lam = 1/A_lam, the state index standing in for
-    untracked spectra.
+    :func:`b_antisymmetry_residual`). The per-state rigidities 1/A_lam are
+    the spectrum's own ``rigidity_r``.
     """
 
     energy: float
@@ -59,7 +58,6 @@ class RigidityReport:
     rho_direct_theta: float
     rho_spectral: complex
     b_antisymmetry_residual: float
-    per_state_r: tuple
 
 
 def rho_direct(psi):
@@ -143,13 +141,10 @@ def build_report(spectral_set, psi, model, incoming=0):
     """
     mod, theta = rho_direct(psi)
     rho_spectral, residual = spectral_set.expansion_rigidity(model, incoming)
-    ids = spectral_set.track_id
-    ids = range(len(spectral_set)) if ids is None else ids.tolist()
     return RigidityReport(
         energy=spectral_set.energy,
         rho_direct_mod=mod,
         rho_direct_theta=theta,
         rho_spectral=rho_spectral,
         b_antisymmetry_residual=residual,
-        per_state_r=tuple(zip(ids, spectral_set.rigidity_r.tolist())),
     )

@@ -114,10 +114,11 @@ def coefficients_c(spectral, model, incoming=0):
         The spectrum contains a defective state.
     OutsideBand
         E is past the incoming lead's band edge; the other band does not enter.
+    ValueError
+        ``incoming`` is neither 0 nor 1.
     """
-    return _expansion_coefficients(
-        spectral, model, incoming,
-        spectral.vectors[model.contact_indices[incoming]])
+    return _expansion_coefficients(spectral, model, incoming,
+                                   spectral.vectors[model.contact_indices])
 
 
 def transmission_spectral(spectral, model):
@@ -362,7 +363,7 @@ def solve_scattering(model, energy, incoming=0):
 
     Raises
     ------
-    PoleOnAxis, DefectiveSpectrum
+    PoleOnAxis, DefectiveSpectrum, ValueError
         Propagated from the expansion, before any direct-route work.
     OutsideBand, SingularMatrix
         As for a scalar :func:`s_matrix`.

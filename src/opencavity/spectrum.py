@@ -61,7 +61,6 @@ from .model import CavityModel
 from .rigidity import b_antisymmetry_residual, rho_direct
 
 __all__ = [
-    "ResonanceState",
     "SpectralSet",
     "PoleResult",
     "EPReport",
@@ -88,7 +87,8 @@ _ABERTH_TOL = 1e-14
 _NUDGE = 1e-8
 # Relative distance below which two first-order starts count as one.
 _COINCIDENT = 1e-8
-# Accepted backward error of a root, times the scale.
+# Accepted backward error of a root, times max(1, max |lambda|); the
+# deflation floor, times the scale.
 _BACKWARD_TOL = 1e-12
 # Accepted |sum z - trace|, times the scale and N; the measured worst was
 # 1.6e-16 over 2,300 accepted spectra.
@@ -121,60 +121,22 @@ _POLE_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
-class ResonanceState:
-    """One eigenstate of H_eff(E) at a fixed evaluation energy.
-
-    Attributes
-    ----------
-    z : complex
-        Eigenvalue; -2 Im z is the decay width when z sits at a fixed point.
-    phi : ndarray
-        Right eigenvector with phi^T phi = 1 (unit Hermitian norm instead if
-        the state is defective).
-    a_norm : float
-        Hermitian norm phi^dag phi, at least 1; inf when defective.
-    rigidity_r : float
-        Per-state phase rigidity 1/a_norm; in (0, 1], exactly 0 when
-        defective.
-    ep_proximity : float
-        |v^T v| of the unit eigenvector, the eigenpair condition number.
-        Equal to rigidity_r up to rounding, except for defective states,
-        where it keeps the raw sub-threshold value, and inside a degenerate
-        cluster, where phi is orthogonalized but this stays the value of
-        the eigenvector the solver returned.
-    track_id : int or None
-        Continuity label assigned by :func:`track_sweep`; None until tracked.
-    ambiguous : bool
-        Tracking could not separate this state from another candidate.
-    """
-
-    z: complex
-    phi: np.ndarray
-    a_norm: float
-    ep_proximity: float
-    track_id: int | None = None
-    ambiguous: bool = False
-
-    @property
-    def rigidity_r(self):
-        return 1.0 / self.a_norm
-
-    @property
-    def width(self):
-        # + 0.0 turns the -0.0 of a real (dark) state into 0.0.
-        return -2.0 * self.z.imag + 0.0
-
-
-@dataclass(frozen=True)
 class SpectralSet:
     """All eigenstates of H_eff at one evaluation energy, as arrays.
 
     State j is ``values[j]``, in the eigenvalue order of
     :func:`~opencavity.linalg.eig_general` (ascending real part, ties by
-    imaginary part); ``a_norm``, ``rigidity_r`` and ``ep_proximity`` hold
-    the per-state quantities of :class:`ResonanceState`. ``track_id`` and
-    ``ambiguous`` are None until :func:`track_sweep` sets them. Every array
-    is read-only.
+    imaginary part). Its Hermitian norm A = phi^dag phi >= 1 is
+    ``a_norm[j]`` (inf when defective), its phase rigidity 1/A is
+    ``rigidity_r[j]`` (0 when defective), its width -2 Im z is
+    ``widths[j]`` (+0.0 for a real, dark state), and ``ep_proximity[j]``
+    is |v^T v| of the unit eigenvector, the eigenpair condition number.
+    That equals the rigidity up to rounding, except for a defective state,
+    where it keeps the raw sub-threshold value, and inside a degenerate
+    cluster, where phi is orthogonalized but this stays the value of the
+    eigenvector the solver returned. ``track_id`` (continuity labels) and
+    ``ambiguous`` (matches too close to call) are None until
+    :func:`track_sweep` sets them. Every array is read-only.
 
     ``basis`` holds the states themselves: the secular route's (z, x) pairs
     in the eigenbasis of H_B (:class:`_SecularStates`), or the dense phi of
@@ -182,12 +144,12 @@ class SpectralSet:
     :meth:`expansion_rigidity` work from either, and so does
     :func:`~opencavity.scattering.transmission_spectral`, so the spectrum,
     rigidity and crossover studies never form phi on the secular route.
-    ``vectors``, phi with one state per column, is formed there on first
+    ``vectors``, phi with one state per column (phi^T phi = 1, or a unit
+    Hermitian norm for a defective state), is formed there on first
     access; its readers are :func:`track_sweep`,
     :func:`~opencavity.scattering.coefficients_c` and
     :func:`~opencavity.scattering.solve_scattering`, whose interior state
-    is phi c, and ``states``, which gives one :class:`ResonanceState` per
-    state.
+    is phi c.
     """
 
     energy: float
@@ -206,6 +168,11 @@ class SpectralSet:
     @property
     def rigidity_r(self):
         return 1.0 / self.a_norm
+
+    @property
+    def widths(self):
+        # + 0.0 turns the -0.0 of a real (dark) state into 0.0.
+        return -2.0 * self.values.imag + 0.0
 
     @property
     def vectors(self):
@@ -236,25 +203,12 @@ class SpectralSet:
 
         Raises
         ------
-        DefectiveSpectrum, PoleOnAxis, OutsideBand
+        DefectiveSpectrum, PoleOnAxis, OutsideBand, ValueError
             As :func:`~opencavity.scattering.coefficients_c`.
         """
         c = _expansion_coefficients(self, model, incoming,
-                                    self.basis.contacts(model)[incoming])
+                                    self.basis.contacts(model))
         return self.basis.expansion_rigidity(c)
-
-    @cached_property
-    def states(self):
-        n = len(self)
-        return tuple(map(
-            ResonanceState,
-            self.values.tolist(),
-            self.vectors.T,
-            self.a_norm.tolist(),
-            self.ep_proximity.tolist(),
-            [None] * n if self.track_id is None else self.track_id.tolist(),
-            [False] * n if self.ambiguous is None else self.ambiguous.tolist(),
-        ))
 
     def __len__(self):
         return len(self.values)
@@ -377,8 +331,9 @@ def _secular_eigenvalues(model, energy):
     over the poles p_k that keep weight. :func:`_aberth` finds all of them
     at once from first-order perturbation theory. Every root must then pass
     a backward-error check, ||(diag p + W S W^T - z) y|| / ||y|| <= 1e-12
-    scale with y its eigenvector, and all N must sum to the trace of H_eff
-    less the deflated levels' first-order shifts. The trace alone proves
+    max(1, max |lambda|) with y its eigenvector (max |lambda| is at most
+    ||H_eff||_2), and all N must sum to the trace of H_eff less the
+    deflated levels' first-order shifts. The trace alone proves
     nothing: the starts already sum to it exactly, so iterates that never
     moved would pass. Returns None when a check fails.
 
@@ -477,6 +432,10 @@ def _secular_eigenvalues(model, energy):
             return None
 
         roots = np.concatenate([z, e_k[dark]])
+        # Relative to max |lambda| <= ||H_eff||_2, not to ``scale``, an
+        # upper bound of the norm: an accepted pair is then backward stable
+        # relative to the matrix itself.
+        backward_tol = _BACKWARD_TOL * max(1.0, float(np.abs(roots).max()))
         nb = len(z)
         xs, vs = np.empty((2, nb, 2), complex)
         y_norms, gammas = np.empty((2, nb))
@@ -499,7 +458,7 @@ def _secular_eigenvalues(model, energy):
                 res = (y @ w * sigma) @ w.T - y * d
                 y_norm = np.linalg.norm(y, axis=1)
                 b = np.flatnonzero(~(np.linalg.norm(res, axis=1) / y_norm
-                                     <= _BACKWARD_TOL * scale))
+                                     <= backward_tol))
                 if not b.size:
                     break
                 if (near >= 0).any():
@@ -1000,21 +959,26 @@ def _pole_distances(spectral, energy):
     return d
 
 
-def _expansion_coefficients(spectral, model, incoming, amplitudes):
-    """c_lam = amplitudes_lam / (E - z_lam), normalized to sum |c|^2 = 1.
+def _expansion_coefficients(spectral, model, incoming, contacts):
+    """c_lam = phi_lam[c_in] / (E - z_lam), normalized to sum |c|^2 = 1.
 
-    ``amplitudes`` are the states' phi_lam[c_in], in the signs the
-    coefficients are to share. The channel amplitude a_in >= 0 is a common
-    scale that the normalization cancels, so it is left out: the expansion
-    is that of G(E) e_c_in, which exists on a detached lead (a_in = 0) too.
-    The coefficients never all vanish, since sum_lam phi_lam[c_in]^2 = 1.
-    Raises as :func:`~opencavity.scattering.coefficients_c`.
+    ``contacts`` holds the states' phi_lam[c_C], one row per channel, in
+    the signs the coefficients are to share; row ``incoming`` (0 for L, 1
+    for R, anything else a ValueError) is c_in's. The channel amplitude
+    a_in >= 0 is a common scale that the normalization cancels, so it is
+    left out: the expansion is that of G(E) e_c_in, which exists on a
+    detached lead (a_in = 0) too. The coefficients never all vanish, since
+    sum_lam phi_lam[c_in]^2 = 1. Raises as
+    :func:`~opencavity.scattering.coefficients_c`.
     """
+    if not (isinstance(incoming, (int, np.integer)) and 0 <= incoming <= 1):
+        raise ValueError(f"incoming must be 0 (lead L) or 1 (lead R), "
+                         f"got {incoming!r}")
     e = spectral.energy
     d = _pole_distances(spectral, e)
     if math.isnan(model.channel_amplitudes([e])[0, incoming]):
         raise OutsideBand(f"energy {e} outside the incoming channel's band")
-    c = amplitudes / d
+    c = contacts[incoming] / d
     return c / math.sqrt(float(np.sum(np.abs(c) ** 2)))
 
 

@@ -544,8 +544,9 @@ def run_trapping_study(config: RunConfig) -> StudyResult:
     only vectors, is not taken. The matching reads the closed-form overlaps
     of :meth:`~opencavity.spectrum.SpectralSet.overlaps` and forms no phi;
     a coupling whose secular check fails falls back to ``zgeev``, whose phi
-    does not outlive its coupling. A real (dark) state's width is written
-    as +0.0.
+    does not outlive its coupling. The widths are the spectrum's
+    :attr:`~opencavity.spectrum.SpectralSet.widths`, +0.0 for a real (dark)
+    state.
     """
     alphas = config.alpha_grid.values()
     energies = config.e_grid.values()
@@ -557,8 +558,7 @@ def run_trapping_study(config: RunConfig) -> StudyResult:
     steps = _track_steps(heff_spectrum(base.with_alpha(a), e) for a in alphas)
     for row in rows:
         sp, _ = next(steps)
-        # + 0.0 turns the -0.0 width of a real (dark) state into +0.0.
-        row[1 + sp.track_id] = -2.0 * sp.values.imag + 0.0
+        row[1 + sp.track_id] = sp.widths
         # Released before the next spectrum is computed.
         del sp
     rows[:, n + 1] = [
@@ -579,9 +579,11 @@ def run_rigidity_study(config: RunConfig) -> StudyResult:
 
     ``rho_mod`` and ``rho_theta`` come from one contact-space resolvent
     over the grid, as in the crossover study; the other columns from the
-    spectrum's :meth:`~opencavity.spectrum.SpectralSet.expansion_rigidity`
-    per energy, which forms no phi on the secular route. Where the
-    expansion does not exist, only those four are NaN.
+    spectrum per energy: its
+    :meth:`~opencavity.spectrum.SpectralSet.expansion_rigidity`, which
+    forms no phi on the secular route, and ``r_min``, the least of its
+    ``rigidity_r``. Where the expansion does not exist, only those four
+    are NaN.
     """
     model = config.build_model()
     energies = config.e_grid.values()
@@ -591,12 +593,12 @@ def run_rigidity_study(config: RunConfig) -> StudyResult:
     rows[:, 1], rows[:, 2] = rho_direct(x)
     for row, e, x_e in zip(rows, energies, x):
         try:
-            rig = build_report(heff_spectrum(model, e), x_e, model)
+            sp = heff_spectrum(model, e)
+            rig = build_report(sp, x_e, model)
         except (PoleOnAxis, DefectiveSpectrum, UndefinedValue):
             continue
         row[3:] = (rig.rho_spectral.real, rig.rho_spectral.imag,
-                   rig.b_antisymmetry_residual,
-                   min(r for _, r in rig.per_state_r))
+                   rig.b_antisymmetry_residual, sp.rigidity_r.min())
     return StudyResult(
         study=config.study,
         columns=(
@@ -689,10 +691,11 @@ def run_crossover_study(config: RunConfig) -> StudyResult:
     center, and the count of |t| peaks above the floor. The rigidity is
     evaluated on the direct interior solution, which exists even where the
     resonance expansion is defective. One contact-space resolvent per
-    coupling gives both |t| and the interior state; the widths are -2 Im z
-    of :func:`~opencavity.spectrum.heff_spectrum`, the spectrum study's,
-    and with them its fallback to ``zgeev`` when a secular check fails. An
-    aggregate over an energy grid on which every point failed is NaN.
+    coupling gives both |t| and the interior state; the widths are those of
+    :func:`~opencavity.spectrum.heff_spectrum`, the spectrum study's, +0.0
+    for a dark state, and with them its fallback to ``zgeev`` when a
+    secular check fails. An aggregate over an energy grid on which every
+    point failed is NaN.
     """
     energies = config.e_grid.values()
     e_c = config.e_grid.center
@@ -702,7 +705,7 @@ def run_crossover_study(config: RunConfig) -> StudyResult:
         model = base.with_alpha(a)
         g, x = contact_green(model, energies)
         abs_t = np.abs(_s_matrices(model, energies, False, g)[:, 1, 0])
-        widths = -2.0 * heff_spectrum(model, e_c).values.imag
+        widths = heff_spectrum(model, e_c).widths
         return (
             a, _nan_reduce(np.nanmean, abs_t**2),
             _nan_reduce(np.nanmin, rho_direct(x)[0]),

@@ -107,16 +107,15 @@ def test_c04_biorthogonal_spectra_consistent_everywhere(reference_cases):
             e = float(e)
             h = assemble_heff(model, e)
             sp = biorthogonal_spectrum(h, e)
-            mat = np.column_stack([s.phi for s in sp.states])
+            mat = sp.vectors
             worst_ortho = max(
                 worst_ortho, np.abs(mat.T @ mat - eye).max()
             )
             worst_trace = max(
                 worst_trace, abs(sp.values.sum() - np.trace(h))
             )
-            for s in sp.states:
-                assert s.a_norm >= 1.0 - 1e-12
-                assert 0.0 < s.rigidity_r <= 1.0
+            assert (sp.a_norm >= 1.0 - 1e-12).all()
+            assert ((0.0 < sp.rigidity_r) & (sp.rigidity_r <= 1.0)).all()
     assert worst_ortho < 1e-8
     assert worst_trace < 1e-10
 
@@ -210,13 +209,12 @@ def test_c07_resonance_trapping_bifurcation_and_peaks():
     above = (1.7, 2.2, 3.0)
     tracked = track_sweep(dimer, below + above, 0.0)
     for sp in tracked[: len(below)]:
-        w0, w1 = (s.width for s in sp.states)
+        w0, w1 = sp.widths
         npt.assert_allclose(w0, w1, rtol=0, atol=1e-10)
     broad = []
     narrow = []
     for sp in tracked[len(below):]:
-        widths = {s.track_id: s.width for s in sp.states}
-        ordered = sorted(widths.values())
+        ordered = sorted(sp.widths.tolist())
         narrow.append(ordered[0])
         broad.append(ordered[1])
     assert broad[0] < broad[1] < broad[2]

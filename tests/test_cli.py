@@ -291,6 +291,16 @@ class TestFailureExitCodes:
         assert err == ("opencavity: invalid config at e_grid.points: "
                        "expected an integer\n")
 
+    def test_grid_too_large_to_allocate(self, tmp_path, capsys):
+        # 7 PiB of energies: numpy refuses the array at once, well past
+        # any address space, so nothing is allocated.
+        cfg = write_config(tmp_path, base_doc())
+        assert main(["transmit", "--config", cfg, "--grid-override",
+                     "e_grid.points=1000000000000000"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("opencavity: MemoryError: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_invalid_config(self, tmp_path, capsys):
         doc = base_doc()
         doc["e_grid"]["max"] = 3.0

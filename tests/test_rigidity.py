@@ -148,7 +148,7 @@ class TestBuildReport:
         assert -math.pi / 2.0 < rep.rho_direct_theta <= math.pi / 2.0
         assert isinstance(rep.rho_spectral, complex)
         assert rep.b_antisymmetry_residual >= 0.0
-        assert len(rep.per_state_r) == 1
+        assert len(sol.spectral.rigidity_r) == 1
 
     def test_spectral_matches_direct_modulus(self):
         # The rigidity of the resonance expansion is that of the direct
@@ -164,12 +164,12 @@ class TestBuildReport:
         diagonal = abs(np.sum(sol.c**2 * sol.spectral.a_norm))
         assert abs(diagonal - rep.rho_direct_mod) > 0.05
 
-    def test_per_state_r_in_range(self):
+    def test_state_rigidities_in_range(self):
         from conftest import reference_models
 
         for label, model, grid in reference_models():
             sol = solve_scattering(model, float(grid[17]))
-            for _, r in sol.rigidity.per_state_r:
+            for r in sol.spectral.rigidity_r.tolist():
                 assert 0.0 <= r <= 1.0, label
 
     def test_report_via_build_report(self):

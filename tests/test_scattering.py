@@ -14,7 +14,9 @@ from opencavity import (
     SingularMatrix,
     assemble_heff,
     biorthogonal_spectrum,
+    build_report,
     coefficients_c,
+    heff_spectrum,
     s_matrix,
     solve_scattering,
     transmission_direct,
@@ -136,9 +138,30 @@ class TestCoefficients:
         c = coefficients_c(sp, m)
         psi = sp.vectors @ c
         manual = np.zeros(3, dtype=complex)
-        for ck, s in zip(c, sp.states):
-            manual += ck * s.phi
+        for ck, phi in zip(c, sp.vectors.T):
+            manual += ck * phi
         npt.assert_allclose(psi, manual, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("incoming", [-1, 2])
+    def test_incoming_out_of_range(self, incoming):
+        # -1 used to solve for lead R and record -1; 2 raised IndexError.
+        m = CavityModel(
+            LatticeSpec(3, 1),
+            (LeadSpec((0, 0), 1.0), LeadSpec((2, 0), 1.0)),
+            0.5,
+        )
+        secular = heff_spectrum(m, 0.3)
+        dense = biorthogonal_spectrum(assemble_heff(m, 0.3), 0.3)
+        calls = [
+            lambda: solve_scattering(m, 0.3, incoming=incoming),
+            lambda: build_report(secular, np.ones(3), m, incoming),
+        ]
+        for sp in (secular, dense):
+            calls += [lambda sp=sp: coefficients_c(sp, m, incoming=incoming),
+                      lambda sp=sp: sp.expansion_rigidity(m, incoming)]
+        for call in calls:
+            with pytest.raises(ValueError, match="incoming must be 0"):
+                call()
 
 
 class TestSMatrix:
@@ -303,9 +326,10 @@ class TestWidthVsCoupling:
         for label, model, grid in reference_models():
             e = float(grid[11])
             sp = biorthogonal_spectrum(assemble_heff(model, e), e)
-            for s, product in zip(sp.states, width_products(sp, model)):
+            for width, a_norm, product in zip(sp.widths, sp.a_norm,
+                                              width_products(sp, model)):
                 npt.assert_allclose(
-                    s.width * s.a_norm, product, rtol=1e-12, atol=1e-13,
+                    width * a_norm, product, rtol=1e-12, atol=1e-13,
                     err_msg=label,
                 )
 

@@ -84,9 +84,8 @@ class TestAssembleHeff:
 class TestBiorthogonalSpectrum:
     def test_diagonal_matrix_rigid(self):
         sp = biorthogonal_spectrum(np.diag([1.0 - 1.0j, 3.0 + 0.0j]), 0.0)
-        for s in sp.states:
-            assert s.rigidity_r == 1.0
-            assert s.a_norm == 1.0
+        assert (sp.rigidity_r == 1.0).all()
+        assert (sp.a_norm == 1.0).all()
 
     def test_pair_bilinear_orthogonal(self):
         h = np.array([[0.0, 1.0], [1.0, -1.0j]])
@@ -96,20 +95,20 @@ class TestBiorthogonalSpectrum:
             key=lambda z: (z.real, z.imag),
         )
         npt.assert_allclose(sp.values, expected, rtol=0, atol=1e-14)
-        p0, p1 = sp.states[0].phi, sp.states[1].phi
+        p0, p1 = sp.vectors.T
         assert abs(complex(p0 @ p1)) < 1e-14
-        for s in sp.states:
-            assert abs(complex(s.phi @ s.phi) - 1.0) < 1e-12
+        for phi in sp.vectors.T:
+            assert abs(complex(phi @ phi) - 1.0) < 1e-12
 
     def test_exactly_defective_pair(self):
         sp = biorthogonal_spectrum(np.array([[0.0, 0.5], [0.5, -1.0j]]), 0.0)
-        for s in sp.states:
-            assert s.z == -0.5j
-            assert s.a_norm == math.inf
-            assert s.rigidity_r == 0.0
-            assert s.ep_proximity < 1e-12
+        assert (sp.values == -0.5j).all()
+        assert (sp.a_norm == math.inf).all()
+        assert (sp.rigidity_r == 0.0).all()
+        assert (sp.ep_proximity < 1e-12).all()
+        for phi in sp.vectors.T:
             # Defective states fall back to a unit Hermitian norm.
-            npt.assert_allclose(np.vdot(s.phi, s.phi).real, 1.0, rtol=0,
+            npt.assert_allclose(np.vdot(phi, phi).real, 1.0, rtol=0,
                                 atol=1e-12)
 
     def test_rigidity_reciprocal_exact(self):
@@ -119,17 +118,16 @@ class TestBiorthogonalSpectrum:
             1.1,
         )
         sp = biorthogonal_spectrum(assemble_heff(m, 0.3), 0.3)
-        for s in sp.states:
-            assert s.rigidity_r == 1.0 / s.a_norm
-            assert 0.0 < s.rigidity_r <= 1.0
-            assert s.a_norm >= 1.0
+        assert (sp.rigidity_r == 1.0 / sp.a_norm).all()
+        assert ((0.0 < sp.rigidity_r) & (sp.rigidity_r <= 1.0)).all()
+        assert (sp.a_norm >= 1.0).all()
 
     def test_phi_normalized_when_separable(self):
         m = single_site_model()
         sp = biorthogonal_spectrum(assemble_heff(m, 0.7), 0.7)
-        for s in sp.states:
-            if s.ep_proximity > 1e-6:
-                assert abs(complex(s.phi @ s.phi) - 1.0) < 1e-10
+        for phi, prox in zip(sp.vectors.T, sp.ep_proximity):
+            if prox > 1e-6:
+                assert abs(complex(phi @ phi) - 1.0) < 1e-10
 
     def test_rejects_asymmetric(self):
         h = np.array([[0.0, 1.0], [1.0 + 1e-9, 0.0]])
@@ -161,8 +159,8 @@ class TestBiorthogonalSpectrum:
         sp = biorthogonal_spectrum(h, e)
         for e_prime in (0.45, 1.2, -0.8):
             g = np.zeros((3, 3), dtype=complex)
-            for s in sp.states:
-                g += np.outer(s.phi, s.phi) / (e_prime - s.z)
+            for z, phi in zip(sp.values, sp.vectors.T):
+                g += np.outer(phi, phi) / (e_prime - z)
             direct = np.linalg.inv(e_prime * np.eye(3) - h)
             npt.assert_allclose(g, direct, rtol=0, atol=1e-8)
 
@@ -170,7 +168,7 @@ class TestBiorthogonalSpectrum:
         m = single_site_model(alpha=1e-4)
         for e in (-1.3, 0.2, 1.1):
             sp = biorthogonal_spectrum(assemble_heff(m, e), e)
-            assert all(s.rigidity_r > 1.0 - 1e-6 for s in sp.states)
+            assert (sp.rigidity_r > 1.0 - 1e-6).all()
 
     def test_vectors_stored_once_and_read_only(self):
         m = CavityModel(
@@ -215,7 +213,7 @@ class TestBiorthogonalSpectrum:
             1.0,
         )
         sp = biorthogonal_spectrum(assemble_heff(m, 0.37), 0.37)
-        mat = np.column_stack([s.phi for s in sp.states])
+        mat = sp.vectors
         npt.assert_allclose(mat.T @ mat, np.eye(16), rtol=0, atol=1e-8)
 
 
@@ -224,26 +222,12 @@ def bits(x, dtype):
 
 
 def assert_record(sp):
-    """Read-only arrays, and ``states`` equal to them bit for bit."""
+    """Read-only arrays, one entry per state."""
     arrays = (sp.values, sp.vectors, sp.a_norm, sp.ep_proximity,
               sp.track_id, sp.ambiguous)
     assert not any(a.flags.writeable for a in arrays if a is not None)
-    assert sp.states is sp.states and len(sp.states) == len(sp)
-    for j, s in enumerate(sp.states):
-        col = sp.vectors[:, j]
-        assert bits(s.z, complex) == bits(sp.values[j], complex)
-        assert s.phi.base is sp.vectors
-        assert (s.phi.ctypes.data, s.phi.strides) == (col.ctypes.data,
-                                                      col.strides)
-        assert bits(s.a_norm, float) == bits(sp.a_norm[j], float)
-        assert bits(s.rigidity_r, float) == bits(1.0 / sp.a_norm[j], float)
-        assert bits(s.rigidity_r, float) == bits(sp.rigidity_r[j], float)
-        assert bits(s.ep_proximity, float) == bits(sp.ep_proximity[j], float)
-        if sp.track_id is None:
-            assert s.track_id is None and s.ambiguous is False
-        else:
-            assert type(s.track_id) is int and s.track_id == sp.track_id[j]
-            assert s.ambiguous is bool(sp.ambiguous[j])
+    assert all(len(a) == len(sp) for a in arrays[2:] if a is not None)
+    assert sp.vectors.shape == (len(sp), len(sp))
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -254,9 +238,7 @@ def test_biorthogonal_set_invariants(model, e):
     # 4.1e-14.
     sp = biorthogonal_spectrum(assemble_heff(model, e), e)
     phi = sp.vectors
-    a_norm = np.array([s.a_norm for s in sp.states])
-    r = np.array([s.rigidity_r for s in sp.states])
-    prox = np.array([s.ep_proximity for s in sp.states])
+    a_norm, r, prox = sp.a_norm, sp.rigidity_r, sp.ep_proximity
     ok = np.isfinite(a_norm)
     gram = (phi.T @ phi)[np.ix_(ok, ok)]
     assert np.abs(np.diag(gram) - 1.0).max(initial=0.0) <= 1e-12
@@ -342,10 +324,10 @@ def test_biorthogonal_matches_per_state_reference(model, e):
     # over these draws: 2.5e-16 on phi, 1.2e-15 relative on a_norm.
     h = assemble_heff(model, e)
     sp = biorthogonal_spectrum(h, e)
-    for s, (phi, a_norm, prox) in zip(sp.states, reference_biorthogonal(h)):
-        npt.assert_allclose(s.phi, phi, rtol=0, atol=1e-14)
-        npt.assert_allclose(s.a_norm, a_norm, rtol=1e-14)
-        npt.assert_allclose(s.ep_proximity, prox, rtol=1e-14)
+    for j, (phi, a_norm, prox) in enumerate(reference_biorthogonal(h)):
+        npt.assert_allclose(sp.vectors[:, j], phi, rtol=0, atol=1e-14)
+        npt.assert_allclose(sp.a_norm[j], a_norm, rtol=1e-14)
+        npt.assert_allclose(sp.ep_proximity[j], prox, rtol=1e-14)
 
 
 def test_cluster_orthogonalized_from_the_solver_columns():
@@ -381,9 +363,9 @@ def test_interleaved_degenerate_states_are_orthogonalized():
     gram = sp.vectors.T @ sp.vectors
     np.fill_diagonal(gram, 0.0)
     assert np.abs(gram).max() <= 1e-12
-    for s, (phi, a_norm, _) in zip(sp.states, reference_biorthogonal(h)):
-        npt.assert_allclose(s.phi, phi, rtol=0, atol=1e-14)
-        npt.assert_allclose(s.a_norm, a_norm, rtol=1e-14)
+    for j, (phi, a_norm, _) in enumerate(reference_biorthogonal(h)):
+        npt.assert_allclose(sp.vectors[:, j], phi, rtol=0, atol=1e-14)
+        npt.assert_allclose(sp.a_norm[j], a_norm, rtol=1e-14)
 
 
 def test_dark_state_width_is_positive_zero():
@@ -394,10 +376,10 @@ def test_dark_state_width_is_positive_zero():
         (LeadSpec((0, 3), 1.0), LeadSpec((14, 9), 1.0)),
         0.9,
     )
-    dark = [s for s in heff_spectrum(model, 0.3).states if s.z.imag == 0.0]
-    assert dark
-    for state in dark:
-        assert math.copysign(1.0, state.width) == 1.0
+    sp = heff_spectrum(model, 0.3)
+    dark = sp.values.imag == 0.0
+    assert dark.any()
+    assert (np.copysign(1.0, sp.widths[dark]) == 1.0).all()
 
 
 class TestFixedPointPoles:
@@ -430,10 +412,10 @@ class TestFixedPointPoles:
         for p in poles:
             h = assemble_heff(m, p.e_pole)
             sp = biorthogonal_spectrum(h, p.e_pole)
-            total = sum(s.width for s in sp.states)
+            total = sum(sp.widths.tolist())
             assert abs(total + 2.0 * np.trace(h).imag) < 1e-8
             # The pole's own width appears in the spectrum at its energy.
-            assert min(abs(s.width - p.gamma_pole) for s in sp.states) < 1e-8
+            assert np.abs(sp.widths - p.gamma_pole).min() < 1e-8
 
     def test_pole_fixed_point_property(self):
         m = CavityModel(
@@ -459,12 +441,12 @@ class TestTrackSweep:
         tracked = track_sweep(family, alphas, 0.0)
         assert len(tracked) == len(alphas)
         for sp in tracked:
-            assert sorted(s.track_id for s in sp.states) == [0, 1]
+            assert sorted(sp.track_id.tolist()) == [0, 1]
         # Tracked vectors stay continuous: consecutive overlap near 1.
         for prev, cur in zip(tracked, tracked[1:]):
             for tid in (0, 1):
-                p = next(s.phi for s in prev.states if s.track_id == tid)
-                c = next(s.phi for s in cur.states if s.track_id == tid)
+                p = prev.vectors[:, prev.track_id == tid][:, 0]
+                c = cur.vectors[:, cur.track_id == tid][:, 0]
                 ov = abs(np.vdot(p, c)) / (
                     np.linalg.norm(p) * np.linalg.norm(c)
                 )
@@ -483,16 +465,16 @@ class TestTrackSweep:
 
         tracked = track_sweep(family, np.linspace(0.2, 2.0, 10), 0.0)
         for sp in tracked:
-            assert sorted(s.track_id for s in sp.states) == list(range(16))
+            assert sorted(sp.track_id.tolist()) == list(range(16))
         for prev, cur in zip(tracked, tracked[1:]):
-            phis = {s.track_id: s.phi for s in prev.states}
-            for s in cur.states:
-                assert (phis[s.track_id] @ s.phi).real >= 0.0
+            # Column k of each: the state of track k.
+            p = prev.vectors[:, np.argsort(prev.track_id)]
+            c = cur.vectors[:, np.argsort(cur.track_id)]
+            assert (np.einsum("ij,ij->j", p, c).real >= 0.0).all()
         flagged = [
-            (k, s.track_id)
+            (k, tid)
             for k, sp in enumerate(tracked)
-            for s in sp.states
-            if s.ambiguous
+            for tid in sp.track_id[sp.ambiguous].tolist()
         ]
         assert sorted(flagged) == [(6, 5), (6, 10)]
 
@@ -521,9 +503,8 @@ class TestTrackSweep:
         t1 = track_sweep(family, alphas, 0.1)
         t2 = track_sweep(family, alphas, 0.1)
         for a, b in zip(t1, t2):
-            for sa, sb in zip(a.states, b.states):
-                assert sa.track_id == sb.track_id
-                npt.assert_array_equal(sa.phi, sb.phi)
+            npt.assert_array_equal(a.track_id, b.track_id)
+            npt.assert_array_equal(a.vectors, b.vectors)
 
 
 def reference_track(spectra, gap_tol=1e-6):
@@ -901,7 +882,6 @@ class TestDefectiveThroughModel:
         h = assemble_heff(m, 0.0)
         npt.assert_array_equal(h, [[-2.0j, -1.0], [-1.0, 0.0]])
         sp = biorthogonal_spectrum(h, 0.0)
-        for s in sp.states:
-            assert s.z == -1.0j
-            assert s.a_norm == math.inf
-            assert s.rigidity_r == 0.0
+        assert (sp.values == -1.0j).all()
+        assert (sp.a_norm == math.inf).all()
+        assert (sp.rigidity_r == 0.0).all()

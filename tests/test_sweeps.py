@@ -581,15 +581,11 @@ class TestStudyRunners:
         assert isinstance(pair, tuple) and len(pair) == 2
 
     @pytest.mark.parametrize("study", ["spectrum", "rigidity"])
-    def test_spectral_studies_build_no_state_objects(self, study, monkeypatch):
-        built = []
+    def test_spectral_studies_form_no_phi(self, study, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the study formed phi")
 
-        class Counting(spectrum.ResonanceState):
-            def __init__(self, *args, **kwargs):
-                built.append(1)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(spectrum, "ResonanceState", Counting)
+        monkeypatch.setattr(spectrum, "_site_columns", refuse)
         doc = config_doc(
             study=study,
             e_grid={"min": -1.5, "max": 1.5, "points": 3},
@@ -609,10 +605,9 @@ class TestStudyRunners:
         config = parse_doc(doc)
         model = config.build_model()
         run_study(config)
-        assert built == []
-        # The patch is live: asking for the states builds them.
-        assert len(spectrum.heff_spectrum(model, 0.3).states) == len(built)
-        assert built
+        # The patch is live: asking for phi forms it.
+        with pytest.raises(AssertionError, match="formed phi"):
+            spectrum.heff_spectrum(model, 0.3).vectors
 
 
 def run_study_ep():
@@ -699,8 +694,8 @@ class TestStreamedTracking:
         assert rows[:, 1:-1].tobytes() == widths.tobytes()
 
     def test_track_spectra_keeps_its_record(self):
-        # What a span counter reads of it: a tuple of SpectralSets whose
-        # states build, with the flags of the stream.
+        # A tuple of SpectralSets whose ambiguous arrays are the flags of
+        # the stream, one per state.
         config = parse_doc(spectrum_doc(LATTICE_15, 6))
         base = config.build_model()
         e = config.e_grid.center
@@ -710,8 +705,12 @@ class TestStreamedTracking:
         assert type(got) is tuple
         assert all(type(sp) is spectrum.SpectralSet for sp in got)
         flags = [sp.ambiguous for sp, _ in spectrum._track_steps(spectra)]
-        assert sum(s.ambiguous for sp in got for s in sp.states) == sum(
-            int(f.sum()) for f in flags) > 0
+        assert len(got) == len(flags)
+        for sp, f in zip(got, flags):
+            assert sp.ambiguous.dtype == bool
+            assert sp.ambiguous.shape == (len(sp),)
+            npt.assert_array_equal(sp.ambiguous, f)
+        assert sum(int(sp.ambiguous.sum()) for sp in got) > 0
         assert sum(len(sp) for sp in got[1:]) == 5 * base.dimension
 
     def test_dark_widths_print_as_zero(self):
@@ -723,6 +722,27 @@ class TestStreamedTracking:
                   if not line.startswith("#") for f in line.split(",")]
         assert "-0" not in fields
         assert fields.count("0") >= 6 * 13
+        # At alpha = 0, and at every alpha on detached leads, every state
+        # is dark: the crossover's largest width is 0, like its median.
+        for w in (1.0, 0.0):
+            doc = config_doc(
+                study="crossover",
+                alpha_grid={"min": 0.0, "max": 1.0, "points": 10,
+                            "scale": "linear"},
+            )
+            doc["model"] = {
+                "nx": 4, "ny": 3, "alpha": 1.0,
+                "leads": [{"contact": [0, 1], "coupling_w": w},
+                          {"contact": [3, 1], "coupling_w": w}],
+            }
+            text = format_csv(run_crossover_study(parse_doc(doc)))
+            rows = [line.split(",") for line in text.splitlines()
+                    if not line.startswith("#")][1:]
+            assert len(rows) == 10
+            assert not any("-0" in row for row in rows)
+            dark = rows if w == 0.0 else rows[:1]
+            assert all(row[3:5] == ["0", "0"] for row in dark)
+            assert all(row[3] != "0" for row in rows[len(dark):])
 
     def test_memory_does_not_grow_with_the_coupling_grid(self):
         def traced_peak(points):
