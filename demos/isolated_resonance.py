@@ -13,6 +13,7 @@ from opencavity import (
     LatticeSpec,
     LeadSpec,
     fixed_point_poles,
+    s_matrix,
     transmission_direct,
 )
 
@@ -35,7 +36,8 @@ for alpha in (0.02, 0.05, 0.1, 0.3, 1.0):
     model = single_site(alpha)
     (pole,) = fixed_point_poles(model)
     grid = np.linspace(-0.05, 0.05, 4001)
-    peak = max(abs(transmission_direct(model, float(e))) for e in grid)
+    # One array call: t(E) = S_RL(E) over the whole grid.
+    peak = np.abs(s_matrix(model, grid)[:, 1, 0]).max()
     print(
         f"{alpha:5.2f}   {pole.gamma_pole:12.6e}  {4 * (alpha * W) ** 2:12.6e}"
         f"   {peak:.8f}"

@@ -37,7 +37,7 @@ class SingularMatrix(OpenCavityError):
     ``s_matrix``, ``transmission_direct`` or ``wigner_delay``, or a matrix
     given to ``solve_linear`` is: the smallest singular value, of the block
     of the levels next to E in the resolvent, is at most 1e-14 times the
-    matrix's infinity norm."""
+    infinity norm of the matrix, E - H_eff(E) itself for the resolvent."""
 
 
 class InvalidGeometry(OpenCavityError):

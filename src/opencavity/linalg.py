@@ -141,7 +141,7 @@ def solve_linear(m, rhs) -> np.ndarray:
         raise InvalidMatrix(
             f"rhs length {b.shape[0]} does not match matrix dimension {a.shape[0]}"
         )
-    threshold = 1e-14 * (np.abs(a).sum(axis=1).max() if a.size else 0.0)
+    threshold = _singular_bound(a)
     try:
         sigma_min = np.linalg.svd(a, compute_uv=False).min()
         if sigma_min <= threshold:
@@ -151,6 +151,11 @@ def solve_linear(m, rhs) -> np.ndarray:
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError as err:
         raise SingularMatrix(str(err)) from err
+
+
+def _singular_bound(a):
+    """1e-14 ||a||_inf: a smallest singular value at most this is singular."""
+    return 1e-14 * (np.abs(a).sum(axis=1).max() if a.size else 0.0)
 
 
 def _by_value(sim, fsim):

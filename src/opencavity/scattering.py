@@ -37,12 +37,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import SingularMatrix
+from .linalg import _singular_bound
 from .rigidity import RigidityReport, build_report
 from .spectrum import (
     SpectralSet,
     _expansion_coefficients,
     _pole_distances,
     _pole_sums,
+    assemble_heff,
     heff_spectrum,
 )
 
@@ -169,9 +171,8 @@ def _resolvent(model, e, strict, interior):
         adj = np.stack([m[:, 1, 1], -m[:, 0, 1], -m[:, 1, 0], m[:, 0, 0]],
                        axis=1).reshape(-1, 2, 2)
         g = adj @ g0 / det[:, None, None]
-        tol = _singular_bounds(model, e[rows], sigma[rows]) if near else ()
-        y = [_border(float(e[i]), sigma[i], g[i], e_k[k], u_c[:, k], t, strict)
-             for i, k, t in zip(rows, near, tol)]
+        y = [_border(model, float(e[i]), sigma[i], g[i], e_k[k], u_c[:, k],
+                     strict) for i, k in zip(rows, near)]
         if interior:
             x = np.stack([d * ((sigma * g[:, :, b] + np.eye(2)[b]) @ u_c)
                           for b in (0, 1)], axis=1)
@@ -180,20 +181,13 @@ def _resolvent(model, e, strict, interior):
     return (g, x) if interior else g
 
 
-def _singular_bounds(model, e, sigma):
-    """1e-14 ||E - H_eff(E)||_inf, the singularity bound of solve_linear."""
-    h = model.h_b
-    m = np.subtract.outer(e, h.diagonal()).astype(complex)
-    for c, s in zip(model.contact_indices, sigma.T):
-        m[:, c] -= s
-    off = np.abs(h).sum(axis=1) - np.abs(h.diagonal())
-    return 1e-14 * (np.abs(m) + off).max(axis=1)
-
-
-def _border(e, sigma, g, e_k, w_k, tol, strict):
+def _border(model, e, sigma, g, e_k, w_k, strict):
     """Border the near levels e_k, contact rows w_k, into G = G_r in place,
     as :func:`contact_green` states; returns their interior columns. Both
-    are NaN, or SingularMatrix is raised, where sigma_min(A) <= tol."""
+    are NaN, or SingularMatrix is raised, where sigma_min(A) is within
+    solve_linear's bound for E - H_eff(E)."""
+    h = assemble_heff(model, e)
+    tol = _singular_bound(e * np.eye(len(h)) - h)
     b = np.eye(2) + g * sigma
     a = np.diag(e - e_k) - w_k.T @ (np.diag(sigma) + sigma[:, None] * g
                                     * sigma) @ w_k
@@ -237,7 +231,9 @@ def contact_green(model, energies):
     B = I + G_r Sigma, G_cc = G_r + B W_K A^-1 W_K^T B^T and x along K is
     A^-1 W_K^T B^T e_L. A is singular exactly when E - H_eff is; the test
     is sigma_min(A) <= 1e-14 ||E - H_eff||_inf, the bound of
-    :func:`~opencavity.linalg.solve_linear`.
+    :func:`~opencavity.linalg.solve_linear` applied to E - H_eff(E) as
+    :func:`~opencavity.spectrum.assemble_heff` builds it, which is done
+    only at an energy that borders a level.
 
     Parameters
     ----------

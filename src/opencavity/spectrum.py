@@ -131,10 +131,11 @@ class SpectralSet:
     ``rigidity_r[j]`` (0 when defective), its width -2 Im z is
     ``widths[j]`` (+0.0 for a real, dark state), and ``ep_proximity[j]``
     is |v^T v| of the unit eigenvector, the eigenpair condition number.
-    That equals the rigidity up to rounding, except for a defective state,
-    where it keeps the raw sub-threshold value, and inside a degenerate
-    cluster, where phi is orthogonalized but this stays the value of the
-    eigenvector the solver returned. ``track_id`` (continuity labels) and
+    Both routes normalize by one rule (:func:`_biorthonormalize`), so this
+    equals the rigidity up to rounding, except for a defective state, where
+    it keeps the raw sub-threshold value, and inside a degenerate cluster,
+    where phi is orthogonalized but this stays the value of the
+    eigenvector before it. ``track_id`` (continuity labels) and
     ``ambiguous`` (matches too close to call) are None until
     :func:`track_sweep` sets them. Every array is read-only.
 
@@ -252,10 +253,16 @@ class EPReport:
 
 def assemble_heff(model: CavityModel, energy) -> np.ndarray:
     """Effective Hamiltonian H_B + sum_C w_C^2 g_C(E) at a real energy."""
-    h = model.h_b.astype(complex)
+    return _with_self_energies(model.h_b, model.contact_indices,
+                               model.self_energy_weights(energy))
+
+
+def _with_self_energies(h_b, contacts, sigma):
+    """A complex copy of H_B with sigma_C added at each contact c_C."""
+    h = h_b.astype(complex)
     # One at a time: both leads may sit on one site.
-    for c, sigma in zip(model.contact_indices, model.self_energy_weights(energy)):
-        h[c, c] += sigma
+    for c, s in zip(contacts, sigma):
+        h[c, c] += s
     return h
 
 
@@ -549,14 +556,14 @@ def biorthogonal_spectrum(heff, energy) -> SpectralSet:
     """Diagonalize a complex symmetric H_eff and normalize biorthogonally.
 
     Eigenvectors of distinct eigenvalues of a complex symmetric matrix are
-    bilinearly orthogonal on their own, so every state quantity is a column
-    operation on the eigenvector matrix: the bilinear norms v^T v, the
-    normalization phi = v / sqrt(v^T v), the canonical sign, A = phi^dag phi
-    and r = 1/A. Exactly degenerate clusters (possible under lattice
-    symmetries) are orthogonalized bilinearly within the cluster, the only
-    per-state loop, but only when every member is comfortably
-    non-defective; a coalescing pair at an exceptional point is left
-    untouched and flagged through its norms instead.
+    bilinearly orthogonal on their own, so the unit columns v are
+    normalized by their bilinear norms v^T v alone, phi = v / sqrt(v^T v)
+    with A = phi^dag phi = 1/|v^T v| and r = 1/A, and take the canonical
+    sign. Exactly degenerate clusters (possible under lattice symmetries)
+    are orthogonalized bilinearly within the cluster, but only when every
+    member is comfortably non-defective; a coalescing pair at an
+    exceptional point is left untouched and flagged through its norms
+    instead. The rule is the secular route's (:func:`_biorthonormalize`).
 
     Parameters
     ----------
@@ -587,40 +594,79 @@ def biorthogonal_spectrum(heff, energy) -> SpectralSet:
     return _biorthogonal_set(*eig_general(h), energy)
 
 
-def _biorthogonal_set(values, raw, energy):
-    """SpectralSet of sorted eigenvalues, normalizing ``raw`` in place."""
-    scale = float(np.abs(values).max())
-    bilinear = np.einsum("ij,ij->j", raw, raw)
-    # hypot rounds like the scalar abs(complex); see _closest_pair.
-    prox = np.hypot(bilinear.real, bilinear.imag)
-    defective = prox < DEFECTIVE_TOL
-    clusters = []
-    for members in _degenerate_sets(values, scale):
-        if (prox[members] > _GRAM_SCHMIDT_PROX).all():
-            # A copy, read before raw is normalized in place below.
-            clusters.append((members, raw[:, members].T.copy()))
-    # Defective states keep their unit Hermitian norm.
-    phis = np.divide(raw, np.sqrt(np.where(defective, 1.0, bilinear)),
-                     out=raw)
-    for members, cols in clusters:
-        # Bilinear Gram-Schmidt; a member that collapses leaves the whole
-        # cluster normalized as the solver returned it.
-        done = []
-        for u in cols:
-            for p in done:
-                u = u - (p @ u) * p
-            uu = complex(u @ u)
-            if abs(uu) <= DEFECTIVE_TOL:
-                break
-            done.append(u / np.sqrt(uu))
-        else:
-            phis[:, members] = np.column_stack(done)
+def _biorthonormalize(values, at, beta, y_norm, rows):
+    """The biorthogonal normalization of eigenvectors y, for both routes.
 
-    _canonical_sign(phis)
-    # phi^dag phi = 1/|v^T v| analytically; the clamp keeps the stored
-    # pair inside a_norm >= 1, r in (0, 1] against rounding.
-    a_norm = np.maximum(np.einsum("ij,ij->j", phis.conj(), phis).real, 1.0)
+    ``values`` are all N sorted eigenvalues, and the states given are at
+    positions ``at`` of them, with bilinear norms ``beta`` (y^T y),
+    Hermitian norms ``y_norm`` (||y||) and ``rows(i)``, the y of given
+    states ``i`` as rows over a real orthonormal basis. Any other state is
+    a real unit vector.
+
+    A given state's |v^T v| of its unit vector, ``prox``, is
+    |beta| / ||y||^2 (1 for the others); below ``DEFECTIVE_TOL`` the state
+    is defective. State i is phi_i = y_i / s_i, s = ``scale``, with
+    s_i = sqrt(beta_i), so phi^T phi = 1, or s_i = ||y_i|| when defective.
+    Inside an exactly degenerate set whose members all have prox above
+    ``_GRAM_SCHMIDT_PROX``, the given states instead become phi_run @ t,
+    the bilinear Gram-Schmidt of their Gram matrix in ascending order, and
+    ``runs`` holds each (run, t); a member that collapses leaves the whole
+    run as it is. ``herm`` is phi^dag phi of the given states, and
+    ``a_norm`` that of all N, clamped to >= 1 against rounding and inf
+    when defective.
+
+    Returns (prox, scale, herm, runs, a_norm).
+    """
+    n = len(values)
+    prox = np.ones(n)
+    # hypot rounds like the scalar abs(complex); see _closest_pair.
+    prox[at] = np.hypot(beta.real, beta.imag) / y_norm ** 2
+    defective = prox < DEFECTIVE_TOL
+    scale = np.where(defective[at], y_norm, np.sqrt(beta))
+    herm = (y_norm / np.abs(scale)) ** 2
+    runs = []
+    row = np.full(n, -1)
+    row[at] = np.arange(len(at))
+    for members in _degenerate_sets(values, float(np.abs(values).max())):
+        run = row[members]
+        run = run[run >= 0]
+        if len(run) < 2 or not (prox[members] > _GRAM_SCHMIDT_PROX).all():
+            continue
+        phi = rows(run) / scale[run, None]
+        gram = phi @ phi.T
+        done = []
+        for t in np.eye(len(run), dtype=complex):
+            for q in done:
+                t = t - (q @ gram @ t) * q
+            tt = complex(t @ gram @ t)
+            if abs(tt) <= DEFECTIVE_TOL:
+                break
+            done.append(t / np.sqrt(tt))
+        else:
+            t = np.column_stack(done)
+            runs.append((run, t))
+            herm[run] = np.einsum("ba,bc,ca->a", t.conj(),
+                                  phi.conj() @ phi.T, t).real
+    a_norm = np.ones(n)
+    a_norm[at] = np.maximum(herm, 1.0)
     a_norm[defective] = math.inf
+    return prox, scale, herm, runs, a_norm
+
+
+def _biorthogonal_set(values, raw, energy):
+    """SpectralSet of sorted eigenvalues, normalizing ``raw`` in place.
+
+    The solver's columns are unit vectors, and the normalization reads
+    them before they are divided in place.
+    """
+    n = len(values)
+    prox, scale, _, runs, a_norm = _biorthonormalize(
+        values, np.arange(n), np.einsum("ij,ij->j", raw, raw), np.ones(n),
+        lambda i: raw[:, i].T)
+    phis = np.divide(raw, scale, out=raw)
+    for run, t in runs:
+        phis[:, run] = phis[:, run] @ t
+    _canonical_sign(phis)
     # C order, so every product over it rounds as over a column stack of
     # the states' phi.
     return SpectralSet(energy=float(energy), values=values, a_norm=a_norm,
@@ -679,11 +725,11 @@ class _SecularStates:
     1 / (z_i - p_j) apart: j is ``near[i]`` (else -1), the value
     ``near_r[i]``, and its ``gamma`` is inf.
 
-    State i is phi_i = y_i / s_i, s_i = sqrt(y_i^T y_i) (``scale``), except
-    inside a run of exactly degenerate bright roots: there, as on the
-    ``zgeev`` route, the states are bilinearly Gram-Schmidt-orthogonalized
-    combinations, and ``runs`` holds each run's members (ascending bright
-    indices, which other roots may sort between) and coefficients.
+    The bright states are normalized by :func:`_biorthonormalize`, the
+    rule the ``zgeev`` route shares: state i is phi_i = y_i / s_i
+    (``scale``), except in the bilinearly Gram-Schmidt-orthogonalized
+    ``runs`` of exactly degenerate roots (ascending bright indices, which
+    other roots may sort between), and ``herm`` holds phi_i^dag phi_i.
 
     The basis is real orthogonal, so every product of two states is that
     of their coefficient vectors, and partial fractions reduce the
@@ -724,56 +770,15 @@ class _SecularStates:
     dark_pos: np.ndarray
 
     def __post_init__(self):
-        # The bilinear norm of the unit state, as the zgeev route measures
-        # it before any Gram-Schmidt; a dark state is real.
-        prox = np.ones(len(self.values))
-        prox[self.bright_pos] = (np.hypot(self.beta.real, self.beta.imag)
-                                 / self.y_norm ** 2)
-        defective = prox < DEFECTIVE_TOL
-        # Defective states keep their unit Hermitian norm.
-        self.scale = np.where(defective[self.bright_pos], self.y_norm,
-                              np.sqrt(self.beta))
-        # phi_i^dag phi_i of the bright states.
-        self.herm = (self.y_norm / np.abs(self.scale)) ** 2
-        self.runs = []
-        row = np.full(len(self.values), -1)
-        row[self.bright_pos] = np.arange(len(self.z))
-        for members in _degenerate_sets(self.values,
-                                        float(np.abs(self.values).max())):
-            run = row[members]
-            run = run[run >= 0]
-            if len(run) > 1 and (prox[members] > _GRAM_SCHMIDT_PROX).all():
-                self._orthogonalize(run)
+        (self.ep_proximity, self.scale, self.herm, self.runs,
+         self.a_norm) = _biorthonormalize(self.values, self.bright_pos,
+                                          self.beta, self.y_norm, self.rows)
         edges = set(range(0, len(self.z), _BLOCK)) | {len(self.z)}
         for run, _ in self.runs:
             edges -= set(range(run[0] + 1, run[-1] + 1))
         edges = sorted(edges)
         # Blocks of bright roots that keep every run whole.
         self.blocks = [slice(a, b) for a, b in zip(edges, edges[1:])]
-        self.ep_proximity = prox
-        self.a_norm = np.ones(len(self.values))
-        self.a_norm[self.bright_pos] = np.maximum(self.herm, 1.0)
-        self.a_norm[defective] = math.inf
-
-    def _orthogonalize(self, run):
-        """Bilinear Gram-Schmidt of the run's states, as on the zgeev route.
-
-        A member that collapses leaves the whole run as it is.
-        """
-        phi = self.rows(run) / self.scale[run, None]
-        gram = phi @ phi.T
-        done = []
-        for t in np.eye(len(gram), dtype=complex):
-            for q in done:
-                t = t - (q @ gram @ t) * q
-            tt = complex(t @ gram @ t)
-            if abs(tt) <= DEFECTIVE_TOL:
-                return
-            done.append(t / np.sqrt(tt))
-        t = np.column_stack(done)
-        self.runs.append((run, t))
-        self.herm[run] = np.einsum("ba,bc,ca->a", t.conj(),
-                                   phi.conj() @ phi.T, t).real
 
     @cached_property
     def vectors(self):

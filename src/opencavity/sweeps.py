@@ -45,6 +45,7 @@ from .scattering import (
 )
 from .spectrum import (
     _track_steps,
+    _with_self_energies,
     find_exceptional_point,
     heff_spectrum,
 )
@@ -517,17 +518,19 @@ def _median(values):
     return math.nan if np.isnan(v[-1]) else float(m + 0.0)
 
 
+def _result(config, columns, rows):
+    """The StudyResult of ``config``'s study, with its canonical echo."""
+    return StudyResult(study=config.study, columns=columns, rows=rows,
+                       config_echo=serialize_config(config))
+
+
 def run_transmit_study(config: RunConfig) -> StudyResult:
     """Transmission amplitude L -> R across the energy grid."""
     energies = config.e_grid.values()
     t = s_matrix(config.build_model(), energies)[:, 1, 0]
-    return StudyResult(
-        study=config.study,
-        columns=("e", "re_t", "im_t", "abs_t", "transmission"),
-        rows=np.column_stack((energies, t.real, t.imag, np.abs(t),
-                              np.abs(t) ** 2)),
-        config_echo=serialize_config(config),
-    )
+    return _result(config, ("e", "re_t", "im_t", "abs_t", "transmission"),
+                   np.column_stack((energies, t.real, t.imag, np.abs(t),
+                                    np.abs(t) ** 2)))
 
 
 def run_trapping_study(config: RunConfig) -> StudyResult:
@@ -566,12 +569,9 @@ def run_trapping_study(config: RunConfig) -> StudyResult:
                     PEAK_FLOOR_ABS)
         for a in alphas
     ]
-    return StudyResult(
-        study=config.study,
-        columns=("alpha", *(f"gamma_{k}" for k in range(n)), "n_peaks"),
-        rows=rows,
-        config_echo=serialize_config(config),
-    )
+    return _result(config,
+                   ("alpha", *(f"gamma_{k}" for k in range(n)), "n_peaks"),
+                   rows)
 
 
 def run_rigidity_study(config: RunConfig) -> StudyResult:
@@ -599,15 +599,8 @@ def run_rigidity_study(config: RunConfig) -> StudyResult:
             continue
         row[3:] = (rig.rho_spectral.real, rig.rho_spectral.imag,
                    rig.b_antisymmetry_residual, sp.rigidity_r.min())
-    return StudyResult(
-        study=config.study,
-        columns=(
-            "e", "rho_mod", "rho_theta", "rho_spec_re", "rho_spec_im",
-            "b_residual", "r_min",
-        ),
-        rows=rows,
-        config_echo=serialize_config(config),
-    )
+    return _result(config, ("e", "rho_mod", "rho_theta", "rho_spec_re",
+                            "rho_spec_im", "b_residual", "r_min"), rows)
 
 
 def run_delay_study(config: RunConfig) -> StudyResult:
@@ -617,31 +610,24 @@ def run_delay_study(config: RunConfig) -> StudyResult:
     """
     energies = config.e_grid.values()
     tau = wigner_delay(config.build_model(), energies)
-    return StudyResult(
-        study=config.study,
-        columns=("e", "tau"),
-        rows=np.column_stack((energies, tau)),
-        config_echo=serialize_config(config),
-    )
+    return _result(config, ("e", "tau"), np.column_stack((energies, tau)))
 
 
 def _coupling_family(config: RunConfig):
     """H_eff at the grid center as a function of the two lead couplings.
 
     H_B and the leads' g(E) are computed once; each call adds the
-    self-energies (alpha |p_C|)^2 g_C(E) to a copy, as
-    :func:`~opencavity.spectrum.assemble_heff` does on a model with
-    coupling values |p|.
+    self-energies (alpha |p_C|)^2 g_C(E) to a copy of H_B through
+    :func:`~opencavity.spectrum.assemble_heff`'s own step, as on a model
+    with coupling values |p|.
     """
     base = config.build_model()
-    h_b = base.h_b.astype(complex)
     g = surface_green(config.e_grid.center, base.lead_hopping).tolist()
 
     def family(p):
-        h = h_b.copy()
-        for c, w, g_c in zip(base.contact_indices, p, g):
-            h[c, c] += (base.alpha * abs(float(w))) ** 2 * g_c
-        return h
+        return _with_self_energies(
+            base.h_b, base.contact_indices,
+            [(base.alpha * abs(float(w))) ** 2 * g_c for w, g_c in zip(p, g)])
 
     return family
 
@@ -674,13 +660,8 @@ def run_ep_study(config: RunConfig):
         ],
         dtype=float,
     )
-    result = StudyResult(
-        study=config.study,
-        columns=("step", "p1", "p2", "separation", "a_norm_max"),
-        rows=rows,
-        config_echo=serialize_config(config),
-    )
-    return result, report
+    return _result(config, ("step", "p1", "p2", "separation", "a_norm_max"),
+                   rows), report
 
 
 def run_crossover_study(config: RunConfig) -> StudyResult:
@@ -714,13 +695,9 @@ def run_crossover_study(config: RunConfig) -> StudyResult:
         )
 
     rows = [one(a) for a in config.alpha_grid.values()]
-    return StudyResult(
-        study=config.study,
-        columns=("alpha", "avg_T", "min_rho", "gamma_max", "gamma_median",
-                 "n_peaks"),
-        rows=np.array(rows, dtype=float),
-        config_echo=serialize_config(config),
-    )
+    return _result(config, ("alpha", "avg_T", "min_rho", "gamma_max",
+                            "gamma_median", "n_peaks"),
+                   np.array(rows, dtype=float))
 
 
 _RUNNERS = {

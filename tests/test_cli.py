@@ -301,6 +301,21 @@ class TestFailureExitCodes:
         assert err.startswith("opencavity: MemoryError: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_config_too_large_to_allocate(self, tmp_path, capsys,
+                                          monkeypatch):
+        # Running out of memory while the config is built is exit 2 with
+        # one stderr line. The error is raised, not provoked, so nothing
+        # large is allocated.
+        def out_of_memory(doc, base_dir):
+            raise MemoryError("cannot allocate the cavity")
+
+        monkeypatch.setattr("opencavity.cli._build_config", out_of_memory)
+        cfg = write_config(tmp_path, base_doc())
+        assert main(["transmit", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "opencavity: invalid config: out of memory: "
+            "cannot allocate the cavity\n")
+
     def test_invalid_config(self, tmp_path, capsys):
         doc = base_doc()
         doc["e_grid"]["max"] = 3.0

@@ -98,6 +98,13 @@ class TestEigGeneral:
             v = vectors[:, k]
             assert abs(complex(v @ v)) == 0.0
 
+    def test_scalar_2x2(self):
+        # Every vector is an eigenvector of a scalar matrix, and the closed
+        # form picks the identity's columns.
+        values, vectors = eig_general(2j * np.eye(2))
+        npt.assert_array_equal(values, [2j, 2j])
+        npt.assert_array_equal(vectors, np.eye(2))
+
     def test_condition_near_one_for_normal(self):
         # The unit right vectors of a real symmetric matrix are orthonormal,
         # so each is its own left vector and every pair has condition 1.
@@ -115,6 +122,10 @@ class TestEigGeneral:
         m = np.array([[1.0, np.nan], [0.0, 1.0]], dtype=complex)
         with pytest.raises(InvalidMatrix):
             eig_general(m)
+
+    def test_rejects_empty(self):
+        with pytest.raises(InvalidMatrix):
+            eig_general(np.zeros((0, 0)))
 
 
 class TestSolveLinear:

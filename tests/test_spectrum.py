@@ -30,6 +30,8 @@ from opencavity.linalg import eig_general
 from opencavity.spectrum import (
     _DenseStates,
     _ambiguous_matches,
+    _biorthonormalize,
+    _canonical_sign,
     _closest_pair,
     _degenerate_sets,
     _secular_eigenvalues,
@@ -333,19 +335,33 @@ def test_biorthogonal_matches_per_state_reference(model, e):
 def test_cluster_orthogonalized_from_the_solver_columns():
     # The normalization runs in place on the solver's vectors, yet the
     # bilinear Gram-Schmidt must read a cluster's columns as returned. The
-    # per-state reference orthogonalizes the same columns in the same
-    # order, so the members agree bit for bit. zgeev's vectors are column
-    # major: a cluster's columns, transposed, are contiguous already.
+    # shared rule applied to a fresh copy of those columns gives the same
+    # run and coefficients, so the members agree bit for bit.
     for e in (0.0, 0.37, 1.0):
         h = assemble_heff(square4(), e)
-        assert eig_general(h)[1].flags.f_contiguous
         sp = biorthogonal_spectrum(h, e)
-        ref = reference_biorthogonal(h)
-        (members,) = _degenerate_sets(sp.values,
-                                      float(np.abs(sp.values).max()))
-        assert len(members) == 3 and (sp.ep_proximity[members] > 1e-3).all()
-        for j in members:
-            assert bits(sp.vectors[:, j], complex) == bits(ref[j][0], complex)
+        values, raw = eig_general(h)
+        n = len(values)
+        _, scale, _, runs, _ = _biorthonormalize(
+            values, np.arange(n), np.einsum("ij,ij->j", raw, raw),
+            np.ones(n), lambda i: raw[:, i].T)
+        ((run, t),) = runs
+        assert len(run) == 3 and (sp.ep_proximity[run] > 1e-3).all()
+        expected = _canonical_sign((raw / scale)[:, run] @ t)
+        assert bits(sp.vectors[:, run], complex) == bits(expected, complex)
+
+
+def test_gram_schmidt_collapse_leaves_the_run_as_it_is():
+    # Both routes share the rule. A run whose second member equals the
+    # first has the Gram matrix [[1, 1], [1, 1]]: its second member
+    # collapses, so the run is left as it is and records no run.
+    y = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
+    prox, scale, herm, runs, a_norm = _biorthonormalize(
+        np.array([0.5, 0.5], dtype=complex), np.arange(2),
+        np.ones(2, dtype=complex), np.ones(2), lambda i: y[i])
+    assert runs == []
+    assert (prox == 1.0).all() and (scale == 1.0).all()
+    assert (herm == 1.0).all() and (a_norm == 1.0).all()
 
 
 def test_interleaved_degenerate_states_are_orthogonalized():
