@@ -15,8 +15,8 @@ from opencavity import (
     assemble_heff,
     biorthogonal_spectrum,
     count_peaks,
+    s_matrix,
     track_sweep,
-    transmission_direct,
 )
 
 # ---------------------------------------------------------------
@@ -74,7 +74,7 @@ grid = np.linspace(-1.95, 1.95, 401)
 print("alpha    peaks in |t| above 0.5")
 for alpha in (0.5, 1.0, 1.5, 2.0):
     model = chain(alpha)
-    abs_t = [abs(transmission_direct(model, float(e))) for e in grid]
+    abs_t = np.abs(s_matrix(model, grid)[:, 1, 0])
     print(f"{alpha:4.1f}     {count_peaks(abs_t, floor=0.5)}")
 print("(at matched coupling, alpha = 1, the spectrum is a flat plateau")
 print(" with no isolated peaks at all)")

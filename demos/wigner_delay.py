@@ -49,8 +49,8 @@ for j in narrow:
     print(f"  E = {sp.values[j].real:8.4f}   gamma = {sp.widths[j]:.4f}")
 print()
 print("      E        tau")
-for e in np.linspace(0.0, 1.9, 20):
-    tau = wigner_delay(model, float(e))
+grid = np.linspace(0.0, 1.9, 20)
+for e, tau in zip(grid, wigner_delay(model, grid)):
     bar = "#" * max(0, int(2 * tau))
     print(f"  {e:7.3f}   {tau:8.3f}  {bar}")
 print()

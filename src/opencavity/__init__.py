@@ -16,75 +16,13 @@ config-driven studies with deterministic CSV export.
 
 __version__ = "0.1.0"
 
-from .exceptions import (
-    ConvergenceFailure,
-    DefectiveSpectrum,
-    ExceptionalPointNotFound,
-    InvalidGeometry,
-    InvalidMatrix,
-    OpenCavityError,
-    OutsideBand,
-    ParseError,
-    PoleOnAxis,
-    SingularMatrix,
-    UndefinedValue,
-    ValidationError,
-    WriteError,
-)
-from .linalg import eig_general, minimize_simplex, solve_linear
-from .model import (
-    CavityModel,
-    LatticeSpec,
-    LeadSpec,
-    build_hb,
-    surface_green,
-)
-from .spectrum import (
-    EPReport,
-    PoleResult,
-    SpectralSet,
-    assemble_heff,
-    biorthogonal_spectrum,
-    find_exceptional_point,
-    fixed_point_poles,
-    heff_spectrum,
-    track_sweep,
-)
-from .rigidity import (
-    RigidityReport,
-    b_antisymmetry_residual,
-    build_report,
-    rho_direct,
-)
-from .scattering import (
-    ScatteringSolution,
-    coefficients_c,
-    contact_green,
-    s_matrix,
-    solve_scattering,
-    transmission_direct,
-    transmission_spectral,
-    wigner_delay,
-)
-from .sweeps import (
-    STUDIES,
-    AlphaGrid,
-    EnergyGrid,
-    RunConfig,
-    StudyResult,
-    count_peaks,
-    export_csv,
-    format_csv,
-    parse_config,
-    run_crossover_study,
-    run_delay_study,
-    run_ep_study,
-    run_rigidity_study,
-    run_study,
-    run_transmit_study,
-    run_trapping_study,
-    serialize_config,
-)
+from .exceptions import *
+from .linalg import *
+from .model import *
+from .spectrum import *
+from .rigidity import *
+from .scattering import *
+from .sweeps import *
 
 from . import exceptions, linalg, model, rigidity, scattering, spectrum, sweeps
 

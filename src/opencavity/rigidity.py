@@ -138,6 +138,8 @@ def build_report(spectral_set, psi, model, incoming=0):
     not depend on the states' signs, and on the secular route they are
     O(N^2) closed forms that form no phi. Raises UndefinedValue if ``psi``
     is zero, and whatever the expansion raises where it does not exist.
+    In the package only :func:`~opencavity.scattering.solve_scattering`
+    calls it.
     """
     mod, theta = rho_direct(psi)
     rho_spectral, residual = spectral_set.expansion_rigidity(model, incoming)

@@ -36,7 +36,7 @@ from .exceptions import (
     WriteError,
 )
 from .model import CavityModel, LatticeSpec, LeadSpec, surface_green
-from .rigidity import build_report, rho_direct
+from .rigidity import rho_direct
 from .scattering import (
     _s_matrices,
     contact_green,
@@ -69,8 +69,6 @@ __all__ = [
     "format_csv",
     "count_peaks",
 ]
-
-STUDIES = ("transmit", "spectrum", "rigidity", "ep-find", "delay", "crossover")
 
 # Peak rule: a transmission maximum counts when |t| clears the floor and
 # tops both neighbors by the prominence margin, so rounding ripple on a
@@ -591,14 +589,13 @@ def run_rigidity_study(config: RunConfig) -> StudyResult:
     rows = np.full((len(energies), 7), math.nan)
     rows[:, 0] = energies
     rows[:, 1], rows[:, 2] = rho_direct(x)
-    for row, e, x_e in zip(rows, energies, x):
+    for row, e in zip(rows, energies):
         try:
             sp = heff_spectrum(model, e)
-            rig = build_report(sp, x_e, model)
+            rho, residual = sp.expansion_rigidity(model)
         except (PoleOnAxis, DefectiveSpectrum, UndefinedValue):
             continue
-        row[3:] = (rig.rho_spectral.real, rig.rho_spectral.imag,
-                   rig.b_antisymmetry_residual, sp.rigidity_r.min())
+        row[3:] = rho.real, rho.imag, residual, sp.rigidity_r.min()
     return _result(config, ("e", "rho_mod", "rho_theta", "rho_spec_re",
                             "rho_spec_im", "b_residual", "r_min"), rows)
 
@@ -704,22 +701,25 @@ _RUNNERS = {
     "transmit": run_transmit_study,
     "spectrum": run_trapping_study,
     "rigidity": run_rigidity_study,
+    "ep-find": run_ep_study,
     "delay": run_delay_study,
     "crossover": run_crossover_study,
 }
 
+STUDIES = tuple(_RUNNERS)
+
 
 def run_study(config: RunConfig):
-    """Dispatch a config to its study runner.
+    """Dispatch a config to its study runner, one table for all six.
 
     Returns a StudyResult with the wall time filled in; for the ep-find
     study, a (StudyResult, EPReport) pair.
     """
     t0 = time.perf_counter()
-    if config.study == "ep-find":
-        result, report = run_ep_study(config)
-        return replace(result, wall_time=time.perf_counter() - t0), report
     result = _RUNNERS[config.study](config)
+    if config.study == "ep-find":
+        result, report = result
+        return replace(result, wall_time=time.perf_counter() - t0), report
     return replace(result, wall_time=time.perf_counter() - t0)
 
 

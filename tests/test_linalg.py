@@ -171,6 +171,18 @@ class TestSolveLinear:
         with pytest.raises(SingularMatrix):
             solve_linear(m, np.ones(n))
 
+    def test_rhs_length_mismatch_raises(self):
+        with pytest.raises(InvalidMatrix):
+            solve_linear(np.eye(3), np.ones(2))
+
+    def test_solver_failure_raises_singular(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", fail)
+        with pytest.raises(SingularMatrix, match="Singular matrix"):
+            solve_linear(np.eye(3), np.ones(3))
+
 
 class TestMinimizeSimplex:
     def test_rosenbrock_2d(self):

@@ -236,6 +236,14 @@ class TestCavityModel:
         with pytest.raises(ValueError):
             m.h_b[0, 0] = 5.0
 
+    def test_repr(self):
+        m = CavityModel(
+            LatticeSpec(3, 2),
+            (LeadSpec((0, 0), 1.0), LeadSpec((2, 1), 1.0)),
+            0.25,
+        )
+        assert repr(m) == "CavityModel(n=6, channels=2, alpha=0.25)"
+
 
 # The lead layer computes g, Sigma and a once, array-valued; a scalar
 # energy goes through the same code. The references below are the formulas
@@ -345,13 +353,28 @@ def test_lead_slopes_match_centred_differences():
 
 
 def test_package_exports_each_module_name_once():
-    # The package's __all__ is the union of its modules' lists, and every
-    # name resolves on the package; the exception classes are all listed.
-    import opencavity
-    from opencavity import exceptions
+    # The package's __all__ is the union of its modules' lists, and each
+    # listed name is bound on the package to the module's own object; every
+    # other public attribute is a submodule. The exception classes are all
+    # listed.
+    import types
 
+    import opencavity
+    from opencavity import (exceptions, linalg, model, rigidity, scattering,
+                            spectrum, sweeps)
+
+    modules = (exceptions, linalg, model, spectrum, rigidity, scattering,
+               sweeps)
+    union = [name for mod in modules for name in mod.__all__]
+    assert opencavity.__all__ == ["__version__", *union]
     assert len(opencavity.__all__) == len(set(opencavity.__all__))
-    assert all(hasattr(opencavity, name) for name in opencavity.__all__)
+    for mod in modules:
+        for name in mod.__all__:
+            assert getattr(opencavity, name) is getattr(mod, name), name
+    others = {name for name in vars(opencavity)
+              if not name.startswith("_") and name not in union}
+    assert all(isinstance(getattr(opencavity, name), types.ModuleType)
+               for name in others), others
     classes = {name for name, value in vars(exceptions).items()
                if isinstance(value, type) and issubclass(value, Exception)}
     assert classes == set(exceptions.__all__)

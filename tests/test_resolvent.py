@@ -258,6 +258,31 @@ class TestFallback:
         assert np.isfinite(g[[0, 2]]).all() and np.isfinite(x[[0, 2]]).all()
         assert np.isnan(s_matrix(model, np.array([0.0]))).all()
 
+    def test_failed_border_solve_is_singular(self, monkeypatch):
+        # Exactly on a bright level the near block is bordered back in. If
+        # its solve fails, the array call gives a NaN row there and the
+        # scalar call raises, as at a singular E - H_eff.
+        model = CavityModel(
+            LatticeSpec(3, 1),
+            (LeadSpec((0, 0), 1.0), LeadSpec((2, 0), 1.0)),
+            0.5,
+        )
+        e_k, u = model.closed_modes
+        k = int(np.argmax(np.abs(u[list(model.contact_indices)]).min(axis=0)))
+        assert np.abs(u[list(model.contact_indices), k]).min() > 0.3
+        grid = np.array([-0.7, e_k[k], 0.3])
+        assert np.isfinite(s_matrix(model, grid)).all()
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", fail)
+        s = s_matrix(model, grid)
+        assert np.isnan(s[1]).all()
+        assert np.isfinite(s[[0, 2]]).all()
+        with pytest.raises(SingularMatrix):
+            s_matrix(model, float(e_k[k]))
+
     def test_next_to_bright_eigenvalue(self):
         # 1e-9 from a bright, non-degenerate e_k the bare resolvent is off
         # by about 2e-8 relative; the LU fallback is exact to rounding.

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opencavity import (
+    STUDIES,
     AlphaGrid,
     CavityModel,
     EnergyGrid,
@@ -35,7 +36,7 @@ from opencavity import (
     serialize_config,
     spectrum,
 )
-from opencavity.sweeps import _coupling_family, _median
+from opencavity.sweeps import _RUNNERS, _coupling_family, _median
 
 from conftest import NOTCH_MASK
 
@@ -574,6 +575,10 @@ class TestStudyRunners:
         assert np.isfinite(rows[:, [0, 3, 4, 5]]).all()
 
     def test_run_study_dispatch_and_wall_time(self):
+        # One table names the studies, in the order --help lists them.
+        assert STUDIES == ("transmit", "spectrum", "rigidity", "ep-find",
+                           "delay", "crossover")
+        assert STUDIES == tuple(_RUNNERS)
         res = run_study(parse_doc(config_doc()))
         assert res.study == "transmit"
         assert res.wall_time > 0.0
