@@ -217,11 +217,12 @@ def build_hb(lattice: LatticeSpec):
 
 
 class _ClosedCavity:
-    """H_B of one geometry, with its eigendecomposition computed on demand.
+    """H_B of one geometry, with its eigendecompositions computed on demand.
 
     Models that differ only in the coupling strength share one instance,
-    so the O(N^3) ``eigh`` runs once per geometry. The lock makes the lazy
-    computation safe when models of one geometry run on several threads.
+    so the O(N^3) ``eigh`` runs once per geometry, and so does each
+    ``eigvalsh`` of H_B with contact sites removed. The lock makes the lazy
+    computations safe when models of one geometry run on several threads.
     """
 
     def __init__(self, lattice):
@@ -230,6 +231,7 @@ class _ClosedCavity:
         self.h = h
         self.sites = sites
         self._modes = None
+        self._interior = {}
         self._lock = threading.Lock()
 
     def modes(self):
@@ -240,6 +242,17 @@ class _ClosedCavity:
                 vectors.flags.writeable = False
                 self._modes = (energies, vectors)
         return self._modes
+
+    def interior_levels(self, removed):
+        """Eigenvalues (ascending) of H_B without the sites ``removed``."""
+        with self._lock:
+            levels = self._interior.get(removed)
+            if levels is None:
+                keep = np.delete(np.arange(len(self.h)), removed)
+                levels = np.linalg.eigvalsh(self.h[np.ix_(keep, keep)])
+                levels.flags.writeable = False
+                self._interior[removed] = levels
+        return levels
 
 
 class CavityModel:
@@ -308,6 +321,12 @@ class CavityModel:
         geometry made through :meth:`with_alpha`; read-only arrays.
         """
         return self._closed.modes()
+
+    def _interior_levels(self, sites):
+        """Eigenvalues (ascending) of H_B with the rows and columns of the
+        sorted contact indices ``sites`` removed; computed on first use and
+        shared like :attr:`closed_modes`."""
+        return self._closed.interior_levels(tuple(sites))
 
     def with_alpha(self, alpha):
         """Same geometry and leads at a different coupling strength.

@@ -64,6 +64,10 @@ __all__ = [
 # summing it: the sums' rounding grows like eps / |E - e_k|, to at most
 # 2.4e-11 relative to LU at this distance on the tests' reference models.
 RESOLVENT_GAP = 1e-6
+# Energies per pass of the resolvent and the delay, whose temporaries take
+# about 20 KB per energy at N = 290: memory is O(_CHUNK N) at any grid
+# size, and grids of up to 4,096 energies run in one pass.
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -148,8 +152,25 @@ def transmission_spectral(spectral, model):
     return -2j * math.pi * a[0] * a[1] * np.sum(phi_r * phi_l / d)
 
 
+def _chunked(f, e):
+    """f over the energies e, ``_CHUNK`` at a time, joined along axis 0.
+
+    A grid of one chunk gives f(e) itself; f may return a tuple of arrays.
+    """
+    parts = [f(e[i:i + _CHUNK]) for i in range(0, max(len(e), 1), _CHUNK)]
+    if len(parts) == 1:
+        return parts[0]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    return np.concatenate(parts)
+
+
 def _resolvent(model, e, strict, interior):
     """G_cc at energies e; with ``interior`` also x[:, b] = U^T psi_b."""
+    return _chunked(lambda c: _resolvent_chunk(model, c, strict, interior), e)
+
+
+def _resolvent_chunk(model, e, strict, interior):
     e_k, u = model.closed_modes
     u_c = u[model.contact_indices, :]
     sigma = model.self_energy_weights(e)
@@ -335,8 +356,14 @@ def wigner_delay(model, energy):
         Only for a scalar energy.
     """
     e, scalar = _energies(energy)
-    a = model.channel_amplitudes(e[0] if scalar else e).reshape(-1, 2)
-    g, x = _resolvent(model, e, scalar, interior=True)
+    tau = _chunked(lambda c: _delays(model, c, scalar), e)
+    return float(tau[0]) if scalar else tau
+
+
+def _delays(model, e, strict):
+    """tau at energies e, one chunk, as :func:`wigner_delay` states."""
+    a = model.channel_amplitudes(e[0] if strict else e).reshape(-1, 2)
+    g, x = _resolvent_chunk(model, e, strict, interior=True)
     dsigma, kappa = model._lead_slopes(e)
     aa = -2j * math.pi * a[:, :, None] * a[:, None, :]
     with np.errstate(invalid="ignore"):
@@ -344,8 +371,7 @@ def wigner_delay(model, energy):
         gs = np.swapaxes(g, 1, 2) * dsigma[:, None, :]
         dg = gs @ g - x @ np.swapaxes(x, 1, 2)
         ds = aa * ((kappa[:, :, None] + kappa[:, None, :]) * g + dg)
-        tau = np.sum((np.eye(2) + aa * g).conj() * ds, axis=(1, 2)).imag
-    return float(tau[0]) if scalar else tau
+        return np.sum((np.eye(2) + aa * g).conj() * ds, axis=(1, 2)).imag
 
 
 def solve_scattering(model, energy, incoming=0):

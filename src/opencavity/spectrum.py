@@ -78,14 +78,14 @@ DEFECTIVE_TOL = 1e-12
 # Roots per block of the Aberth iteration; the block's temporaries are
 # block x N, never N x N.
 _BLOCK = 32
-# The 290-site crossover cavities take 23 to 31 iterations at alpha = 4
-# (127 to 135 block evaluations; direct-large seeds 1-5 and 21).
+# The 290-site crossover cavities take at most 29 iterations, at alpha = 4
+# (direct-large seeds 1-5 and 21).
 _ABERTH_MAX_ITER = 60
 # Steps below this, times the scale, have converged.
 _ABERTH_TOL = 1e-14
 # Size of the move, times the scale, off a pole or a coincident root.
 _NUDGE = 1e-8
-# Relative distance below which two first-order starts count as one.
+# Relative distance below which two starts of a pair count as one.
 _COINCIDENT = 1e-8
 # Accepted backward error of a root, times max(1, max |lambda|); the
 # deflation floor, times the scale.
@@ -336,13 +336,15 @@ def _secular_eigenvalues(model, energy):
         G0(z) = sum_k w_k w_k^T / (z - p_k),
 
     over the poles p_k that keep weight. :func:`_aberth` finds all of them
-    at once from first-order perturbation theory. Every root must then pass
-    a backward-error check, ||(diag p + W S W^T - z) y|| / ||y|| <= 1e-12
-    max(1, max |lambda|) with y its eigenvector (max |lambda| is at most
+    at once. It starts from first-order perturbation theory in S, or past
+    the trapping threshold from the trapped and superradiant levels of
+    :func:`_trapping_starts`. Every root must then pass a backward-error
+    check, ||(diag p + W S W^T - z) y|| / ||y|| <= 1e-12 max(1, max
+    |lambda|) with y its eigenvector (max |lambda| is at most
     ||H_eff||_2), and all N must sum to the trace of H_eff less the
-    deflated levels' first-order shifts. The trace alone proves
-    nothing: the starts already sum to it exactly, so iterates that never
-    moved would pass. Returns None when a check fails.
+    deflated levels' first-order shifts. The trace alone proves nothing:
+    the first-order starts already sum to it exactly, so iterates that
+    never moved would pass. Returns None when a check fails.
 
     Otherwise it returns the states as a :class:`_SecularStates`, with the
     eigenvalues sorted like :func:`~opencavity.linalg.eig_general`: each
@@ -362,7 +364,7 @@ def _secular_eigenvalues(model, energy):
     # Comput. 8, s139 (1987)): its unit vector is then an eigenvector.
     s_max, floor = np.abs(sigma).max(), (_BACKWARD_TOL * scale) ** 2
 
-    # 1-2. Deflation and first-order starts in stacked LAPACK calls, over
+    # 1. Deflation and first-order starts in stacked LAPACK calls, over
     # the clusters of one size m, then of one bright count b <= 2: one SVD
     # per size, one eigvals per size and b. The first b combinations of
     # a cluster keep weight; ``lit`` marks them by index. By index too, z0
@@ -393,14 +395,8 @@ def _secular_eigenvalues(model, energy):
             # Degenerate first order: the eigenvalues of W_c S W_c^T.
             shifts = np.linalg.eigvals((w * sigma) @ np.swapaxes(w, 1, 2))
             if b == 2:
-                # A double shift (sigma_L = sigma_R on a symmetric pair)
-                # gives coincident starts, which Aberth iteration never
-                # separates. hypot rounds like the scalar abs(complex).
-                d = shifts[:, 0] - shifts[:, 1]
-                twin = (np.hypot(d.real, d.imag) <= _COINCIDENT
-                        * np.hypot(shifts[:, 0].real, shifts[:, 0].imag))
-                shifts[twin] = (shifts[twin, :1]
-                                * np.array([1.0 + 0.1j, 1.0 - 0.1j]))
+                # A double shift (sigma_L = sigma_R on a symmetric pair).
+                _separate_twins(shifts)
             lit[rows] = True
             z0[rows] = e_k[rows] + shifts
             w_rot[rows] = w
@@ -411,7 +407,11 @@ def _secular_eigenvalues(model, energy):
     z0[k[k_lit]] = e_k[k[k_lit]] + w_all[k[k_lit]] ** 2 @ sigma
     bright = np.concatenate([np.flatnonzero(lit), k[k_lit]])
     dark = np.concatenate([np.flatnonzero(clustered & ~lit), k[~k_lit]])
-    p, w, z = e_k[bright], w_rot[bright], z0[bright]
+    p, w = e_k[bright], w_rot[bright]
+    # 2. Past the trapping threshold, the trapping starts instead.
+    z = _trapping_starts(model, sigma, e_k[dark], len(bright), scale)
+    if z is None:
+        z = z0[bright]
     # The trace of H_eff less the first-order shifts of the deflated levels.
     trace = e_k.sum() + np.sum(w ** 2 @ sigma)
 
@@ -499,6 +499,82 @@ def _secular_eigenvalues(model, energy):
         x=xs[lit], v=vs[lit], y_norm=y_norms[lit], beta=betas[lit],
         gamma=gammas[lit], near=nears[lit], near_r=near_r[lit],
         w_dark=w_rot[dark], bright_pos=pos[lit], dark_pos=pos[nb:])
+
+
+def _separate_twins(pairs):
+    """Split in place each row of an (n, 2) array whose two values coincide.
+
+    Coincident starts are never separated by Aberth iteration, so a pair
+    within ``_COINCIDENT`` of each other, relative to the first, becomes the
+    first times 1 +- 0.1i.
+    """
+    # hypot rounds like the scalar abs(complex).
+    d = pairs[:, 0] - pairs[:, 1]
+    twin = (np.hypot(d.real, d.imag)
+            <= _COINCIDENT * np.hypot(pairs[:, 0].real, pairs[:, 0].imag))
+    pairs[twin] = pairs[twin, :1] * np.array([1.0 + 0.1j, 1.0 - 0.1j])
+
+
+def _trapping_starts(model, sigma, dark_levels, nb, scale):
+    """Strong-coupling Aberth starts of the ``nb`` bright roots, or None.
+
+    Past the trapping threshold (Sokolov & Zelevinsky, Nucl. Phys. A 504,
+    562 (1989)) the n_c open contact sites c take the width: n_c
+    superradiant roots lie near the eigenvalues of the contact block
+    K = H_B[c, c] + Sigma, and the others are trapped near the levels of
+    H_B with the contacts removed, whose first-order shifts in 1 / Sigma,
+    -u^T H_B[int, c] K^-1 H_B[c, int] u, sum to -tr(K^-1 M) with
+    M = H_B[c, int] H_B[int, c]. Every trapped start takes their mean,
+    which moves it off the real axis and off any pole there; the starts
+    of a run of tied levels (:func:`_degenerate_runs`) are spread by
+    multiples of 0.1i times it, and coincident superradiant starts are
+    split by :func:`_separate_twins`. The starts are taken when every open
+    channel has |sigma_C| > ||H_B[c_C, int]||_2, the hopping of its
+    contact to the sites kept; else None.
+
+    A deflated (dark) level is an exact eigenvalue of the block without
+    the contacts, so each drops one trapped level of its run of tied
+    values. The trapped levels (``eigvalsh``, once per geometry and set of
+    contacts) are computed only once the rule holds. None also when the
+    starts do not number ``nb``.
+    """
+    open_ = np.flatnonzero(sigma != 0.0)
+    if not open_.size:
+        return None
+    contacts = model.contact_indices[open_]
+    hop = model.h_b[contacts]
+    hop[:, contacts] = 0.0
+    if not (np.abs(sigma[open_])
+            > np.sqrt(np.einsum("ij,ij->i", hop, hop))).all():
+        return None
+    sites, rows, at = np.unique(contacts, return_index=True,
+                                return_inverse=True)
+    m = hop[rows] @ hop[rows].T
+    k = _with_self_energies(model.h_b[np.ix_(sites, sites)], at,
+                            sigma[open_])
+    levels = model._interior_levels(sites)
+    merged = np.concatenate([levels, dark_levels])
+    order = np.argsort(merged, kind="stable")
+    merged = merged[order]
+    dark = order >= len(levels)
+    drop = dark.copy()
+    for first, size in zip(*_degenerate_runs(merged, scale)):
+        run = np.arange(first, first + size)
+        drop[run[~dark[run]][:np.count_nonzero(dark[run])]] = True
+    trapped = merged[~drop]
+    if len(trapped) + len(sites) != nb:
+        return None
+    try:
+        shift = -np.trace(np.linalg.solve(k, m)) / max(len(trapped), 1)
+    except np.linalg.LinAlgError:
+        return None
+    spread = np.zeros(len(trapped))
+    for first, size in zip(*_degenerate_runs(trapped, scale)):
+        spread[first:first + size] = np.arange(size) - 0.5 * (size - 1)
+    radiant = np.linalg.eigvals(k)
+    if len(radiant) == 2:
+        _separate_twins(radiant[None])
+    return np.concatenate([trapped + shift * (1.0 + 0.1j * spread), radiant])
 
 
 def _canonical_sign(phis):

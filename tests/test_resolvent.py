@@ -16,6 +16,7 @@ factorized on the way.
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from opencavity import (
     wigner_delay,
 )
 
+from opencavity import scattering
 from opencavity.scattering import RESOLVENT_GAP
 
 from conftest import energies, open_cavities, square4
@@ -352,6 +354,40 @@ def test_array_matches_one_point_calls():
         np.testing.assert_allclose(tau[i], wigner_delay(model, e), rtol=1e-9)
 
 
+def test_delay_memory_does_not_grow_with_the_grid(monkeypatch):
+    # The resolvent and the delay take O(N) temporaries per energy, and
+    # run in chunks of _CHUNK energies. The grid holds the singular E = 0
+    # of the 4 x 4 lattice in its third chunk.
+    monkeypatch.setattr(scattering, "_CHUNK", 256)
+    model = square4()
+    grid = np.linspace(-1.9, 1.9, 1001)
+    assert grid[500] == 0.0
+
+    def traced_peak(energies):
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            floor = tracemalloc.get_traced_memory()[0]
+            wigner_delay(model, energies)
+            return tracemalloc.get_traced_memory()[1] - floor
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    assert traced_peak(grid[:1024]) <= 1.2 * traced_peak(grid[:256])
+    chunked = (wigner_delay(model, grid), s_matrix(model, grid),
+               *contact_green(model, grid))
+    monkeypatch.setattr(scattering, "_CHUNK", len(grid))
+    whole = (wigner_delay(model, grid), s_matrix(model, grid),
+             *contact_green(model, grid))
+    for got, want in zip(chunked, whole):
+        assert got.shape == want.shape and len(got) == len(grid)
+        assert np.isnan(got[500]).all() and np.isnan(want[500]).all()
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
 @pytest.mark.parametrize("w", [(1.0, 0.7), (0.0, 1.3)])
 def test_self_energies_match_scalar_path_bit_for_bit(w):
     # The grid path of the resolvent takes Sigma(E) for all energies at
@@ -387,13 +423,15 @@ def test_with_alpha_shares_closed_modes():
 
 
 def test_closed_modes_computed_once_across_threads():
-    # Models from with_alpha share one lazily computed eigh; eight threads
-    # racing for it on two cores must all receive the same arrays.
+    # Models from with_alpha share one lazily computed eigh, and one
+    # eigvalsh per set of removed contacts; eight threads racing for them
+    # on two cores must all receive the same arrays.
     model = square4()
     seen = []
 
     def worker():
-        seen.append(model.with_alpha(0.5).closed_modes)
+        other = model.with_alpha(0.5)
+        seen.append((other.closed_modes, other._interior_levels((0, 15))))
 
     threads = [threading.Thread(target=worker) for _ in range(8)]
     old = sys.getswitchinterval()
@@ -407,4 +445,4 @@ def test_closed_modes_computed_once_across_threads():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert len(seen) == 8
-    assert all(modes is seen[0] for modes in seen)
+    assert all(a is b for pair in seen for a, b in zip(pair, seen[0]))

@@ -10,7 +10,7 @@ on polynomials with known roots.
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from opencavity import (
@@ -763,3 +763,84 @@ def test_crossover_matches_eigvals_reference(monkeypatch):
     for col in (0, 1, 2, 5):
         npt.assert_array_equal(rows[:, col], reference[:, col])
     npt.assert_allclose(rows[:, 3:5], reference[:, 3:5], rtol=0, atol=1e-12)
+
+
+def unit_couplings(model):
+    """``model``'s geometry and contacts with both couplings 1.
+
+    From alpha = 1.5 on, |sigma_C| = alpha^2 then exceeds the hopping of
+    any contact to the other sites, at most 2, at every in-band energy.
+    """
+    leads = [LeadSpec(lead.contact, 1.0) for lead in model.leads]
+    return CavityModel(model.lattice, leads, model.alpha)
+
+
+def irregular_model(alpha):
+    mask, (c_l, c_r) = irregular_cavity()
+    return CavityModel(LatticeSpec(14, 13, mask=mask),
+                       (LeadSpec(c_l, 1.0), LeadSpec(c_r, 1.0)), alpha)
+
+
+def test_trapping_starts_never_fall_back(monkeypatch):
+    # Past the trapping threshold the starts sit near trapped and
+    # superradiant roots. No start may sit on a pole (a trapped level
+    # equal to a bright level) or on another start (tied trapped levels),
+    # or the check rejects the root and zgeev runs instead.
+    fired = []
+    trapping_starts = spectrum._trapping_starts
+
+    def recorded(*args):
+        starts = trapping_starts(*args)
+        fired.append(starts is not None)
+        return starts
+
+    def refuse(*args):
+        raise AssertionError("strong-coupling starts fell back to zgeev")
+
+    monkeypatch.setattr(spectrum, "_trapping_starts", recorded)
+    monkeypatch.setattr(spectrum, "assemble_heff", refuse)
+    config = masked_6x6_crossover()
+    grid = config.alpha_grid.values()
+    assert grid[-1] == 4.0 and round(grid[-2], 3) == 2.655
+
+    @settings(derandomize=True, deadline=None, max_examples=150,
+              database=None)
+    @given(model=st.one_of(open_cavities(full=st.booleans(), open_leads=True),
+                           symmetric_lattices()).map(unit_couplings),
+           alpha=st.floats(1.5, 8.0), e=energies)
+    @example(model=config.build_model(), alpha=grid[-1],
+             e=config.e_grid.center)
+    @example(model=irregular_model(0.8), alpha=grid[-2],
+             e=config.e_grid.center)
+    def check(model, alpha, e):
+        model = model.with_alpha(alpha)
+        assert_matches_zgeev(model, e)
+        assert isinstance(heff_spectrum(model, e).basis, _SecularStates)
+
+    check()
+    assert len(fired) >= 2 * 150
+    assert all(fired)
+
+
+def test_trapping_starts_halve_the_root_evaluations(monkeypatch):
+    # On the 155-site cavity at alpha = 4 the first-order starts took
+    # 2,120 root evaluations, the trapping starts 605.
+    evaluations = []
+    aberth = spectrum._aberth
+
+    def counted(z, newton, scale):
+        def counted_newton(zb):
+            evaluations.append(len(zb))
+            return newton(zb)
+        return aberth(z, counted_newton, scale)
+
+    # Below the threshold the trapped levels are not computed; past it,
+    # once for every coupling.
+    weak = irregular_model(0.8)
+    heff_spectrum(weak, 0.01)
+    assert not weak._closed._interior
+    monkeypatch.setattr(spectrum, "_aberth", counted)
+    assert_matches_zgeev(weak.with_alpha(4.0), 0.01)
+    assert 0 < sum(evaluations) <= 2120 // 2
+    heff_spectrum(weak.with_alpha(3.0), 0.01)
+    assert len(weak._closed._interior) == 1
