@@ -327,48 +327,89 @@ def _secular_eigenvalues(model, energy):
 
     In the eigenbasis of H_B = U diag(e) U^T, H_eff is diag(e) + W S W^T,
     with W = U_c^T the N x 2 contact rows and S = diag(sigma_L, sigma_R).
-    After deflation (Bunch, Nielsen & Sorensen, Numer. Math. 31, 31 (1978))
-    the combinations whose first-order residual is within the backward-error
-    bound keep their e_k, and the other eigenvalues are the zeros of the
-    monic polynomial
+    :func:`_deflate` keeps the deflated levels' e_k; the other eigenvalues
+    are the zeros of the monic polynomial
 
         P(z) = prod_k (z - p_k) f(z),   f = det(I - S G0(z)),
         G0(z) = sum_k w_k w_k^T / (z - p_k),
 
-    over the poles p_k that keep weight. :func:`_aberth` finds all of them
-    at once. It starts from first-order perturbation theory in S, or past
-    the trapping threshold from the trapped and superradiant levels of
-    :func:`_trapping_starts`. Every root must then pass a backward-error
-    check, ||(diag p + W S W^T - z) y|| / ||y|| <= 1e-12 max(1, max
-    |lambda|) with y its eigenvector (max |lambda| is at most
+    over the poles p_k that keep weight (f is :func:`_secular`).
+    :func:`_aberth` finds all of them at once, from first-order
+    perturbation theory in S or, past the trapping threshold, from
+    :func:`_trapping_starts`. Every root must pass :func:`_certify`, with a
+    bound of 1e-12 max(1, max |lambda|) (max |lambda| is at most
     ||H_eff||_2), and all N must sum to the trace of H_eff less the
     deflated levels' first-order shifts. The trace alone proves nothing:
     the first-order starts already sum to it exactly, so iterates that
     never moved would pass. Returns None when a check fails.
 
     Otherwise it returns the states as a :class:`_SecularStates`, with the
-    eigenvalues sorted like :func:`~opencavity.linalg.eig_general`: each
-    bright root's x as step 4 forms it, over the rotated contact rows of
-    the poles that keep weight, with the sums the closed forms read; the
-    bright/dark split; and the cluster rotations. A deflated combination is
-    its own eigenvector, a column of U rotated within its cluster. No N x N
-    array is formed.
+    eigenvalues sorted like :func:`~opencavity.linalg.eig_general`. A
+    deflated combination is its own eigenvector, a column of U rotated
+    within its cluster. No N x N array is formed.
     """
     e_k, u = model.closed_modes
     sigma = model.self_energy_weights(energy)
-    w_all = u[model.contact_indices, :].T
     scale = max(1.0, float(np.abs(e_k).max() + np.abs(sigma).sum()))
-    # A combination of contact weights w has the first-order residual
-    # ||S w|| <= sqrt(max |sigma| w^T |S| w). Within the backward-error
-    # bound it is deflated (Dongarra & Sorensen, SIAM J. Sci. Stat.
-    # Comput. 8, s139 (1987)): its unit vector is then an eigenvector.
-    s_max, floor = np.abs(sigma).max(), (_BACKWARD_TOL * scale) ** 2
+    bright, dark, z0, w_rot, rotations = _deflate(
+        e_k, u[model.contact_indices, :].T, sigma, scale)
+    p, w = e_k[bright], w_rot[bright]
+    z = _trapping_starts(model, sigma, e_k[dark], len(bright), scale)
+    if z is None:
+        z = z0[bright]
+    # The trace of H_eff less the first-order shifts of the deflated levels.
+    trace = e_k.sum() + np.sum(w ** 2 @ sigma)
+    # P'/P is f'/f + sum_k 1/(z - p_k); G0' = -sum_k w_k w_k^T / (z - p_k)^2.
+    wsq = np.stack([w[:, 0] ** 2, w[:, 0] * w[:, 1], w[:, 1] ** 2], axis=1)
 
-    # 1. Deflation and first-order starts in stacked LAPACK calls, over
-    # the clusters of one size m, then of one bright count b <= 2: one SVD
-    # per size, one eigvals per size and b. The first b combinations of
-    # a cluster keep weight; ``lit`` marks them by index. By index too, z0
-    # holds the starts and w_rot the contact weights after the rotation.
+    def newton(zb):
+        r, g = _pole_sums(zb, p, wsq)
+        r_sum = r.sum(axis=1)
+        f, df = _secular(g, np.multiply(r, r, out=r) @ wsq, sigma)
+        return f / (f * r_sum + df)
+
+    with np.errstate(all="ignore"):
+        if _aberth(z, newton, scale) is None:
+            return None
+        roots = np.concatenate([z, e_k[dark]])
+        # Relative to max |lambda| <= ||H_eff||_2, not to ``scale``, an
+        # upper bound of the norm: an accepted pair is then backward stable
+        # relative to the matrix itself.
+        checked = _certify(z, p, w, wsq, sigma, _BACKWARD_TOL
+                           * max(1.0, float(np.abs(roots).max())))
+    if checked is None or not (abs(roots.sum() - trace)
+                               <= _TRACE_TOL * scale * len(roots)):
+        return None
+    order = np.lexsort((roots.imag, roots.real))
+    pos = np.empty_like(order)
+    pos[order] = np.arange(len(roots))
+    lit = order[order < len(z)]
+    x, v, y_norm, beta, gamma, near, near_r = (a[lit] for a in checked)
+    return _SecularStates(
+        values=roots[order], u=u, contacts_at=tuple(model.contact_indices),
+        rotations=rotations, bright=bright, dark=dark, p=p, w=w, z=z[lit],
+        x=x, v=v, y_norm=y_norm, beta=beta, gamma=gamma, near=near,
+        near_r=near_r, w_dark=w_rot[dark], bright_pos=pos[lit],
+        dark_pos=pos[len(z):])
+
+
+def _deflate(e_k, w_all, sigma, scale):
+    """Deflation of diag(e_k) + W S W^T, and first-order starts.
+
+    Bunch, Nielsen & Sorensen, Numer. Math. 31, 31 (1978). A combination
+    of contact rows w whose first-order residual bound ||S w|| <= sqrt(max
+    |sigma| w^T |S| w) is within ``_BACKWARD_TOL * scale`` is deflated
+    (Dongarra & Sorensen, SIAM J. Sci. Stat. Comput. 8, s139 (1987)): its
+    unit vector is then an eigenvector. Each cluster of tied levels is
+    rotated by the SVD of its sigma-weighted rows, so at most two members
+    keep weight. Returns the level indices of the ``bright`` poles (the
+    clusters' in index order, then the single levels') and of the
+    ``dark`` levels, the first-order starts ``z0`` and rotated contact
+    rows ``w_rot``, both indexed by level, and per cluster size the
+    ``rotations`` (level indices, rotations, dark members).
+    """
+    s_max, floor = np.abs(sigma).max(), (_BACKWARD_TOL * scale) ** 2
+    # One SVD per cluster size m, one eigvals per size and bright count b.
     n = len(e_k)
     clustered, lit = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
     z0, w_rot = np.empty(n, dtype=complex), w_all.copy()
@@ -378,8 +419,8 @@ def _secular_eigenvalues(model, energy):
         c = start[size == m, None] + np.arange(m)
         clustered[c] = True
         w_c = w_all[c]
-        # At most two combinations of a cluster keep weight. The SVD is of
-        # the sigma-weighted rows, so a detached channel adds none.
+        # The SVD is of the sigma-weighted rows, so a detached channel adds
+        # no bright member.
         _, s, vt = np.linalg.svd(np.sqrt(np.abs(sigma))[:, None]
                                  * np.swapaxes(w_c, 1, 2))
         b_of = np.count_nonzero(s_max * s * s > floor, axis=1)
@@ -400,105 +441,81 @@ def _secular_eigenvalues(model, energy):
             lit[rows] = True
             z0[rows] = e_k[rows] + shifts
             w_rot[rows] = w
-    # The Aberth sums and blocks run over the clusters' bright members in
-    # index order, then over the single levels that keep weight.
     k = np.flatnonzero(~clustered)
     k_lit = s_max * ((w_all[k] ** 2) @ np.abs(sigma)) > floor
     z0[k[k_lit]] = e_k[k[k_lit]] + w_all[k[k_lit]] ** 2 @ sigma
     bright = np.concatenate([np.flatnonzero(lit), k[k_lit]])
     dark = np.concatenate([np.flatnonzero(clustered & ~lit), k[~k_lit]])
-    p, w = e_k[bright], w_rot[bright]
-    # 2. Past the trapping threshold, the trapping starts instead.
-    z = _trapping_starts(model, sigma, e_k[dark], len(bright), scale)
-    if z is None:
-        z = z0[bright]
-    # The trace of H_eff less the first-order shifts of the deflated levels.
-    trace = e_k.sum() + np.sum(w ** 2 @ sigma)
+    return bright, dark, z0, w_rot, rotations
 
-    # 3. Aberth iteration on P(z); P'/P is f'/f + sum_k 1/(z - p_k), and
-    # G0' = -sum_k w_k w_k^T / (z - p_k)^2.
-    wsq = np.stack([w[:, 0] ** 2, w[:, 0] * w[:, 1], w[:, 1] ** 2], axis=1)
+
+def _secular(g, dg, sigma):
+    """f = det(I - S G0) and minus its derivative along dG0.
+
+    G0 and dG0 are given as (g_LL, g_LR, g_RR) rows ``g`` and ``dg``.
+    """
     s_l, s_r = sigma
+    a = 1.0 - s_l * g[:, 0]
+    d = 1.0 - s_r * g[:, 2]
+    f = a * d - s_l * s_r * g[:, 1] ** 2
+    return f, (s_l * dg[:, 0] * d + s_r * dg[:, 2] * a
+               + 2.0 * s_l * s_r * g[:, 1] * dg[:, 1])
 
-    def secular(g, dg):
-        """f = det(I - S G0) and minus its derivative along dG0 (as g, dg)."""
-        a = 1.0 - s_l * g[:, 0]
-        d = 1.0 - s_r * g[:, 2]
-        f = a * d - s_l * s_r * g[:, 1] ** 2
-        return f, (s_l * dg[:, 0] * d + s_r * dg[:, 2] * a
-                   + 2.0 * s_l * s_r * g[:, 1] * dg[:, 1])
 
-    def newton(zb):
-        r, g = _pole_sums(zb, p, wsq)
-        r_sum = r.sum(axis=1)
-        f, df = secular(g, np.multiply(r, r, out=r) @ wsq)
-        return f / (f * r_sum + df)
+def _certify(z, p, w, wsq, sigma, tol):
+    """Backward-error check of the roots ``z`` of f over the poles ``p``.
 
-    with np.errstate(all="ignore"):
-        if _aberth(z, newton, scale) is None:
-            return None
-
-        roots = np.concatenate([z, e_k[dark]])
-        # Relative to max |lambda| <= ||H_eff||_2, not to ``scale``, an
-        # upper bound of the norm: an accepted pair is then backward stable
-        # relative to the matrix itself.
-        backward_tol = _BACKWARD_TOL * max(1.0, float(np.abs(roots).max()))
-        nb = len(z)
-        xs, vs = np.empty((2, nb, 2), complex)
-        y_norms, gammas = np.empty((2, nb))
-        betas, near_r = np.empty((2, nb), complex)
-        nears = np.empty(nb, dtype=int)
-        # 4. Backward error: x spans the null space of M = I - S G0(z),
-        # and y = r (W x) is the eigenvector of root z, r = 1 / (z - p).
-        for i in range(0, nb, _BLOCK):
-            blk = slice(i, i + _BLOCK)
-            d = np.subtract.outer(z[blk], p)
-            r, near = 1.0 / d, np.full(len(d), -1)
-            while True:
-                g = r @ wsq
-                m00, m01 = 1.0 - s_l * g[:, 0], -s_l * g[:, 1]
-                m10, m11 = -s_r * g[:, 1], 1.0 - s_r * g[:, 2]
-                top = np.abs(m00) + np.abs(m01) >= np.abs(m10) + np.abs(m11)
-                x = np.where(top, [-m01, m00], [m11, -m10]).T
-                x[~x.any(axis=1)] = (1.0, 0.0)
-                y = r * (x @ w.T)
-                res = (y @ w * sigma) @ w.T - y * d
-                y_norm = np.linalg.norm(y, axis=1)
-                b = np.flatnonzero(~(np.linalg.norm(res, axis=1) / y_norm
-                                     <= backward_tol))
-                if not b.size:
-                    break
-                if (near >= 0).any():
-                    return None
-                # A root nearer a pole p_j than the rounding of z loses
-                # z - p_j. With G0 = R + q / (z - p_j), f is linear in
-                # 1 / (z - p_j) and vanishes at f / df of R along q; the
-                # check runs again with r there, while the residual keeps
-                # the float z - p_j.
-                near[b] = np.abs(d[b]).argmin(axis=1)
-                r[b, near[b]] = 0.0
-                f, df = secular(r[b] @ wsq, wsq[near[b]])
-                r[b, near[b]] = f / df
-            # sum_k |w_k|^2 / |z - p_k|, which bounds the rounding of G0;
-            # inf with a near pole, whose offset z lacks.
-            gammas[blk] = np.abs(r) @ (wsq[:, 0] + wsq[:, 2])
-            gammas[blk][near >= 0] = np.inf
-            xs[blk], y_norms[blk] = x, y_norm
-            vs[blk] = g[:, :2] * x[:, :1] + g[:, 1:] * x[:, 1:]
-            betas[blk] = np.einsum("ij,ij->i", y, y)
-            nears[blk], near_r[blk] = near, r[np.arange(len(r)), near]
-    if not abs(roots.sum() - trace) <= _TRACE_TOL * scale * len(roots):
-        return None
-    order = np.lexsort((roots.imag, roots.real))
-    pos = np.empty_like(order)
-    pos[order] = np.arange(len(roots))
-    lit = order[order < nb]
-    return _SecularStates(
-        values=roots[order], u=u, contacts_at=tuple(model.contact_indices),
-        rotations=rotations, bright=bright, dark=dark, p=p, w=w, z=z[lit],
-        x=xs[lit], v=vs[lit], y_norm=y_norms[lit], beta=betas[lit],
-        gamma=gammas[lit], near=nears[lit], near_r=near_r[lit],
-        w_dark=w_rot[dark], bright_pos=pos[lit], dark_pos=pos[nb:])
+    x spans the null space of M = I - S G0(z), and y = r (W x), r = 1 /
+    (z - p), is the eigenvector of root z; it passes when ||(diag p + W S
+    W^T - z) y|| / ||y|| <= ``tol``. A root that fails is checked once
+    more with its nearest pole's r taken from f (the near-pole repair
+    below). Returns, per root, x, v = G0 x, ||y||, y^T y, gamma = sum_k
+    |w_k|^2 / |z - p_k| (inf with a near pole), the near pole's index (else
+    -1) and its r; None when a root fails. Run it under
+    ``np.errstate(all="ignore")``.
+    """
+    s_l, s_r = sigma
+    nb = len(z)
+    xs, vs = np.empty((2, nb, 2), complex)
+    y_norms, gammas = np.empty((2, nb))
+    betas, near_r = np.empty((2, nb), complex)
+    nears = np.empty(nb, dtype=int)
+    for i in range(0, nb, _BLOCK):
+        blk = slice(i, i + _BLOCK)
+        d = np.subtract.outer(z[blk], p)
+        r, near = 1.0 / d, np.full(len(d), -1)
+        while True:
+            g = r @ wsq
+            m00, m01 = 1.0 - s_l * g[:, 0], -s_l * g[:, 1]
+            m10, m11 = -s_r * g[:, 1], 1.0 - s_r * g[:, 2]
+            top = np.abs(m00) + np.abs(m01) >= np.abs(m10) + np.abs(m11)
+            x = np.where(top, [-m01, m00], [m11, -m10]).T
+            x[~x.any(axis=1)] = (1.0, 0.0)
+            y = r * (x @ w.T)
+            res = (y @ w * sigma) @ w.T - y * d
+            y_norm = np.linalg.norm(y, axis=1)
+            b = np.flatnonzero(~(np.linalg.norm(res, axis=1) / y_norm <= tol))
+            if not b.size:
+                break
+            if (near >= 0).any():
+                return None
+            # A root nearer a pole p_j than the rounding of z loses
+            # z - p_j. With G0 = R + q / (z - p_j), f is linear in
+            # 1 / (z - p_j) and vanishes at f / df of R along q; the
+            # check runs again with r there, while the residual keeps
+            # the float z - p_j.
+            near[b] = np.abs(d[b]).argmin(axis=1)
+            r[b, near[b]] = 0.0
+            f, df = _secular(r[b] @ wsq, wsq[near[b]], sigma)
+            r[b, near[b]] = f / df
+        # sum_k |w_k|^2 / |z - p_k| bounds the rounding of G0.
+        gammas[blk] = np.abs(r) @ (wsq[:, 0] + wsq[:, 2])
+        gammas[blk][near >= 0] = np.inf
+        xs[blk], y_norms[blk] = x, y_norm
+        vs[blk] = g[:, :2] * x[:, :1] + g[:, 1:] * x[:, 1:]
+        betas[blk] = np.einsum("ij,ij->i", y, y)
+        nears[blk], near_r[blk] = near, r[np.arange(len(r)), near]
+    return xs, vs, y_norms, betas, gammas, nears, near_r
 
 
 def _separate_twins(pairs):
@@ -790,8 +807,8 @@ class _SecularStates:
     The bright roots ``z`` are in sorted order, at ``bright_pos`` of
     ``values``. Root i has the eigenvector y_i = (z_i - p)^-1 (W x_i) over
     the poles p that keep contact weight, W (``w``) holding their rotated
-    contact rows. x_i is the null vector of I - S G0(z_i) as the
-    backward-error check forms it, v_i = G0(z_i) x_i are the contact
+    contact rows. x_i is the null vector of I - S G0(z_i) as
+    :func:`_certify` forms it, v_i = G0(z_i) x_i are the contact
     amplitudes of y_i, and the check also leaves ||y_i|| (``y_norm``),
     y_i^T y_i (``beta``) and sum_k |w_k|^2 / |z_i - p_k| (``gamma``). A
     dark state is a real unit vector of the rotated basis, with contact

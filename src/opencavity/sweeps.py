@@ -20,7 +20,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -346,9 +346,9 @@ def _build_config(doc, base_dir):
     )
     nx = _integer(msec, "nx", "model")
     ny = _integer(msec, "ny", "model")
-    onsite = _parse_onsite(msec.get("onsite", 0.0), nx, ny)
-    hopping = _number(msec, "hopping", "model", required=False, default=1.0,
-                      minimum=0.0, strict_min=True)
+    onsite = _parse_onsite(msec.get("onsite", LatticeSpec.onsite), nx, ny)
+    hopping = _number(msec, "hopping", "model", required=False,
+                      default=LatticeSpec.hopping, minimum=0.0, strict_min=True)
     alpha = _number(msec, "alpha", "model", minimum=0.0)
     mask = None
     if msec.get("mask") is not None:
@@ -376,7 +376,8 @@ def _build_config(doc, base_dir):
             )
         coupling = _number(entry, "coupling_w", where, minimum=0.0)
         lead_hop = _number(entry, "lead_hopping", where, required=False,
-                           default=1.0, minimum=0.0, strict_min=True)
+                           default=LeadSpec.lead_hopping, minimum=0.0,
+                           strict_min=True)
         leads.append(
             LeadSpec(contact=(contact[0], contact[1]), coupling_w=coupling,
                      lead_hopping=lead_hop)
@@ -404,7 +405,7 @@ def _build_config(doc, base_dir):
         if not isinstance(asec, dict):
             raise ValidationError("alpha_grid must be an object", field="alpha_grid")
         _expect_keys(asec, {"min", "max", "points", "scale"}, "alpha_grid")
-        scale = asec.get("scale", "linear")
+        scale = asec.get("scale", AlphaGrid.scale)
         if not isinstance(scale, str):
             raise ValidationError("scale must be a string", field="alpha_grid.scale")
         alpha_grid = AlphaGrid(
@@ -445,46 +446,27 @@ def _build_config(doc, base_dir):
 def serialize_config(config: RunConfig) -> str:
     """Canonical JSON echo of a config: sorted keys, compact, mask inlined.
 
+    The sections are the config records' fields, read without copying;
     ``parse_config(serialize_config(c))`` reproduces ``c`` exactly.
     """
-    lat = config.lattice
-    model = {
-        "nx": lat.nx,
-        "ny": lat.ny,
-        "onsite": [list(row) for row in lat.onsite],
-        "hopping": lat.hopping,
-        "alpha": config.alpha,
-        "leads": [
-            {
-                "contact": list(ld.contact),
-                "coupling_w": ld.coupling_w,
-                "lead_hopping": ld.lead_hopping,
-            }
-            for ld in config.leads
-        ],
-    }
-    if lat.mask is not None:
-        model["mask"] = [[1 if x else 0 for x in row] for row in lat.mask]
-    doc = {
-        "version": 1,
-        "study": config.study,
-        "model": model,
-        "e_grid": {
-            "min": config.e_grid.min,
-            "max": config.e_grid.max,
-            "points": config.e_grid.points,
-        },
-    }
+    model = _fields(config.lattice)
+    if model["mask"] is None:
+        del model["mask"]
+    else:
+        model["mask"] = [[int(x) for x in row] for row in model["mask"]]
+    model.update(alpha=config.alpha, leads=[_fields(ld) for ld in config.leads])
+    doc = {"version": 1, "study": config.study, "model": model,
+           "e_grid": _fields(config.e_grid)}
     if config.alpha_grid is not None:
-        doc["alpha_grid"] = {
-            "min": config.alpha_grid.min,
-            "max": config.alpha_grid.max,
-            "points": config.alpha_grid.points,
-            "scale": config.alpha_grid.scale,
-        }
+        doc["alpha_grid"] = _fields(config.alpha_grid)
     if config.out is not None:
         doc["out"] = config.out
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _fields(record):
+    """A dataclass record's fields by name, shallow (``asdict`` deep-copies)."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
 def count_peaks(values, floor):

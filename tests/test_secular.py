@@ -4,7 +4,9 @@ The route ``_secular_eigenvalues`` either returns all N eigenpairs, as a
 ``_SecularStates``, or None; these tests call it directly and compare with
 ``zgeev`` of the assembled matrix root for root and state for state.
 Its root finder, the Aberth kernel ``_aberth``, is also tested on its own,
-on polynomials with known roots.
+on polynomials with known roots, and so are its other parts: the deflation
+``_deflate``, the secular function ``_secular``, the backward-error check
+``_certify`` and the strong-coupling starts ``_trapping_starts``.
 """
 
 import numpy as np
@@ -32,9 +34,13 @@ from opencavity import (
 )
 from opencavity import spectrum
 from opencavity.spectrum import (
+    _aberth,
     _biorthogonal_set,
+    _certify,
+    _deflate,
     _degenerate_runs,
     _degenerate_sets,
+    _secular,
     _secular_eigenvalues,
     _SecularStates,
     _site_columns,
@@ -844,3 +850,124 @@ def test_trapping_starts_halve_the_root_evaluations(monkeypatch):
     assert 0 < sum(evaluations) <= 2120 // 2
     heff_spectrum(weak.with_alpha(3.0), 0.01)
     assert len(weak._closed._interior) == 1
+
+
+def deflated(model, energy):
+    """``_deflate`` of ``model`` at ``energy``, with sigma and the scale."""
+    e_k, u = model.closed_modes
+    sigma = model.self_energy_weights(energy)
+    scale = max(1.0, float(np.abs(e_k).max() + np.abs(sigma).sum()))
+    return (_deflate(e_k, u[model.contact_indices, :].T, sigma, scale),
+            sigma, scale)
+
+
+@pytest.mark.parametrize("model", [square(4, ((0, 0), (3, 3)), 0.0),
+                                   irregular_model(0.0)])
+def test_deflate_at_zero_coupling_deflates_every_level(model):
+    (bright, dark, _, _, _), _, _ = deflated(model, 0.3)
+    assert bright.size == 0
+    npt.assert_array_equal(np.sort(dark), np.arange(model.dimension))
+
+
+@pytest.mark.parametrize(
+    "contacts,w",
+    [
+        (((0, 0), (3, 3)), (1.0, 1.0)),
+        (((0, 1), (1, 0)), (1.0, 1.0)),   # mirror images, sigma_L = sigma_R
+        (((1, 1), (1, 1)), (1.0, 0.7)),   # shared contact
+        (((0, 2), (3, 1)), (1.0, 0.0)),   # one detached channel
+    ],
+)
+def test_deflate_keeps_at_most_two_bright_members_per_cluster(contacts, w):
+    model = square(4, contacts, 1.0, w)
+    (bright, dark, _, w_rot, rotations), sigma, scale = deflated(model, 0.3)
+    npt.assert_array_equal(np.sort(np.concatenate([bright, dark])),
+                           np.arange(model.dimension))
+    # The 4 x 4 lattice's level 0 is four-fold.
+    assert max(c.shape[1] for c, _, _ in rotations) == 4
+    for c, _, is_dark in rotations:
+        assert (np.count_nonzero(~is_dark, axis=1) <= 2).all()
+        assert np.isin(c[~is_dark], bright).all()
+        assert np.isin(c[is_dark], dark).all()
+    # Every dark level's first-order residual bound is below the floor.
+    floor = (spectrum._BACKWARD_TOL * scale) ** 2
+    assert (np.abs(sigma).max() * (np.abs(w_rot[dark]) ** 2 @ np.abs(sigma))
+            <= floor).all()
+
+
+@pytest.mark.parametrize("model,energy",
+                         [(square(4, ((0, 0), (3, 3)), 1.0), 0.3),
+                          (irregular_model(0.8), 0.01)])
+def test_certify_accepts_aberth_roots_and_rejects_moved_ones(model, energy):
+    e_k = model.closed_modes[0]
+    (bright, dark, z0, w_rot, _), sigma, scale = deflated(model, energy)
+    p, w = e_k[bright], w_rot[bright]
+    wsq = np.stack([w[:, 0] ** 2, w[:, 0] * w[:, 1], w[:, 1] ** 2], axis=1)
+
+    def newton(zb):
+        r, g = spectrum._pole_sums(zb, p, wsq)
+        f, df = _secular(g, (r * r) @ wsq, sigma)
+        return f / (f * r.sum(axis=1) + df)
+
+    with np.errstate(all="ignore"):
+        z = _aberth(z0[bright], newton, scale)
+        assert z is not None
+        tol = spectrum._BACKWARD_TOL * max(
+            1.0, np.abs(np.concatenate([z, e_k[dark]])).max())
+        checked = _certify(z, p, w, wsq, sigma, tol)
+        assert checked is not None
+        assert all(len(a) == len(z) for a in checked)
+        assert _certify(z + 1e-6 * scale, p, w, wsq, sigma, tol) is None
+
+
+def test_secular_derivative_is_a_central_difference():
+    # f is quadratic in G0, so the central difference is exact up to
+    # rounding.
+    rng = np.random.default_rng(7)
+    h = 1e-3
+    for _ in range(20):
+        g, dg = rng.standard_normal((2, 5, 3)) + 1j * rng.standard_normal(
+            (2, 5, 3))
+        sigma = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        f, df = _secular(g, dg, sigma)
+        g0 = np.stack([g[:, :2], g[:, 1:]], axis=1)
+        npt.assert_allclose(f, np.linalg.det(np.eye(2) - sigma[:, None] * g0),
+                            rtol=1e-12)
+        central = (_secular(g + h * dg, dg, sigma)[0]
+                   - _secular(g - h * dg, dg, sigma)[0]) / (2.0 * h)
+        npt.assert_allclose(-df, central, rtol=1e-10)
+
+
+@pytest.mark.parametrize("fault", ["count", "singular"])
+def test_trapping_starts_fall_back_to_first_order_starts(monkeypatch, fault):
+    # Past the trapping threshold on the masked 6 x 6 cavity, starts that
+    # do not number the bright roots, or a singular contact block K, give
+    # None, and the first-order starts still find every root.
+    config = masked_6x6_crossover()
+    model, energy = config.build_model().with_alpha(4.0), config.e_grid.center
+    trapping_starts = spectrum._trapping_starts
+    starts = []
+
+    def recorded(*args):
+        starts.append(trapping_starts(*args))
+        return starts[-1]
+
+    def refuse(*args):
+        raise AssertionError("the first-order starts fell back to zgeev")
+
+    monkeypatch.setattr(spectrum, "_trapping_starts", recorded)
+    heff_spectrum(model, energy)
+    assert starts[-1] is not None
+    if fault == "count":
+        levels = CavityModel._interior_levels
+        monkeypatch.setattr(CavityModel, "_interior_levels",
+                            lambda self, sites: levels(self, sites)[1:])
+    else:
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+        monkeypatch.setattr(np.linalg, "solve", singular)
+    monkeypatch.setattr(spectrum, "assemble_heff", refuse)
+    starts.clear()
+    assert_matches_zgeev(model, energy)
+    assert isinstance(heff_spectrum(model, energy).basis, _SecularStates)
+    assert len(starts) == 2 and all(s is None for s in starts)
